@@ -40,7 +40,6 @@ from .freealg import (
     multinomial,
     word_degree,
     word_string,
-    word_weight,
 )
 from .kz import (
     DiagonalApproachError,
@@ -75,10 +74,8 @@ from .rmatrix import (
     DualBasisPair,
     TruncatedR,
     YangBaxterReport,
-    braid_operator,
     check_ybe,
     dual_bases,
-    truncated_R,
 )
 from .scalars import (
     DenominatorError,

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .linalg import invert_fraction, matrix_rank, nullspace_fraction
+from .linalg import invert, matrix_rank, nullspace
 
 
 class NotSymmetrizableError(ValueError):
@@ -132,7 +132,7 @@ def build_realization(A, d=None) -> CartanDatum:
     if r:
         # right kernel of A, then the lexicographically first r independent
         # columns of its basis matrix
-        kern = nullspace_fraction(A)
+        kern = nullspace(A)
         kmat = [list(v) for v in kern]  # r rows, n cols
         chosen: list[int] = []
         for c in range(n):
@@ -159,7 +159,7 @@ def build_realization(A, d=None) -> CartanDatum:
         G[n + k][p] = Fraction(1) / d[p]
         G[p][n + k] = Fraction(1) / d[p]
     try:
-        G_inv = invert_fraction(G)
+        G_inv = invert(G)
     except ValueError:
         raise NotSymmetrizableError("constructed form on h is degenerate")
 

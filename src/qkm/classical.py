@@ -15,18 +15,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import factorial
 
 from .cartan import CartanDatum, Weight, weight_form
 from .freealg import (
-    FreeElement,
     ResourceLimitError,
-    TruncationError,
     enumerate_words,
+    lift_pair_action,
+    tensor_block_basis,
     total_degree,
     word_degree,
 )
-from .linalg import certified_rational_nullspace, invert_fraction, matrix_rank
+from .linalg import certified_rational_nullspace, invert, matrix_rank
 from .qpairing import degrees_upto
 
 
@@ -194,8 +195,7 @@ class ShapovalovForm:
             return self._kernel[m]
         words, mat = self.block(m)
         rank, pivots, basis = certified_rational_nullspace(
-            mat, _weight_points(self.cd.n),
-            lambda e, pt: e.evaluate(pt))
+            mat, _weight_points(self.cd.n), PolyN.evaluate)
         self._kernel[m] = (rank, basis, pivots)
         reduction = {}
         free = [c for c in range(len(words)) if c not in pivots]
@@ -216,16 +216,6 @@ class ShapovalovForm:
     def quotient_dims(self, max_total_degree: int):
         return {m: self.quotient_dim(m)
                 for m in degrees_upto(self.cd.n, max_total_degree)}
-
-    def kernel_elements(self, m):
-        m = tuple(m)
-        rank, basis, _ = self.kernel(m)
-        words = enumerate_words(m)
-        out = []
-        for vec in basis:
-            out.append(FreeElement.from_dict(
-                m, {words[c]: v for c, v in enumerate(vec) if v}))
-        return out
 
     def generic_block(self, m):
         """The Gram block at a certified-generic rational weight.
@@ -432,7 +422,7 @@ class CasimirEngine:
         size = len(basis)
         gram = [[self.invariant_form(beta, a, basis[b][0]) for b in range(size)]
                 for a in range(size)]
-        inv = invert_fraction(gram)
+        inv = invert(gram)
         pairs = []
         for b in range(size):
             fdual = {}
@@ -457,10 +447,8 @@ class CasimirEngine:
         cart = weight_form(muV, muW, cd)
         if cart:
             out[(mV, a, mW, b)] = cart
-        vecV = [V.scalar_one if k == a else V.scalar_zero
-                for k in range(V.dim(mV))]
-        vecW = [W.scalar_one if k == b else W.scalar_zero
-                for k in range(W.dim(mW))]
+        vecV = V.unit(mV, a)
+        vecW = W.unit(mW, b)
         for beta in degrees_upto(cd.n, self.cap):
             pairs = self.dual_root_pairs(beta)
             for e_combo, f_combo in pairs:
@@ -472,29 +460,18 @@ class CasimirEngine:
 
     def _accumulate(self, out, V, W, mV, mW, vecV, vecW, e_combo, f_combo,
                     beta, e_first: bool):
-        n = self.cd.n
-        if e_first:
-            tV = tuple(x - y for x, y in zip(mV, beta))
-            tW = tuple(x + y for x, y in zip(mW, beta))
-            if any(x < 0 for x in tV):
-                return
-            resV = self._apply_combo(V, e_combo, mV, vecV, raising=True)
-            if resV is None:
-                return
-            resW = self._apply_combo(W, f_combo, mW, vecW, raising=False)
-            if resW is None:
-                return
-        else:
-            tV = tuple(x + y for x, y in zip(mV, beta))
-            tW = tuple(x - y for x, y in zip(mW, beta))
-            if any(x < 0 for x in tW):
-                return
-            resV = self._apply_combo(V, f_combo, mV, vecV, raising=False)
-            if resV is None:
-                return
-            resW = self._apply_combo(W, e_combo, mW, vecW, raising=True)
-            if resW is None:
-                return
+        sign = 1 if e_first else -1
+        tV = tuple(x - sign * y for x, y in zip(mV, beta))
+        tW = tuple(x + sign * y for x, y in zip(mW, beta))
+        if any(x < 0 for x in (tV if e_first else tW)):
+            return
+        on_v, on_w = (e_combo, f_combo) if e_first else (f_combo, e_combo)
+        resV = V.apply_combo(on_v.items(), mV, vecV, raising=e_first)
+        if resV is None:
+            return
+        resW = W.apply_combo(on_w.items(), mW, vecW, raising=not e_first)
+        if resW is None:
+            return
         for r, cv in enumerate(resV):
             if not cv:
                 continue
@@ -504,53 +481,19 @@ class CasimirEngine:
                 key = (tV, r, tW, s)
                 out[key] = out.get(key, Fraction(0)) + cv * cw
 
-    def _apply_combo(self, M, combo, m, vec, raising: bool):
-        """Sum of word actions; None when every term vanishes.  Lowering
-        out of a complete module's cone contributes zero; doing so on a
-        truncated module is an error."""
-        total = None
-        for w, c in combo.items():
-            if raising:
-                _, img = M.apply_e_word(w, m, vec)
-            else:
-                try:
-                    _, img = M.apply_f_word(w, m, vec)
-                except TruncationError:
-                    if M.complete:
-                        continue
-                    raise
-            img = [c * x for x in img]
-            if total is None:
-                total = img
-            else:
-                total = [p + q for p, q in zip(total, img)]
-        return total
-
 
 def casimir_omega(V, W, total_offset, engine: CasimirEngine | None = None) -> OmegaBlock:
     """The Casimir operator on the total-weight block of V (x) W."""
     if V.kind != "classical" or W.kind != "classical":
         raise ValueError("the Casimir tensor acts on classical modules")
     engine = engine or CasimirEngine(V.cd, degree_cap=min(V.depth, W.depth))
-    total_offset = tuple(total_offset)
-    basis = []
-    for mV in V.offsets():
-        mW = tuple(t - v for t, v in zip(total_offset, mV))
-        if any(x < 0 for x in mW) or tuple(mW) not in W.spaces:
-            continue
-        for a in range(V.dim(mV)):
-            for b in range(W.dim(mW)):
-                basis.append((mV, a, mW, b))
-    index = {key: r for r, key in enumerate(basis)}
-    size = len(basis)
-    mat = [[Fraction(0)] * size for _ in range(size)]
-    for c, (mV, a, mW, b) in enumerate(basis):
-        for key, val in engine.pair_action(V, W, mV, a, mW, b):
-            r = index.get(key)
-            if r is None:
-                raise AssertionError(f"Casimir image left the block: {key}")
-            mat[r][c] += val
-    return OmegaBlock(total_offset=total_offset, basis=tuple(basis), matrix=mat)
+    pairs = tensor_block_basis((V, W), total_offset)
+    mat = [[Fraction(0)] * len(pairs) for _ in pairs]
+    action = partial(engine.pair_action, V, W)
+    for r, c, val in lift_pair_action(pairs, action, 0, 1, swap=False):
+        mat[r][c] += val
+    basis = tuple((mV, a, mW, b) for (mV, a), (mW, b) in pairs)
+    return OmegaBlock(total_offset=tuple(total_offset), basis=basis, matrix=mat)
 
 
 # -- Weyl-Kac oracles --------------------------------------------------------

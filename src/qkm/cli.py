@@ -3,7 +3,8 @@ report emission.
 
 Reports are deterministic: exact-arithmetic commands produce byte-identical
 stdout for identical configs (timing goes to stderr), so reports can be
-golden-diffed.  Exit codes: 0 pass, 1 fail, 2 usage, 3 resource.
+golden-diffed.  Exit codes: 0 pass, 1 fail, 2 usage, 3 resource, 4 internal
+error (a failed exactness or certification invariant, not a verdict).
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .freealg import (
     total_degree,
 )
 from .kz import DiagonalApproachError, drinfeld_kohno_compare
+from .linalg import BadPointError
 from .qmodules import (
     character,
     classical_module,
@@ -43,7 +45,7 @@ from .qmodules import (
 )
 from .qpairing import DrinfeldPairing, degrees_upto
 from .rmatrix import check_ybe
-from .scalars import PoleError
+from .scalars import DenominatorError, PoleError
 
 
 class UsageError(ValueError):
@@ -54,6 +56,7 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
+EXIT_INTERNAL = 4
 
 
 @dataclass(frozen=True)
@@ -153,10 +156,6 @@ def parse_config(text: str) -> SessionConfig:
             except ValueError:
                 raise UsageError(f"line {lineno}, column 1: bad number {val!r}")
     return cfg
-
-
-def _format_fraction(x: Fraction) -> str:
-    return str(x)
 
 
 def emit_config(cfg: SessionConfig) -> str:
@@ -478,6 +477,10 @@ def run(argv, out=None, err=None) -> int:
             DiagonalApproachError) as exc:
         print(f"qkm: {type(exc).__name__}: {exc}", file=err)
         return EXIT_FAIL
+    except (BadPointError, DenominatorError, ArithmeticError,
+            AssertionError) as exc:
+        print(f"qkm: internal error: {type(exc).__name__}: {exc}", file=err)
+        return EXIT_INTERNAL
     finally:
         elapsed = time.perf_counter() - started
         print(f"# elapsed\t{elapsed:.3f}s", file=err)

@@ -3,6 +3,11 @@
 Words are tuples of 0-based letter indices; a multidegree is the tuple of
 letter counts.  Elements are homogeneous linear combinations of words of a
 common multidegree with exact scalar coefficients.
+
+Weight modules are graded by the same multidegrees (offsets below the
+highest weight), so the bases of total-weight blocks of their tensor
+products, and the lift of two-site operators onto those blocks, live here
+too: every layer that acts on tensor products, exact or numeric, uses them.
 """
 
 from __future__ import annotations
@@ -47,11 +52,6 @@ def word_degree(word, n: int) -> tuple[int, ...]:
     for letter in word:
         m[letter] += 1
     return tuple(m)
-
-
-def word_weight(word, cd):
-    """The root-lattice weight of a monomial, as a multidegree offset."""
-    return word_degree(word, cd.n)
 
 
 def check_degree_budget(n: int, max_total: int) -> None:
@@ -164,3 +164,49 @@ def free_mul(x: FreeElement, y: FreeElement) -> FreeElement:
             c = cx * cy
             d[w] = d.get(w, 0) + c
     return FreeElement.from_dict(degree, d)
+
+
+def tensor_block_basis(factors, total):
+    """Basis of the total-weight block of factors[0] (x) ... (x) factors[-1].
+
+    Each factor is a weight module (offsets(), dim(offset)).  The basis
+    tuples ((m_1, a_1), ..., (m_k, a_k)) have offsets summing to `total` and
+    are ordered lexicographically, site by site, along each factor's
+    offsets().
+    """
+    *head, last = factors
+    out = []
+
+    def rec(prefix, remaining, site):
+        if site == len(head):
+            out.extend(prefix + ((remaining, a),)
+                       for a in range(last.dim(remaining)))
+            return
+        for m in head[site].offsets():
+            rest = tuple(r - x for r, x in zip(remaining, m))
+            if all(x >= 0 for x in rest):
+                for a in range(head[site].dim(m)):
+                    rec(prefix + ((m, a),), rest, site + 1)
+
+    rec((), tuple(total), 0)
+    return out
+
+
+def lift_pair_action(basis, action, i: int, j: int, swap: bool):
+    """Lift a two-site operator onto sites (i, j) of a tensor block basis.
+
+    action(m_i, a_i, m_j, a_j) returns ((t, r, t', s), value) terms: the
+    image of the pair on sites i and j.  The image (t, r) lands on site i and
+    (t', s) on site j, or the other way round when `swap` is set (the flip
+    after R in a braid generator).  Yields the (row, column, value) entries
+    of the lifted matrix in column order.
+    """
+    index = {key: r for r, key in enumerate(basis)}
+    for c, key in enumerate(basis):
+        for (t, r, t2, s), val in action(*key[i], *key[j]):
+            new = list(key)
+            new[i], new[j] = ((t2, s), (t, r)) if swap else ((t, r), (t2, s))
+            row = index.get(tuple(new))
+            if row is None:
+                raise AssertionError(f"two-site image left the block: {new}")
+            yield row, c, val

@@ -15,15 +15,18 @@ from __future__ import annotations
 
 import cmath
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
+from functools import partial
 from itertools import product
 
 import numpy as np
 
 from .classical import CasimirEngine
+from .freealg import lift_pair_action, tensor_block_basis
 from .qmodules import WeightModule, compare_characters
 from .qpairing import DrinfeldPairing
-from .rmatrix import BraidOperator, tensor_block_basis, total_offsets
+from .rmatrix import BraidOperator, total_offsets
 from .scalars import evaluate_numeric
 
 
@@ -58,20 +61,15 @@ def build_kz_system(V: WeightModule, k: int, total_offset, hbar,
         raise ValueError("the KZ connection uses classical modules")
     engine = engine or CasimirEngine(V.cd, degree_cap=V.depth)
     total_offset = tuple(total_offset)
-    basis = tuple(tensor_block_basis(V, k, total_offset))
-    index = {tup: r for r, tup in enumerate(basis)}
+    basis = tuple(tensor_block_basis((V,) * k, total_offset))
     dim = len(basis)
+    action = partial(engine.pair_action, V, V)
     omegas = {}
     for i in range(k):
         for j in range(i + 1, k):
             mat = np.zeros((dim, dim), dtype=complex)
-            for c, tup in enumerate(basis):
-                mV, a = tup[i]
-                mW, b = tup[j]
-                for (tV, r_, tW, s_), val in engine.pair_action(V, V, mV, a, mW, b):
-                    newtup = tup[:i] + ((tV, r_),) + tup[i + 1:j] \
-                        + ((tW, s_),) + tup[j + 1:]
-                    mat[index[newtup], c] += float(val)
+            for r, c, val in lift_pair_action(basis, action, i, j, swap=False):
+                mat[r, c] += float(val)
             omegas[(i, j)] = mat
     return KZSystem(k=k, total_offset=total_offset, basis=basis,
                     omegas=omegas, hbar=complex(hbar))
@@ -247,9 +245,33 @@ class MonodromyReport:
 
 
 def _eig_multiset_deviation(A, B) -> float:
-    ea = sorted(np.linalg.eigvals(A), key=lambda z: (round(z.real, 6), round(z.imag, 6)))
-    eb = sorted(np.linalg.eigvals(B), key=lambda z: (round(z.real, 6), round(z.imag, 6)))
-    return max(abs(a - b) for a, b in zip(ea, eb)) if ea else 0.0
+    """Bottleneck distance between the eigenvalue multisets of A and B: the
+    least t such that some perfect matching pairs every eigenvalue of A with
+    one of B at distance <= t.  Exact, so no rounding can split a pair."""
+    dist = np.abs(np.linalg.eigvals(A)[:, None] - np.linalg.eigvals(B)[None, :])
+    if not dist.size:
+        return 0.0
+    # feasibility is monotone in t, and the largest distance is feasible
+    levels = np.sort(dist, axis=None)
+    k = bisect_left(levels, True,
+                    key=lambda t: _has_perfect_matching(dist <= t))
+    return float(levels[k])
+
+
+def _has_perfect_matching(adj) -> bool:
+    """Perfect matching in a square bipartite graph, by augmenting paths."""
+    match = [-1] * len(adj)          # column -> matched row
+
+    def augment(r, seen):
+        for c in np.flatnonzero(adj[r]):
+            if not seen[c]:
+                seen[c] = True
+                if match[c] < 0 or augment(match[c], seen):
+                    match[c] = r
+                    return True
+        return False
+
+    return all(augment(r, [False] * len(adj)) for r in range(len(adj)))
 
 
 def drinfeld_kohno_compare(V_classical: WeightModule, V_quantum: WeightModule,

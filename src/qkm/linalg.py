@@ -1,12 +1,20 @@
-"""Exact linear algebra: rational RREF, fraction-free determinants, and
-certified nullspaces of polynomial matrices.
+"""Exact linear algebra: one field-generic Gauss-Jordan core and certified
+nullspaces of polynomial matrices.
 
-Nullspaces of matrices over Q(v) (or over a multivariate polynomial ring)
-are computed by specializing at exact rational points, lifting the kernel
-through fraction-free Cramer solves, and then verifying the candidate
-symbolically.  A candidate that verifies is exact regardless of whether the
-specialization point was generic, and the specialized rank certifies that
-no kernel vector is missing, so the result is certified, not heuristic.
+`rref`, `nullspace` and `invert` work over any exact field whose elements
+support + - * / and truthiness (Fraction, QScalar); entries are never
+coerced, so callers pass field elements, not ints.
+
+A kernel of a matrix N over Z[v^+-1] (or over a multivariate polynomial
+ring) is certified in three steps.  The rank of N specialized at an exact
+rational point is a lower bound for its generic rank.  A one-step
+fraction-free (Bareiss) Gauss-Jordan elimination on the pivot rows and
+columns of that specialization lifts one candidate kernel vector per free
+column back to the ring.  Symbolic verification N . k = 0 then certifies
+every candidate; since the candidates are independent and their number is
+the specialized corank, the specialized rank is also the generic rank, so
+the kernel is exact whether or not the point was generic.  A point whose
+candidates fail verification is discarded and the next one is tried.
 """
 
 from __future__ import annotations
@@ -15,19 +23,19 @@ from fractions import Fraction
 
 
 def rref(rows):
-    """Reduced row echelon form over Fraction.
+    """Reduced row echelon form over an exact field.
 
     Returns (reduced rows, pivot columns, row permutation) where
     permutation[r] is the original index of reduced row r.
     """
-    m = [list(map(Fraction, r)) for r in rows]
+    m = [list(r) for r in rows]
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0
     perm = list(range(nrows))
     pivots = []
     r = 0
     for c in range(ncols):
-        pr = next((i for i in range(r, nrows) if m[i][c] != 0), None)
+        pr = next((i for i in range(r, nrows) if m[i][c]), None)
         if pr is None:
             continue
         m[r], m[pr] = m[pr], m[r]
@@ -35,7 +43,7 @@ def rref(rows):
         pv = m[r][c]
         m[r] = [x / pv for x in m[r]]
         for i in range(nrows):
-            if i != r and m[i][c] != 0:
+            if i != r and m[i][c]:
                 f = m[i][c]
                 m[i] = [a - f * b for a, b in zip(m[i], m[r])]
         pivots.append(c)
@@ -49,9 +57,12 @@ def matrix_rank(rows) -> int:
     return len(rref(rows)[1])
 
 
-def invert_fraction(rows):
+def invert(rows, one=Fraction(1)):
+    """Inverse over an exact field; `one` is the field's unit.  Raises
+    ValueError when the matrix is singular."""
     n = len(rows)
-    aug = [list(map(Fraction, rows[i])) + [Fraction(int(i == j)) for j in range(n)]
+    zero = one - one
+    aug = [list(rows[i]) + [one if i == j else zero for j in range(n)]
            for i in range(n)]
     red, pivots, _ = rref(aug)
     if pivots[:n] != list(range(n)):
@@ -59,64 +70,29 @@ def invert_fraction(rows):
     return [row[n:] for row in red]
 
 
-def nullspace_fraction(rows):
-    """Kernel basis over Fraction, one vector per free column (RREF form)."""
-    if not rows:
-        return []
-    red, pivots, _ = rref(rows)
-    ncols = len(rows[0])
-    free = [c for c in range(ncols) if c not in pivots]
+def _free_basis(red, pivots, ncols, one):
+    """Kernel basis read off a reduced echelon form, one vector per free
+    column in increasing column order."""
+    zero = one - one
     basis = []
-    for f in free:
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        v = [zero] * ncols
+        v[f] = one
         for r, p in enumerate(pivots):
             v[p] = -red[r][f]
         basis.append(v)
     return basis
 
 
-def rref_field(rows):
-    """RREF over any exact field (entries support + - * / and truthiness)."""
-    m = [list(r) for r in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, nrows) if m[i][c]), None)
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        pv = m[r][c]
-        m[r] = [x / pv for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return m, pivots
-
-
-def nullspace_field(rows, one):
-    """Kernel basis over an exact field; `one` is the field's unit."""
+def nullspace(rows, one=Fraction(1)):
+    """Kernel basis over an exact field (RREF form); `one` is the field's
+    unit."""
     if not rows:
         return []
-    red, pivots = rref_field(rows)
-    ncols = len(rows[0])
-    zero = one - one
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [zero] * ncols
-        v[f] = one
-        for r, p in enumerate(pivots):
-            v[p] = zero - red[r][f]
-        basis.append(v)
-    return basis
+    red, pivots, _ = rref(rows)
+    return _free_basis(red, pivots, len(rows[0]), one)
 
 
 def _complexity(x):
@@ -124,48 +100,6 @@ def _complexity(x):
     if comp is not None:
         return comp()
     return 0
-
-
-def bareiss_det(M, zero):
-    """Fraction-free determinant over an integral domain with exact_div."""
-    n = len(M)
-    if n == 0:
-        raise ValueError("empty matrix")
-    M = [list(row) for row in M]
-    sign = 1
-    prev = None
-    for k in range(n - 1):
-        # pivot: the structurally simplest nonzero entry in the column
-        cands = [(i, _complexity(M[i][k])) for i in range(k, n) if M[i][k]]
-        if not cands:
-            return zero
-        piv = min(cands, key=lambda t: (t[1], t[0]))[0]
-        if piv != k:
-            M[k], M[piv] = M[piv], M[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                val = M[i][j] * M[k][k] - M[i][k] * M[k][j]
-                if prev is not None:
-                    val = val.exact_div(prev)
-                M[i][j] = val
-            M[i][k] = zero
-        prev = M[k][k]
-    det = M[n - 1][n - 1]
-    return det if sign == 1 else -det
-
-
-def cramer_solve(P, b, zero):
-    """detP and x with P x = detP * b, fraction-free (Cramer's rule)."""
-    n = len(P)
-    detP = bareiss_det(P, zero)
-    if not detP:
-        raise ValueError("singular system in cramer_solve")
-    xs = []
-    for i in range(n):
-        Pi = [[(b[r] if c == i else P[r][c]) for c in range(n)] for r in range(n)]
-        xs.append(bareiss_det(Pi, zero))
-    return detP, xs
 
 
 def bareiss_solve_columns(P, B, zero):
@@ -244,16 +178,11 @@ def certified_laurent_nullspace(N, zero, one, points, specialize, normalize):
         free = [c for c in range(ncols) if c not in pivots]
         pivot_rows = [perm[r] for r in range(rank)]
         vectors = []
-        if rank == 0:
-            for f in free:
-                vec = [zero] * ncols
-                vec[f] = one
-                vectors.append(normalize(vec))
-        elif free:
+        if free:
             P = [[N[r][c] for c in pivots] for r in pivot_rows]
             B = [[N[r][f] for f in free] for r in pivot_rows]
             try:
-                detP, X = bareiss_solve_columns(P, B, zero)
+                detP, X = bareiss_solve_columns(P, B, zero) if rank else (one, [])
             except ValueError:
                 continue
             for col, f in enumerate(free):
@@ -300,16 +229,9 @@ def certified_rational_nullspace(S, points, specialize):
         best_rank = max(best_rank, matrix_rank(mq))
         stacked.extend(mq)
         red, pivots, _ = rref(stacked)
-        free = [c for c in range(ncols) if c not in pivots]
-        if len(free) != ncols - best_rank:
+        if len(pivots) != best_rank:
             continue
-        basis = []
-        for f in free:
-            v = [Fraction(0)] * ncols
-            v[f] = Fraction(1)
-            for r, p in enumerate(pivots):
-                v[p] = -red[r][f]
-            basis.append(v)
+        basis = _free_basis(red, pivots, ncols, Fraction(1))
         if all(_verify_zero(S, v) for v in basis):
             return best_rank, pivots, basis
     raise BadPointError("no specialization certified the rational kernel")

@@ -20,7 +20,7 @@ from fractions import Fraction
 from .cartan import CartanDatum, Weight, session_denominator, weight_form
 from .classical import ShapovalovForm
 from .freealg import TruncationError, enumerate_words, total_degree, unit_degree
-from .linalg import nullspace_field, rref_field
+from .linalg import nullspace, rref
 from .qpairing import DrinfeldPairing, degrees_upto
 from .scalars import LaurentPoly, QScalar, exponent_to_int
 
@@ -68,6 +68,11 @@ class WeightModule:
 
     def h_eigenvalue(self, i: int, offset) -> Fraction:
         return self.weight_at(offset).value_on_coroot(self.cd, i)
+
+    def unit(self, offset, k: int):
+        """Coefficient vector of basis vector k at `offset`."""
+        return [self.scalar_one if r == k else self.scalar_zero
+                for r in range(self.dim(offset))]
 
     def _matrix(self, table, i, offset, target):
         key = (i, tuple(offset))
@@ -126,6 +131,24 @@ class WeightModule:
             if not vec or all(not c for c in vec):
                 return final, [self.scalar_zero] * self.dim(final)
         return final, vec
+
+    def apply_combo(self, terms, offset, vec, raising: bool):
+        """Sum of c * (word action) over (word, c) terms, E-words when
+        raising and F-words otherwise; None when no term applies.  Lowering
+        out of a complete module's cone contributes zero; doing so on a
+        truncated module raises TruncationError."""
+        act = self.apply_e_word if raising else self.apply_f_word
+        total = None
+        for word, c in terms:
+            try:
+                _, img = act(word, offset, vec)
+            except TruncationError:
+                if self.complete:
+                    continue
+                raise
+            img = [c * x for x in img]
+            total = img if total is None else [p + q for p, q in zip(total, img)]
+        return total
 
 
 def _mat_vec(mat, vec, zero):
@@ -293,8 +316,7 @@ def contravariant_form(module: WeightModule):
         size = len(basis)
         mat = [[module.scalar_zero] * size for _ in range(size)]
         for b in range(size):
-            vec = [module.scalar_one if k == b else module.scalar_zero
-                   for k in range(size)]
+            vec = module.unit(m, b)
             for a, word in enumerate(basis):
                 target, out = module.apply_e_word(tuple(reversed(word)), m, vec)
                 mat[a][b] = out[0] if out else module.scalar_zero
@@ -304,7 +326,7 @@ def contravariant_form(module: WeightModule):
 
 def radical_dimensions(module: WeightModule):
     blocks = contravariant_form(module)
-    return {m: len(nullspace_field(blocks[m], module.scalar_one)) if blocks[m] else 0
+    return {m: len(nullspace(blocks[m], module.scalar_one)) if blocks[m] else 0
             for m in blocks}
 
 
@@ -317,12 +339,12 @@ def _radical_quotient(base: WeightModule) -> WeightModule:
     reducers = {}
     for m, mat in blocks.items():
         size = len(base.spaces[m])
-        rad = nullspace_field(mat, one) if size else []
+        rad = nullspace(mat, one) if size else []
         if not rad:
             keep[m] = list(range(size))
             reducers[m] = ([], [])
             continue
-        red, pivots = rref_field(rad)
+        red, pivots, _ = rref(rad)
         keep[m] = [c for c in range(size) if c not in pivots]
         reducers[m] = (pivots, red)
 
@@ -408,8 +430,7 @@ def check_module_relations(M: WeightModule) -> bool:
                 tdim = M.dim(target) if all(x >= 0 for x in target) else 0
                 down = tuple(a - int(k == i) for k, a in enumerate(m))
                 for c in range(dim_m):
-                    e_c = [M.scalar_one if r == c else M.scalar_zero
-                           for r in range(dim_m)]
+                    e_c = M.unit(m, c)
                     _, fv = M.apply_f(j, m, e_c)
                     _, efv = M.apply_e(i, up, fv)
                     if all(x >= 0 for x in down):

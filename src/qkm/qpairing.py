@@ -249,13 +249,9 @@ class DrinfeldPairing:
     def _kernel_data(self, block: GramBlock):
         N = [list(row) for row in block.numerators]
         size = len(N)
-
-        def specialize(entry, pt):
-            return entry.evaluate_fraction(pt)
-
         rank, pivots, vectors = certified_laurent_nullspace(
             N, LaurentPoly.zero(), LaurentPoly.one(), EVAL_POINTS,
-            specialize, _normalize_poly_vector)
+            LaurentPoly.evaluate_fraction, _normalize_poly_vector)
         free_cols = [c for c in range(size) if c not in pivots]
         reduction = {}
         for f, vec in zip(free_cols, vectors):

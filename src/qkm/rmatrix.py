@@ -15,8 +15,13 @@ from dataclasses import dataclass
 from itertools import product
 
 from .cartan import weight_form
-from .freealg import FreeElement, TruncationError, total_degree
-from .linalg import rref_field
+from .freealg import (
+    FreeElement,
+    lift_pair_action,
+    tensor_block_basis,
+    total_degree,
+)
+from .linalg import invert
 from .qmodules import WeightModule
 from .qpairing import DrinfeldPairing
 from .scalars import LaurentPoly, QScalar, exponent_to_int
@@ -38,21 +43,6 @@ class DualBasisPair:
     u_basis: tuple          # E-words (the surviving pivot words)
     v_basis: tuple          # FreeElements in f-words with QScalar coefficients
 
-    def size(self) -> int:
-        return len(self.u_basis)
-
-
-def _invert_field(rows, one):
-    n = len(rows)
-    zero = one - one
-    aug = [list(rows[i]) + [one if i == j else zero for j in range(n)]
-           for i in range(n)]
-    red, pivots = rref_field(aug)
-    if pivots[:n] != list(range(n)):
-        raise ArithmeticError("quotient Gram block is singular; the pairing "
-                              "must be nondegenerate on the quotient")
-    return [row[n:] for row in red]
-
 
 def dual_bases(beta, pairing: DrinfeldPairing) -> DualBasisPair:
     """u-basis and v-basis with B(u_a, omega(v_b)) = delta_ab exactly."""
@@ -70,7 +60,11 @@ def dual_bases(beta, pairing: DrinfeldPairing) -> DualBasisPair:
         cache[beta] = pair
         return pair
     gram = [[pairing.pair_words(a, b) for b in words] for a in words]
-    inv = _invert_field(gram, QScalar.one())
+    try:
+        inv = invert(gram, QScalar.one())
+    except ValueError:
+        raise ArithmeticError("quotient Gram block is singular; the pairing "
+                              "must be nondegenerate on the quotient")
     v_els = []
     for b in range(len(words)):
         terms = {}
@@ -119,29 +113,17 @@ class TruncatedR:
             return cached
         V, W = self.V, self.W
         cartan = _cartan_factor(V, W, mV, mW)
-        out = {(mV, a, mW, b): cartan}
-        vecW = [W.scalar_one if k == b else W.scalar_zero
-                for k in range(W.dim(mW))]
-        vecV = [V.scalar_one if k == a else V.scalar_zero
-                for k in range(V.dim(mV))]
+        out = {key: cartan}
+        vecW = W.unit(mW, b)
+        vecV = V.unit(mV, a)
         for beta in _betas_below(mW):
             db = dual_bases(beta, self.pairing)
-            for s in range(db.size()):
-                tW, imgW = W.apply_e_word(db.u_basis[s], mW, vecW)
+            tV = tuple(x + y for x, y in zip(mV, beta))
+            for u, v in zip(db.u_basis, db.v_basis):
+                tW, imgW = W.apply_e_word(u, mW, vecW)
                 if all(not c for c in imgW):
                     continue
-                imgV = None
-                tV = tuple(x + y for x, y in zip(mV, beta))
-                for wword, coeff in db.v_basis[s].terms:
-                    try:
-                        tV, img = V.apply_f_word(wword, mV, vecV)
-                    except TruncationError:
-                        if V.complete:
-                            continue
-                        raise
-                    img = [coeff * x for x in img]
-                    imgV = img if imgV is None else [p + q
-                                                     for p, q in zip(imgV, img)]
+                imgV = V.apply_combo(v.terms, mV, vecV, raising=False)
                 if imgV is None:
                     continue
                 for r, cv in enumerate(imgV):
@@ -158,61 +140,15 @@ class TruncatedR:
 
     def block(self, total_offset):
         """(basis, matrix) of R on the total-weight block."""
-        total = tuple(total_offset)
-        basis = _pair_block_basis(self.V, self.W, total)
-        index = {key: r for r, key in enumerate(basis)}
-        mat = [[QScalar.zero()] * len(basis) for _ in basis]
-        for c, (mV, a, mW, b) in enumerate(basis):
-            for key, val in self.pair_terms(mV, a, mW, b):
-                mat[index[key]][c] = mat[index[key]][c] + val
-        return basis, mat
-
-
-def _pair_block_basis(V, W, total):
-    basis = []
-    for mV in V.offsets():
-        mW = tuple(t - v for t, v in zip(total, mV))
-        if any(x < 0 for x in mW) or mW not in W.spaces:
-            continue
-        for a in range(V.dim(mV)):
-            for b in range(W.dim(mW)):
-                basis.append((mV, a, mW, b))
-    return basis
-
-
-def truncated_R(V: WeightModule, W: WeightModule,
-                pairing: DrinfeldPairing) -> TruncatedR:
-    return TruncatedR(V, W, pairing)
+        pairs = tensor_block_basis((self.V, self.W), total_offset)
+        mat = [[QScalar.zero()] * len(pairs) for _ in pairs]
+        for r, c, val in lift_pair_action(pairs, self.pair_terms, 0, 1,
+                                          swap=False):
+            mat[r][c] = mat[r][c] + val
+        return [(mV, a, mW, b) for (mV, a), (mW, b) in pairs], mat
 
 
 # -- braid operators on tensor powers -----------------------------------------
-
-
-def tensor_block_basis(V: WeightModule, k: int, total):
-    """Basis tuples ((m_1, a_1), ..., (m_k, a_k)) with offsets summing to
-    `total`, ordered lexicographically."""
-    total = tuple(total)
-    n = V.cd.n
-    out = []
-
-    def rec(prefix, remaining, sites_left):
-        if sites_left == 0:
-            if all(x == 0 for x in remaining):
-                out.append(tuple(prefix))
-            return
-        for m in V.offsets():
-            rest = tuple(r - x for r, x in zip(remaining, m))
-            if any(x < 0 for x in rest):
-                continue
-            if V.dim(m) == 0:
-                continue
-            for a in range(V.dim(m)):
-                prefix.append((m, a))
-                rec(prefix, rest, sites_left - 1)
-                prefix.pop()
-
-    rec([], total, k)
-    return out
 
 
 def total_offsets(V: WeightModule, k: int):
@@ -241,27 +177,13 @@ class BraidOperator:
         self.r = TruncatedR(V, V, pairing)
 
     def block(self, total):
-        basis = tensor_block_basis(self.V, self.k, total)
-        index = {key: r for r, key in enumerate(basis)}
-        size = len(basis)
-        mat = [[QScalar.zero()] * size for _ in range(size)]
-        i = self.i
-        for c, tup in enumerate(basis):
-            (mV, a) = tup[i]
-            (mW, b) = tup[i + 1]
-            for (tV, r_, tW, s_), val in self.r.pair_terms(mV, a, mW, b):
-                # apply R, then flip the two sites
-                newtup = tup[:i] + ((tW, s_), (tV, r_)) + tup[i + 2:]
-                row = index.get(newtup)
-                if row is None:
-                    raise AssertionError("braid image left the block")
-                mat[row][c] = mat[row][c] + val
+        basis = tensor_block_basis((self.V,) * self.k, total)
+        mat = [[QScalar.zero()] * len(basis) for _ in basis]
+        # apply R on sites (i, i+1), then flip the two sites
+        for r, c, val in lift_pair_action(basis, self.r.pair_terms, self.i,
+                                          self.i + 1, swap=True):
+            mat[r][c] = mat[r][c] + val
         return basis, mat
-
-
-def braid_operator(V: WeightModule, k: int, i: int,
-                   pairing: DrinfeldPairing) -> BraidOperator:
-    return BraidOperator(V, k, i, pairing)
 
 
 def _mat_mul(A, B, zero):

@@ -491,11 +491,6 @@ def q_factorial(m: int, e=1, D: int = 1) -> QScalar:
     return out
 
 
-def q_binomial_denominator(m: int, a: int, e=1, D: int = 1) -> QScalar:
-    """[m]! [a - m]! for the quantum Serre coefficients."""
-    return q_factorial(m, e, D) * q_factorial(a - m, e, D)
-
-
 def evaluate_numeric(x: QScalar, hbar: complex, D: int) -> complex:
     """Value of x at q = e^(hbar/2), i.e. v = e^(hbar/(2D))."""
     v = cmath.exp(complex(hbar) / (2 * D))

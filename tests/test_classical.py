@@ -1,5 +1,7 @@
 from fractions import Fraction
 
+import pytest
+
 from qkm.cartan import Weight, build_realization
 from qkm.classical import (
     PolyN,
@@ -9,8 +11,10 @@ from qkm.classical import (
     weyl_kac_character,
     weyl_kac_multiplicities,
 )
-from qkm.linalg import matrix_rank, nullspace_fraction
+from qkm.linalg import invert, matrix_rank, nullspace, rref
 from qkm.qpairing import DrinfeldPairing, degrees_upto
+from qkm.rmatrix import dual_bases
+from qkm.scalars import QScalar
 
 SL2 = build_realization([[2]])
 SL3 = build_realization([[2, -1], [-1, 2]])
@@ -83,12 +87,38 @@ def test_normalized_block_rationality_and_rank():
     blk = normalized_classical_block((2, 1), SL3)
     assert all(isinstance(x, Fraction) for row in blk for x in row)
     assert matrix_rank(blk) == 2
-    kern = nullspace_fraction(blk)
+    kern = nullspace(blk)
     assert len(kern) == 1
     v = kern[0]
     assert [c / v[0] for c in v] == [1, -2, 1]
     one = normalized_classical_block((1,), SL2)
     assert len(one) == 1 and one[0][0] != 0
+    # the same core over Q(v): constant QScalar entries reduce exactly as
+    # their Fraction values do
+    square = normalized_classical_block((1, 1), SL3)
+    for mat in (blk, square):
+        red, pivots, perm = rref(mat)
+        assert rref(_as_qscalar(mat)) == (_as_qscalar(red), pivots, perm)
+    assert nullspace(_as_qscalar(blk), QScalar.one()) == _as_qscalar(kern)
+    assert (invert(_as_qscalar(square), QScalar.one())
+            == _as_qscalar(invert(square)))
+    with pytest.raises(ValueError):
+        invert(blk)
+    with pytest.raises(ValueError):
+        invert(_as_qscalar(blk), QScalar.one())
+
+
+def _as_qscalar(mat):
+    return [[QScalar(x) for x in row] for row in mat]
+
+
+def test_dual_bases_singular_gram():
+    bp = DrinfeldPairing(SL3)
+    # a rank-one Gram on the two pivot words of degree (1, 1)
+    bp.pair_words = lambda x, z: QScalar.one()
+    with pytest.raises(ArithmeticError, match="quotient Gram block is "
+                       "singular; the pairing must be nondegenerate"):
+        dual_bases((1, 1), bp)
 
 
 def test_flatness_small():

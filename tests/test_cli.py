@@ -3,8 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+from qkm import classical, cli, linalg, qpairing, rmatrix
 from qkm.cli import (
     EXIT_FAIL,
+    EXIT_INTERNAL,
     EXIT_PASS,
     EXIT_RESOURCE,
     EXIT_USAGE,
@@ -14,6 +16,7 @@ from qkm.cli import (
     parse_config,
     run,
 )
+from qkm.scalars import QScalar
 
 
 def invoke(argv):
@@ -185,3 +188,52 @@ def test_weight_dimension_mismatch(tmp_path):
     code, _, err = invoke(["character", "--config", path])
     assert code == EXIT_USAGE
     assert "coordinates" in err
+
+
+def _raise(exc):
+    def fail(*args, **kwargs):
+        raise exc
+    return fail
+
+
+def _outside_block(*args):
+    return [(((9,), 0, (9,), 0), Fraction(1))]
+
+
+# (target, attribute, replacement, config, command, expected stderr)
+INTERNAL_FAULTS = {
+    "bad_point": (
+        qpairing, "EVAL_POINTS", (), SL3_CFG, "relations",
+        "BadPointError: no specialization point certified the kernel"),
+    "denominator": (
+        cli, "session_denominator", lambda cd, weights=(): 1, RAT_CFG,
+        "relations", "DenominatorError: exponent"),
+    "singular_dual_gram": (
+        qpairing.DrinfeldPairing, "pair_words",
+        lambda self, x, z: QScalar.one(),
+        "matrix = 2 -1; -1 2\ndepth = 3\nhw = 1 0\n", "ybe",
+        "ArithmeticError: quotient Gram block is singular"),
+    "gauss_jordan": (
+        linalg, "bareiss_solve_columns",
+        _raise(AssertionError("fraction-free Gauss-Jordan lost exactness")),
+        SL3_CFG, "relations",
+        "AssertionError: fraction-free Gauss-Jordan lost exactness"),
+    "braid_block": (
+        rmatrix.TruncatedR, "pair_terms", _outside_block,
+        "matrix = 2\ndepth = 2\nhw = 1\n", "ybe",
+        "AssertionError: two-site image left the block"),
+    "casimir_block": (
+        classical.CasimirEngine, "pair_action", _outside_block,
+        "matrix = 2\ndepth = 2\nhw = 1\nstrands = 2\n", "dk",
+        "AssertionError: two-site image left the block"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(INTERNAL_FAULTS))
+def test_internal_errors_exit_4(tmp_path, monkeypatch, fault):
+    target, attr, replacement, cfg, command, expected = INTERNAL_FAULTS[fault]
+    monkeypatch.setattr(target, attr, replacement)
+    code, out, err = invoke([command, "--config", write_config(tmp_path, cfg)])
+    assert code == EXIT_INTERNAL
+    assert out == ""
+    assert f"qkm: internal error: {expected}" in err

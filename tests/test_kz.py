@@ -9,6 +9,7 @@ from qkm.cartan import Weight, build_realization, session_denominator
 from qkm.classical import casimir_omega
 from qkm.kz import (
     DiagonalApproachError,
+    _eig_multiset_deviation,
     base_configuration,
     braid_monodromy,
     build_kz_system,
@@ -137,3 +138,11 @@ def test_convergence_sanity(sl2_classical):
         b1 = braid_monodromy(system, 0, rtol=rtol)
         traces.append(np.trace(b1 @ b1))
     assert abs(traces[0] - traces[1]) < 1e-7
+
+
+def test_eigenvalue_deviation_is_matching_free():
+    # the spectra are 2e-7 apart; pairing them by sort keys rounded to six
+    # decimals split the real-part tie and reported 2.0
+    A = np.diag([1.0000004 + 1j, 1.0000006 - 1j])
+    B = np.diag([1.0000006 + 1j, 1.0000004 - 1j])
+    assert _eig_multiset_deviation(A, B) == pytest.approx(2e-7, rel=1e-6)

@@ -183,9 +183,9 @@ def test_radical_is_submodule():
     lam = hw(SL2, 3)
     M = verma(lam, 6, SL2)
     blocks = contravariant_form(M)
-    from qkm.linalg import nullspace_field
+    from qkm.linalg import nullspace
     for m in M.offsets():
-        rad = nullspace_field(blocks[m], M.scalar_one) if M.dim(m) else []
+        rad = nullspace(blocks[m], M.scalar_one) if M.dim(m) else []
         for vec in rad:
             for i in range(M.cd.n):
                 up = tuple(a + b for a, b in zip(m, (int(k == i) for k in range(1))))

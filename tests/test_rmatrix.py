@@ -6,8 +6,8 @@ from qkm.cartan import Weight, build_realization, session_denominator
 from qkm.qmodules import irreducible
 from qkm.qpairing import DrinfeldPairing
 from qkm.rmatrix import (
+    BraidOperator,
     TruncatedR,
-    braid_operator,
     check_ybe,
     dual_bases,
     tensor_block_basis,
@@ -96,7 +96,7 @@ def test_r_invertible_blockwise(sl2_setup):
 
 def test_braid_operator_eigen_relation(sl2_setup):
     bp, V = sl2_setup
-    op = braid_operator(V, 2, 0, bp)
+    op = BraidOperator(V, 2, 0, bp)
     basis, mat = op.block((1,))
     # (sigma R - q^{1/2})(sigma R + q^{-3/2}) = 0 on the middle block
     one = QScalar.one()
@@ -160,13 +160,13 @@ def test_tensor_block_enumeration(sl2_setup):
     bp, V = sl2_setup
     totals = total_offsets(V, 3)
     assert totals == [(0,), (1,), (2,), (3,)]
-    assert len(tensor_block_basis(V, 3, (1,))) == 3
-    assert len(tensor_block_basis(V, 3, (0,))) == 1
+    assert len(tensor_block_basis((V,) * 3, (1,))) == 3
+    assert len(tensor_block_basis((V,) * 3, (0,))) == 1
 
 
 def test_weight_preservation(sl2_setup):
     bp, V = sl2_setup
-    op = braid_operator(V, 3, 0, bp)
+    op = BraidOperator(V, 3, 0, bp)
     for total in total_offsets(V, 3):
         basis, mat = op.block(total)
         assert len(mat) == len(basis)
