@@ -486,7 +486,8 @@ def casimir_omega(V, W, total_offset, engine: CasimirEngine | None = None) -> Om
     """The Casimir operator on the total-weight block of V (x) W."""
     if V.kind != "classical" or W.kind != "classical":
         raise ValueError("the Casimir tensor acts on classical modules")
-    engine = engine or CasimirEngine(V.cd, degree_cap=min(V.depth, W.depth))
+    engine = engine or CasimirEngine(V.cd, form=V.engine,
+                                     degree_cap=min(V.depth, W.depth))
     pairs = tensor_block_basis((V, W), total_offset)
     mat = [[Fraction(0)] * len(pairs) for _ in pairs]
     action = partial(engine.pair_action, V, W)

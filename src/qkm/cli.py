@@ -75,6 +75,10 @@ class SessionConfig:
 
 _CONFIG_KEYS = ("matrix", "d", "max_degree", "depth", "hw", "hbar", "tol",
                 "deviation_tol", "wordlen", "strands")
+# integer keys (also the flag dests) -> (SessionConfig field, least value);
+# the one rule for config values and flag overrides alike
+_INT_KEYS = {"max_degree": ("degree_cap", 1), "depth": ("depth", 1),
+             "wordlen": ("wordlen", 1), "strands": ("strands", 2)}
 
 
 def _parse_fraction(token: str, lineno: int, col: int) -> Fraction:
@@ -85,13 +89,24 @@ def _parse_fraction(token: str, lineno: int, col: int) -> Fraction:
             f"line {lineno}, column {col}: {token!r} is not a rational")
 
 
-def _parse_vector(text: str, lineno: int) -> tuple:
-    out = []
+def _tokens(text: str):
+    """(token, column) pairs of a whitespace-separated value."""
     col = 1
     for token in text.split():
-        out.append(_parse_fraction(token, lineno, col))
+        yield token, col
         col += len(token) + 1
-    return tuple(out)
+
+
+def _parse_vector(text: str, lineno: int) -> tuple:
+    return tuple(_parse_fraction(token, lineno, col)
+                 for token, col in _tokens(text))
+
+
+def _with_int(cfg: SessionConfig, key: str, value: int, name: str):
+    attr, least = _INT_KEYS[key]
+    if value < least:
+        raise UsageError(f"{name} must be >= {least}")
+    return replace(cfg, **{attr: value})
 
 
 def _parse_rows(text: str, lineno: int) -> tuple:
@@ -126,26 +141,25 @@ def parse_config(text: str) -> SessionConfig:
             raise UsageError(f"line {line_m}, column 1: matrix must be square")
     cfg = SessionConfig(matrix=matrix)
     if "d" in values:
-        dvec = _parse_vector(*values["d"])
+        text_d, line_d = values["d"]
+        dvec = _parse_vector(text_d, line_d)
         if len(dvec) != n:
-            raise UsageError(f"line {values['d'][1]}, column 1: "
-                             f"need {n} symmetrizers")
+            raise UsageError(f"line {line_d}, column 1: need {n} symmetrizers")
+        for (token, col), x in zip(_tokens(text_d), dvec):
+            if not x:
+                raise UsageError(f"line {line_d}, column {col}: symmetrizer "
+                                 f"{token!r} must be nonzero")
         cfg = replace(cfg, d=dvec)
     if "hw" in values:
         cfg = replace(cfg, weights=_parse_rows(*values["hw"]))
-    for key, attr, conv in (("max_degree", "degree_cap", int),
-                            ("depth", "depth", int),
-                            ("wordlen", "wordlen", int),
-                            ("strands", "strands", int)):
+    for key in _INT_KEYS:
         if key in values:
             val, lineno = values[key]
             try:
-                parsed = conv(val)
+                parsed = int(val)
             except ValueError:
                 raise UsageError(f"line {lineno}, column 1: bad integer {val!r}")
-            if parsed < 1:
-                raise UsageError(f"line {lineno}, column 1: {key} must be >= 1")
-            cfg = replace(cfg, **{attr: parsed})
+            cfg = _with_int(cfg, key, parsed, f"line {lineno}, column 1: {key}")
     for key, attr, conv in (("hbar", "hbar", complex),
                             ("tol", "tol", float),
                             ("deviation_tol", "deviation_tol", float)):
@@ -221,10 +235,10 @@ def _effective_config(args) -> SessionConfig:
             raise UsageError(f"cannot read config: {exc}")
     else:
         raise UsageError("--config is required (it supplies the matrix)")
-    if getattr(args, "max_degree", None) is not None:
-        cfg = replace(cfg, degree_cap=args.max_degree)
-    if getattr(args, "depth", None) is not None:
-        cfg = replace(cfg, depth=args.depth)
+    for key in _INT_KEYS:
+        if getattr(args, key, None) is not None:
+            cfg = _with_int(cfg, key, getattr(args, key),
+                            "--" + key.replace("_", "-"))
     if getattr(args, "hw", None) is not None:
         cfg = replace(cfg, weights=_parse_rows(args.hw, 0))
     if getattr(args, "hbar", None) is not None:
@@ -234,10 +248,6 @@ def _effective_config(args) -> SessionConfig:
             raise UsageError(f"bad --hbar value {args.hbar!r}")
     if getattr(args, "tol", None) is not None:
         cfg = replace(cfg, tol=args.tol)
-    if getattr(args, "wordlen", None) is not None:
-        cfg = replace(cfg, wordlen=args.wordlen)
-    if getattr(args, "strands", None) is not None:
-        cfg = replace(cfg, strands=args.strands)
     return cfg
 
 
@@ -362,7 +372,7 @@ def cmd_ybe(cfg: SessionConfig, report: Report) -> None:
         raise TruncationError(
             "the irreducible module is not finite within this depth; "
             "increase --depth so all boundary weight spaces vanish")
-    result = check_ybe(V, bp)
+    result = check_ybe(V)
     rows = [(_degree_label(total), dim, "pass" if ok else "fail")
             for total, dim, ok in result.blocks]
     report.table("yang_baxter", ("block", "dim", "status"), rows)
@@ -384,7 +394,7 @@ def cmd_dk(cfg: SessionConfig, report: Report) -> None:
     if not Vq.complete:
         raise TruncationError(
             "the irreducible module is not finite within this depth")
-    rep = drinfeld_kohno_compare(Vc, Vq, bp, cfg.strands, cfg.hbar,
+    rep = drinfeld_kohno_compare(Vc, Vq, cfg.strands, cfg.hbar,
                                  word_length=cfg.wordlen, rtol=cfg.tol)
     rows = [(_degree_label(b.total_offset), b.dim,
              f"{b.max_trace_deviation:.3e}", f"{b.max_eigenvalue_deviation:.3e}")
@@ -489,3 +499,7 @@ def run(argv, out=None, err=None) -> int:
 
 def main() -> None:
     sys.exit(run(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

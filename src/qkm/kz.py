@@ -25,8 +25,7 @@ import numpy as np
 from .classical import CasimirEngine
 from .freealg import lift_pair_action, tensor_block_basis
 from .qmodules import WeightModule, compare_characters
-from .qpairing import DrinfeldPairing
-from .rmatrix import BraidOperator, total_offsets
+from .rmatrix import BraidOperator, TruncatedR, total_offsets
 from .scalars import evaluate_numeric
 
 
@@ -59,7 +58,7 @@ def build_kz_system(V: WeightModule, k: int, total_offset, hbar,
     """Assemble the pairwise Casimir matrices on a block of V^(x k)."""
     if V.kind != "classical":
         raise ValueError("the KZ connection uses classical modules")
-    engine = engine or CasimirEngine(V.cd, degree_cap=V.depth)
+    engine = engine or CasimirEngine(V.cd, form=V.engine, degree_cap=V.depth)
     total_offset = tuple(total_offset)
     basis = tuple(tensor_block_basis((V,) * k, total_offset))
     dim = len(basis)
@@ -275,23 +274,28 @@ def _has_perfect_matching(adj) -> bool:
 
 
 def drinfeld_kohno_compare(V_classical: WeightModule, V_quantum: WeightModule,
-                           pairing: DrinfeldPairing, k: int, hbar,
-                           word_length: int = 4, rtol: float = 1e-9,
-                           totals=None, engine: CasimirEngine | None = None
+                           k: int, hbar, word_length: int = 4,
+                           rtol: float = 1e-9, totals=None,
+                           engine: CasimirEngine | None = None
                            ) -> MonodromyReport:
     """Conjugation-invariant comparison of the KZ monodromy with sigma R.
 
     Traces of all positive braid words up to the given length and the
     eigenvalue multisets of the generators are compared per total-weight
-    block at q = e^{hbar/2}.
+    block at q = e^{hbar/2}.  One R, from the quantum module's pairing,
+    serves every block and generator; the default Casimir engine uses the
+    classical module's form.
     """
     if not compare_characters(V_classical, V_quantum).equal:
         raise ValueError("classical and quantum modules must have equal "
                          "characters")
     hbar = complex(hbar)
-    engine = engine or CasimirEngine(V_classical.cd, degree_cap=V_classical.depth)
+    engine = engine or CasimirEngine(V_classical.cd, form=V_classical.engine,
+                                     degree_cap=V_classical.depth)
     if totals is None:
-        totals = [t for t in total_offsets(V_classical, k)]
+        totals = total_offsets(V_classical, k)
+    r = TruncatedR(V_quantum, V_quantum, V_quantum.engine)
+    braids = [BraidOperator(r, k, i) for i in range(k - 1)]
     blocks = []
     worst_trace = 0.0
     worst_eig = 0.0
@@ -302,9 +306,9 @@ def drinfeld_kohno_compare(V_classical: WeightModule, V_quantum: WeightModule,
             continue
         kz_gens = [braid_monodromy(system, i, rtol) for i in range(ngen)]
         qr_gens = []
-        for i in range(ngen):
-            basis, mat = BraidOperator(V_quantum, k, i, pairing).block(total)
-            num = np.array([[evaluate_numeric(x, hbar, pairing.D) for x in row]
+        for braid in braids:
+            _, mat = braid.block(total)
+            num = np.array([[evaluate_numeric(x, hbar, V_quantum.D) for x in row]
                             for row in mat], dtype=complex)
             qr_gens.append(num)
         trace_dev = 0.0

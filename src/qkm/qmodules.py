@@ -2,19 +2,21 @@
 irreducible quotients, and character comparison.
 
 Both the quantum modules (exact scalars in Q(v)) and their classical
-counterparts (exact rationals) are built by one engine.  A Verma module's
+counterparts (exact rationals) are built by one routine.  A Verma module's
 weight space at offset m is the quotient of the span of f-words of degree m
 by the relation ideal, with the reduced basis and the rewriting of
-eliminated words coming from the corresponding kernel engine (the Drinfeld
+eliminated words coming from the module's kernel engine (the Drinfeld
 pairing at generic q, the indeterminate-weight contravariant form
-classically).  Lowering operators act by word concatenation followed by
-reduction; raising operators act by the straightening rule obtained from
-the cross relations, with the Cartan contribution read off the weight.
+classically).  The module keeps that engine, so the R-matrix and the
+Casimir tensor built on it reuse the same pairing or form.  Lowering
+operators act by word concatenation followed by reduction; raising
+operators act by the straightening rule obtained from the cross relations,
+with the Cartan contribution read off the weight.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .cartan import CartanDatum, Weight, session_denominator, weight_form
@@ -22,7 +24,7 @@ from .classical import ShapovalovForm
 from .freealg import TruncationError, enumerate_words, total_degree, unit_degree
 from .linalg import nullspace, rref
 from .qpairing import DrinfeldPairing, degrees_upto
-from .scalars import LaurentPoly, QScalar, exponent_to_int
+from .scalars import QScalar, exponent_to_int, q_power, v_difference
 
 
 @dataclass
@@ -32,7 +34,9 @@ class WeightModule:
     spaces maps each offset multidegree (|m| <= depth) to the tuple of
     basis labels (reduced f-words).  Action matrices are stored per
     generator and source offset; matrix[r][c] is the coefficient of target
-    basis vector r in the image of source basis vector c.
+    basis vector r in the image of source basis vector c.  engine is the
+    kernel engine whose reduction tables define the relations; the R-matrix
+    and the Casimir tensor on this module reuse it.
     """
 
     kind: str                      # "quantum" or "classical"
@@ -40,12 +44,19 @@ class WeightModule:
     highest: Weight
     depth: int
     D: int
-    spaces: dict
-    f_action: dict                 # (i, offset) -> matrix into offset + 1_i
-    e_action: dict                 # (i, offset) -> matrix into offset - 1_i
-    complete: bool
+    engine: object                 # DrinfeldPairing or ShapovalovForm
     scalar_one: object
     scalar_zero: object
+    spaces: dict = field(default_factory=dict)
+    # (i, offset) -> matrix into offset + 1_i, resp. offset - 1_i
+    f_action: dict = field(default_factory=dict)
+    e_action: dict = field(default_factory=dict)
+
+    @property
+    def complete(self) -> bool:
+        """True when every weight space at the truncation depth vanishes."""
+        return all(not basis for m, basis in self.spaces.items()
+                   if total_degree(m) == self.depth)
 
     def dim(self, offset) -> int:
         return len(self.spaces.get(tuple(offset), ()))
@@ -63,11 +74,19 @@ class WeightModule:
         return weight_form(alpha, self.weight_at(offset), self.cd)
 
     def k_eigenvalue(self, i: int, offset) -> QScalar:
-        e = exponent_to_int(self.k_exponent(i, offset), self.D)
-        return QScalar(LaurentPoly.monomial(e))
+        return q_power(self.k_exponent(i, offset), self.D)
 
     def h_eigenvalue(self, i: int, offset) -> Fraction:
         return self.weight_at(offset).value_on_coroot(self.cd, i)
+
+    def cartan_scalar(self, i: int, offset):
+        """[E_i, F_i] on the weight space at `offset`: (K_i - K_i^{-1}) /
+        (q_i - q_i^{-1}) for quantum modules, h_i for classical ones."""
+        if self.kind == "classical":
+            return self.h_eigenvalue(i, offset)
+        k = exponent_to_int(self.k_exponent(i, offset), self.D)
+        di = exponent_to_int(self.cd.d[i], self.D)
+        return QScalar(v_difference(k), v_difference(di))
 
     def unit(self, offset, k: int):
         """Coefficient vector of basis vector k at `offset`."""
@@ -162,72 +181,15 @@ def _mat_vec(mat, vec, zero):
     return out
 
 
-class _QuantumTheory:
-    kind = "quantum"
-
-    def __init__(self, cd: CartanDatum, hw: Weight, D: int, pairing: DrinfeldPairing):
-        self.cd = cd
-        self.hw = hw
-        self.D = D
-        self.pairing = pairing
-        self.one = QScalar.one()
-        self.zero = QScalar.zero()
-        self._coeff_memo = {}
-
-    def reduction(self, m):
-        return self.pairing.reduction_table(m)
-
-    def e_coefficient(self, i: int, tail_offset):
-        """Scalar from (K_i - K_i^{-1})/(q_i - q_i^{-1}) on the weight below
-        the struck letter; tail_offset is the multidegree of the letters
-        after it."""
-        key = (i, tail_offset)
-        val = self._coeff_memo.get(key)
-        if val is None:
-            mu = Weight(self.hw.base, tail_offset)
-            alpha = Weight(tuple(self.cd.alpha[i]), (0,) * self.cd.n)
-            e = exponent_to_int(weight_form(alpha, mu, self.cd), self.D)
-            di = exponent_to_int(self.cd.d[i], self.D)
-            num = LaurentPoly.monomial(e) - LaurentPoly.monomial(-e)
-            den = LaurentPoly.monomial(di) - LaurentPoly.monomial(-di)
-            val = QScalar(num, den)
-            self._coeff_memo[key] = val
-        return val
-
-
-class _ClassicalTheory:
-    kind = "classical"
-
-    def __init__(self, cd: CartanDatum, hw: Weight, form: ShapovalovForm):
-        self.cd = cd
-        self.hw = hw
-        self.D = 1
-        self.form = form
-        self.one = Fraction(1)
-        self.zero = Fraction(0)
-        self._coeff_memo = {}
-
-    def reduction(self, m):
-        return self.form.reduction_table(m)
-
-    def e_coefficient(self, i: int, tail_offset):
-        key = (i, tail_offset)
-        val = self._coeff_memo.get(key)
-        if val is None:
-            mu = Weight(self.hw.base, tail_offset)
-            val = mu.value_on_coroot(self.cd, i)
-            self._coeff_memo[key] = val
-        return val
-
-
-def _build_verma(theory, depth: int) -> WeightModule:
-    cd = theory.cd
-    n = cd.n
-    offsets = degrees_upto(n, depth, include_zero=True)
-    spaces = {}
+def _build_verma(M: WeightModule) -> WeightModule:
+    """Fill in the spaces and actions of an empty Verma module from the
+    reduction tables of its kernel engine."""
+    n = M.cd.n
+    offsets = degrees_upto(n, M.depth, include_zero=True)
+    spaces = M.spaces
     reducers = {}
     for m in offsets:
-        pivots, table = theory.reduction(m)
+        pivots, table = M.engine.reduction_table(m)
         words = enumerate_words(m)
         spaces[m] = tuple(words[p] for p in pivots)
         windex = {w: k for k, w in enumerate(words)}
@@ -238,42 +200,43 @@ def _build_verma(theory, depth: int) -> WeightModule:
         pivots, pos, table, windex = reducers[m]
         c = windex[word]
         if c in pos:
-            return {pos[c]: theory.one}
+            return {pos[c]: M.scalar_one}
         return {r: coeff for r, coeff in enumerate(table[c]) if coeff}
 
-    f_action = {}
-    e_action = {}
+    zero = M.scalar_zero
+    coeff_memo = {}
     for m in offsets:
         basis = spaces[m]
         for i in range(n):
             up = tuple(a + b for a, b in zip(m, unit_degree(n, i)))
             if up in spaces:
-                mat = [[theory.zero] * len(basis) for _ in spaces[up]]
+                mat = [[zero] * len(basis) for _ in spaces[up]]
                 for c, w in enumerate(basis):
                     for r, coeff in reduce_word(up, (i,) + w).items():
                         mat[r][c] = coeff
-                f_action[(i, m)] = mat
+                M.f_action[(i, m)] = mat
             down = tuple(a - b for a, b in zip(m, unit_degree(n, i)))
             if all(x >= 0 for x in down):
-                mat = [[theory.zero] * len(basis) for _ in spaces[down]]
+                mat = [[zero] * len(basis) for _ in spaces[down]]
                 for c, w in enumerate(basis):
                     for t, letter in enumerate(w):
                         if letter != i:
                             continue
+                        # the Cartan scalar on the weight below the struck
+                        # letter: the offset of the letters after it
                         tail = [0] * n
                         for u in range(t + 1, len(w)):
                             tail[w[u]] += 1
-                        coeff = theory.e_coefficient(i, tuple(tail))
+                        key = (i, tuple(tail))
+                        coeff = coeff_memo.get(key)
+                        if coeff is None:
+                            coeff = coeff_memo[key] = M.cartan_scalar(*key)
                         if not coeff:
                             continue
                         for r, rc in reduce_word(down, w[:t] + w[t + 1:]).items():
                             mat[r][c] = mat[r][c] + coeff * rc
-                e_action[(i, m)] = mat
-    complete = all(len(spaces[m]) == 0 for m in offsets if total_degree(m) == depth)
-    return WeightModule(kind=theory.kind, cd=cd, highest=theory.hw, depth=depth,
-                        D=theory.D, spaces=spaces, f_action=f_action,
-                        e_action=e_action, complete=complete,
-                        scalar_one=theory.one, scalar_zero=theory.zero)
+                M.e_action[(i, m)] = mat
+    return M
 
 
 def verma(hw, depth: int, cd: CartanDatum, D: int | None = None,
@@ -286,7 +249,8 @@ def verma(hw, depth: int, cd: CartanDatum, D: int | None = None,
         pairing = DrinfeldPairing(cd, D=D, degree_cap=max(depth, 1))
     elif pairing.D != D:
         raise ValueError("pairing engine uses a different session denominator")
-    return _build_verma(_QuantumTheory(cd, hw, D, pairing), depth)
+    return _build_verma(WeightModule("quantum", cd, hw, depth, D, pairing,
+                                     QScalar.one(), QScalar.zero()))
 
 
 def classical_module(hw, kind: str, depth: int, cd: CartanDatum,
@@ -295,7 +259,8 @@ def classical_module(hw, kind: str, depth: int, cd: CartanDatum,
     hw = hw if isinstance(hw, Weight) else Weight.highest(hw, cd.n)
     if form is None:
         form = ShapovalovForm(cd, degree_cap=max(depth, 1))
-    base = _build_verma(_ClassicalTheory(cd, hw, form), depth)
+    base = _build_verma(WeightModule("classical", cd, hw, depth, 1, form,
+                                     Fraction(1), Fraction(0)))
     if kind == "verma":
         return base
     if kind == "irreducible":
@@ -360,26 +325,15 @@ def _radical_quotient(base: WeightModule) -> WeightModule:
     spaces = {m: tuple(base.spaces[m][k] for k in keep[m]) for m in base.spaces}
     f_action = {}
     e_action = {}
-    for (i, m), mat in base.f_action.items():
-        up = tuple(a + b for a, b in zip(m, unit_degree(base.cd.n, i)))
-        cols = []
-        for c in keep[m]:
-            img = [row[c] for row in mat]
-            cols.append(reduce_mod_radical(up, img))
-        f_action[(i, m)] = _transpose(cols, len(spaces[up]), zero)
-    for (i, m), mat in base.e_action.items():
-        down = tuple(a - b for a, b in zip(m, unit_degree(base.cd.n, i)))
-        cols = []
-        for c in keep[m]:
-            img = [row[c] for row in mat]
-            cols.append(reduce_mod_radical(down, img))
-        e_action[(i, m)] = _transpose(cols, len(spaces[down]), zero)
-    complete = all(len(spaces[m]) == 0 for m in spaces
-                   if total_degree(m) == base.depth)
-    return WeightModule(kind=base.kind, cd=base.cd, highest=base.highest,
-                        depth=base.depth, D=base.D, spaces=spaces,
-                        f_action=f_action, e_action=e_action,
-                        complete=complete, scalar_one=one, scalar_zero=zero)
+    for table, out, step in ((base.f_action, f_action, 1),
+                             (base.e_action, e_action, -1)):
+        for (i, m), mat in table.items():
+            target = tuple(a + step * b
+                           for a, b in zip(m, unit_degree(base.cd.n, i)))
+            cols = [reduce_mod_radical(target, [row[c] for row in mat])
+                    for c in keep[m]]
+            out[(i, m)] = _transpose(cols, len(spaces[target]), zero)
+    return replace(base, spaces=spaces, f_action=f_action, e_action=e_action)
 
 
 def _transpose(cols, nrows, zero):
@@ -398,22 +352,15 @@ def character(module: WeightModule):
     return {m: len(module.spaces[m]) for m in module.offsets()}
 
 
-def _cross_commutator_scalar(M: WeightModule, i: int, offset):
-    """(K_i - K_i^{-1})/(q_i - q_i^{-1}) on a weight space, or h_i classically."""
-    if M.kind == "quantum":
-        ei = exponent_to_int(M.k_exponent(i, offset), M.D)
-        di = exponent_to_int(M.cd.d[i], M.D)
-        return QScalar(LaurentPoly.monomial(ei) - LaurentPoly.monomial(-ei),
-                       LaurentPoly.monomial(di) - LaurentPoly.monomial(-di))
-    return M.h_eigenvalue(i, offset)
-
-
 def check_module_relations(M: WeightModule) -> bool:
     """Exact blockwise verification of the defining relations.
 
     [E_i, F_j] = delta_ij (K_i - K_i^{-1})/(q_i - q_i^{-1}) on every weight
     space (the classical analogue uses h_i), and the K-conjugation
     K_i E_j K_i^{-1} = q^{(alpha_i, alpha_j)} E_j as an eigenvalue identity.
+    The diagonal scalar is `cartan_scalar` at the source offset, while the
+    E-action applied it at the offset below each struck letter, so the check
+    covers the reductions, the off-diagonal relations and those offsets.
     Raises AssertionError at the first violated block."""
     cd = M.cd
     n = cd.n
@@ -442,7 +389,7 @@ def check_module_relations(M: WeightModule) -> bool:
                     fev = list(fev) + [M.scalar_zero] * (tdim - len(fev))
                     comm = [a - b for a, b in zip(efv, fev)]
                     if i == j:
-                        scalar = _cross_commutator_scalar(M, i, m)
+                        scalar = M.cartan_scalar(i, m)
                         expected = [scalar if r == c else M.scalar_zero
                                     for r in range(tdim)]
                     else:
@@ -452,7 +399,6 @@ def check_module_relations(M: WeightModule) -> bool:
                             f"cross relation fails at offset {m}, generators "
                             f"({i + 1}, {j + 1})")
     if M.kind == "quantum":
-        from .scalars import q_power
         for (j, m) in list(M.e_action):
             down = tuple(a - int(k == j) for k, a in enumerate(m))
             if M.dim(m) == 0 or M.dim(down) == 0:

@@ -46,6 +46,7 @@ from .scalars import (
     poly_gcd,
     q_factorial,
     q_power,
+    v_difference,
 )
 
 
@@ -73,12 +74,7 @@ class GramBlock:
     D: int
 
     def entry(self, a: int, b: int) -> QScalar:
-        den = (LaurentPoly.monomial(self.D) - LaurentPoly.monomial(-self.D)) ** self.denom_power
-        return QScalar(self.numerators[a][b], den)
-
-    def matrix(self):
-        return [[self.entry(a, b) for b in range(len(self.basis))]
-                for a in range(len(self.basis))]
+        return QScalar(self.numerators[a][b], v_difference(self.D) ** self.denom_power)
 
     def size(self) -> int:
         return len(self.basis)
@@ -154,6 +150,7 @@ class DrinfeldPairing:
         self._gram: dict = {}
         self._kernel: dict = {}
         self._reduction: dict = {}
+        self._dual: dict = {}          # rmatrix.dual_bases per degree
         self._oracle_memo: dict = {}
 
     # -- fast path ---------------------------------------------------------
@@ -194,24 +191,12 @@ class DrinfeldPairing:
         self._memo[key] = acc
         return acc
 
-    def _qq_denominator(self, power: int) -> LaurentPoly:
-        return (LaurentPoly.monomial(self.D) - LaurentPoly.monomial(-self.D)) ** power
-
     def pair_words(self, x, z) -> QScalar:
         """The pairing of two words, exact."""
         num = self.pair_numerator(x, z)
         if num.is_zero():
             return QScalar.zero()
-        return QScalar(num, self._qq_denominator(len(x)))
-
-    def pair_elements(self, x: FreeElement, z: FreeElement) -> QScalar:
-        total = QScalar.zero()
-        for wx, cx in x.terms:
-            for wz, cz in z.terms:
-                val = self.pair_words(wx, wz)
-                if val:
-                    total = total + val * cx * cz
-        return total
+        return QScalar(num, v_difference(self.D) ** len(x))
 
     def gram_block(self, m) -> GramBlock:
         m = tuple(m)
@@ -394,7 +379,7 @@ class DrinfeldPairing:
         if a[0] == "E" and b[0] == "E":
             if a[1] != b[1]:
                 return QScalar.zero()
-            return QScalar(LaurentPoly.one(), self._qq_denominator(1))
+            return QScalar(LaurentPoly.one(), v_difference(self.D))
         return QScalar.zero()
 
 

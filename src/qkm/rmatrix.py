@@ -24,7 +24,7 @@ from .freealg import (
 from .linalg import invert
 from .qmodules import WeightModule
 from .qpairing import DrinfeldPairing
-from .scalars import LaurentPoly, QScalar, exponent_to_int
+from .scalars import QScalar, q_power
 
 # The negative-side partner of an E-word keeps the letter order (the
 # letterwise algebra mirror E_i -> F_i), so the duality reads
@@ -47,18 +47,9 @@ class DualBasisPair:
 def dual_bases(beta, pairing: DrinfeldPairing) -> DualBasisPair:
     """u-basis and v-basis with B(u_a, omega(v_b)) = delta_ab exactly."""
     beta = tuple(beta)
-    cache = getattr(pairing, "_dual_cache", None)
-    if cache is None:
-        cache = {}
-        pairing._dual_cache = cache
-    if beta in cache:
-        return cache[beta]
-    kb = pairing.kernel_block(beta)
-    words = kb.pivot_words
-    if not words:
-        pair = DualBasisPair(beta, (), ())
-        cache[beta] = pair
-        return pair
+    if beta in pairing._dual:
+        return pairing._dual[beta]
+    words = pairing.kernel_block(beta).pivot_words
     gram = [[pairing.pair_words(a, b) for b in words] for a in words]
     try:
         inv = invert(gram, QScalar.one())
@@ -75,13 +66,12 @@ def dual_bases(beta, pairing: DrinfeldPairing) -> DualBasisPair:
                 terms[key] = terms.get(key, QScalar.zero()) + coeff
         v_els.append(FreeElement.from_dict(beta, terms))
     pair = DualBasisPair(beta, words, tuple(v_els))
-    cache[beta] = pair
+    pairing._dual[beta] = pair
     return pair
 
 
 def _cartan_factor(V: WeightModule, W: WeightModule, mV, mW) -> QScalar:
-    e = weight_form(V.weight_at(mV), W.weight_at(mW), V.cd)
-    return QScalar(LaurentPoly.monomial(exponent_to_int(e, V.D)))
+    return q_power(weight_form(V.weight_at(mV), W.weight_at(mW), V.cd), V.D)
 
 
 def _betas_below(bound):
@@ -166,18 +156,18 @@ def total_offsets(V: WeightModule, k: int):
 
 
 class BraidOperator:
-    """sigma_i composed with R_{i,i+1} on a total-weight block of V^(x k)."""
+    """sigma_i composed with R_{i,i+1} on a total-weight block of V^(x k),
+    for an R on V (x) V shared by every generator and block."""
 
-    def __init__(self, V: WeightModule, k: int, i: int, pairing: DrinfeldPairing):
+    def __init__(self, r: TruncatedR, k: int, i: int):
         if not (0 <= i < k - 1):
             raise ValueError("strand index out of range")
-        self.V = V
+        self.r = r
         self.k = k
         self.i = i
-        self.r = TruncatedR(V, V, pairing)
 
     def block(self, total):
-        basis = tensor_block_basis((self.V,) * self.k, total)
+        basis = tensor_block_basis((self.r.V,) * self.k, total)
         mat = [[QScalar.zero()] * len(basis) for _ in basis]
         # apply R on sites (i, i+1), then flip the two sites
         for r, c, val in lift_pair_action(basis, self.r.pair_terms, self.i,
@@ -211,11 +201,12 @@ class YangBaxterReport:
     holds: bool
 
 
-def check_ybe(V: WeightModule, pairing: DrinfeldPairing,
-              totals=None) -> YangBaxterReport:
-    """Exact braid-relation check for sigma R on V^(x 3), blockwise."""
-    b1 = BraidOperator(V, 3, 0, pairing)
-    b2 = BraidOperator(V, 3, 1, pairing)
+def check_ybe(V: WeightModule, totals=None) -> YangBaxterReport:
+    """Exact braid-relation check for sigma R on V^(x 3), blockwise, with
+    the R of the module's own pairing."""
+    r = TruncatedR(V, V, V.engine)
+    b1 = BraidOperator(r, 3, 0)
+    b2 = BraidOperator(r, 3, 1)
     if totals is None:
         totals = total_offsets(V, 3)
     results = []

@@ -430,9 +430,6 @@ class QScalar:
         out.den = self.den ** n
         return out
 
-    def inverse(self) -> "QScalar":
-        return QScalar.one() / self
-
     def __str__(self):
         if self.den == LaurentPoly.one():
             return str(self.num)
@@ -468,6 +465,11 @@ def exponent_to_int(e, D: int) -> int:
 def q_power(e, D: int) -> QScalar:
     """q^e as the Laurent monomial v^(e*D)."""
     return QScalar(LaurentPoly.monomial(exponent_to_int(e, D)))
+
+
+def v_difference(e: int) -> LaurentPoly:
+    """v^e - v^(-e); at e = D * e' this is q^e' - q^-e'."""
+    return LaurentPoly.monomial(e) - LaurentPoly.monomial(-e)
 
 
 def q_integer(m: int, e=1, D: int = 1) -> QScalar:

@@ -174,7 +174,7 @@ def test_criterion_8_yang_baxter():
     D = session_denominator(SL2, [lam])
     bp = DrinfeldPairing(SL2, D=D, degree_cap=4)
     V = irreducible(lam, 2, SL2, D=D, pairing=bp)
-    report = check_ybe(V, bp)
+    report = check_ybe(V)
     assert report.holds and len(report.blocks) == 4
     basis, mat = TruncatedR(V, V, bp).block((0,))
     assert mat[0][0] == QScalar(LaurentPoly.monomial(1))  # q^{(lambda, lambda)}
@@ -189,7 +189,7 @@ def test_criterion_9_drinfeld_kohno():
     Vq = irreducible(lam, 2, SL2, D=D, pairing=bp)
     Vc = classical_module(lam, "irreducible", 2, SL2)
 
-    report = drinfeld_kohno_compare(Vc, Vq, bp, 3, 0.1, word_length=4,
+    report = drinfeld_kohno_compare(Vc, Vq, 3, 0.1, word_length=4,
                                     rtol=1e-9)
     assert report.max_deviation < 1e-6, report.max_deviation
 
@@ -198,7 +198,7 @@ def test_criterion_9_drinfeld_kohno():
     T = kz_transport(system, [loop_segment(base, 0, 0.3)], rtol=1e-9)
     assert np.max(np.abs(T - np.eye(system.dim))) < 1e-7
 
-    zero_rep = drinfeld_kohno_compare(Vc, Vq, bp, 3, 0.0, word_length=2,
+    zero_rep = drinfeld_kohno_compare(Vc, Vq, 3, 0.0, word_length=2,
                                       rtol=1e-9)
     assert zero_rep.max_deviation < 1e-12
     system0 = build_kz_system(Vc, 3, (1,), 0.0)

@@ -1,5 +1,9 @@
 import io
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -173,6 +177,49 @@ def test_usage_errors(tmp_path):
     assert code == EXIT_USAGE  # no highest weight
     code, _, _ = invoke(["nonsense"])
     assert code == EXIT_USAGE
+    # flag overrides obey the same bounds as the config keys
+    dk_cfg = write_config(tmp_path, "matrix = 2\ndepth = 2\nhw = 1\n", "dk.cfg")
+    for flag, value, message in (("--wordlen", "0", "--wordlen must be >= 1"),
+                                 ("--depth", "0", "--depth must be >= 1"),
+                                 ("--strands", "1", "--strands must be >= 2")):
+        code, out, err = invoke(["dk", "--config", dk_cfg, flag, value])
+        assert code == EXIT_USAGE and out == ""
+        assert f"qkm: usage error: {message}" in err
+
+
+def _error_lines(err):
+    """stderr without the '# elapsed' timing line."""
+    return [line for line in err.splitlines() if not line.startswith("# ")]
+
+
+def test_zero_symmetrizer_is_usage_error(tmp_path):
+    path = write_config(tmp_path, "matrix = 2 -1; -1 2\nd = 1 0\n")
+    code, out, err = invoke(["relations", "--config", path])
+    assert code == EXIT_USAGE and out == ""
+    assert _error_lines(err) == [
+        "qkm: usage error: line 2, column 3: symmetrizer '0' must be nonzero"]
+
+
+def test_single_strand_is_usage_error(tmp_path):
+    path = write_config(tmp_path,
+                        "matrix = 2\ndepth = 2\nhw = 1\nstrands = 1\n")
+    code, out, err = invoke(["dk", "--config", path])
+    assert code == EXIT_USAGE and out == ""
+    assert _error_lines(err) == [
+        "qkm: usage error: line 4, column 1: strands must be >= 2"]
+
+
+def test_module_entry_point_runs_commands(tmp_path):
+    path = write_config(tmp_path, SL3_CFG)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run(
+        [sys.executable, "-m", "qkm.cli", "symmetrize", "--config", path],
+        capture_output=True, text=True, env=env, timeout=60)
+    code, out, _ = invoke(["symmetrize", "--config", path])
+    assert proc.returncode == code == EXIT_PASS
+    assert proc.stdout == out != ""
 
 
 def test_resource_exit(tmp_path):

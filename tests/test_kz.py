@@ -108,15 +108,15 @@ def test_diagonal_refusal(sl2_classical):
 
 
 def test_drinfeld_kohno_k2(sl2_classical, sl2_quantum):
-    bp, Vq = sl2_quantum
-    report = drinfeld_kohno_compare(sl2_classical, Vq, bp, 2, 0.1,
+    _, Vq = sl2_quantum
+    report = drinfeld_kohno_compare(sl2_classical, Vq, 2, 0.1,
                                     word_length=3, rtol=1e-9)
     assert report.max_deviation < 1e-6
 
 
 def test_drinfeld_kohno_k3(sl2_classical, sl2_quantum):
-    bp, Vq = sl2_quantum
-    report = drinfeld_kohno_compare(sl2_classical, Vq, bp, 3, 0.1,
+    _, Vq = sl2_quantum
+    report = drinfeld_kohno_compare(sl2_classical, Vq, 3, 0.1,
                                     word_length=4, rtol=1e-9)
     assert report.max_deviation < 1e-6
     dims = {b.total_offset: b.dim for b in report.blocks}
@@ -124,10 +124,37 @@ def test_drinfeld_kohno_k3(sl2_classical, sl2_quantum):
 
 
 def test_drinfeld_kohno_hbar_zero(sl2_classical, sl2_quantum):
-    bp, Vq = sl2_quantum
-    report = drinfeld_kohno_compare(sl2_classical, Vq, bp, 3, 0.0,
+    _, Vq = sl2_quantum
+    report = drinfeld_kohno_compare(sl2_classical, Vq, 3, 0.0,
                                     word_length=3, rtol=1e-9)
     assert report.max_deviation < 1e-12
+
+
+def test_drinfeld_kohno_shares_r_and_form(sl2_quantum, monkeypatch):
+    # one R for every block and generator, and the Casimir side reuses the
+    # classical module's own contravariant form
+    import qkm.classical as cl
+    import qkm.rmatrix as rm
+    built = {"r": [], "form": []}
+    r_init = rm.TruncatedR.__init__
+    form_init = cl.ShapovalovForm.__init__
+
+    def counting_r(self, V, W, pairing):
+        built["r"].append(pairing)
+        r_init(self, V, W, pairing)
+
+    def counting_form(self, *args, **kwargs):
+        built["form"].append(self)
+        form_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(rm.TruncatedR, "__init__", counting_r)
+    monkeypatch.setattr(cl.ShapovalovForm, "__init__", counting_form)
+    bp, Vq = sl2_quantum
+    Vc = classical_module(LAM, "irreducible", 2, SL2)
+    report = drinfeld_kohno_compare(Vc, Vq, 3, 0.1, word_length=2, rtol=1e-9)
+    assert len(report.blocks) == 4
+    assert built["r"] == [bp]
+    assert built["form"] == [Vc.engine]
 
 
 def test_convergence_sanity(sl2_classical):

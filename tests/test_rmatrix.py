@@ -96,7 +96,7 @@ def test_r_invertible_blockwise(sl2_setup):
 
 def test_braid_operator_eigen_relation(sl2_setup):
     bp, V = sl2_setup
-    op = BraidOperator(V, 2, 0, bp)
+    op = BraidOperator(TruncatedR(V, V, bp), 2, 0)
     basis, mat = op.block((1,))
     # (sigma R - q^{1/2})(sigma R + q^{-3/2}) = 0 on the middle block
     one = QScalar.one()
@@ -114,7 +114,7 @@ def test_braid_operator_eigen_relation(sl2_setup):
 
 def test_ybe_sl2_exact(sl2_setup):
     bp, V = sl2_setup
-    report = check_ybe(V, bp)
+    report = check_ybe(V)
     assert report.holds
     dims = {total: d for total, d, ok in report.blocks}
     assert dims[(1,)] == 3 and dims[(2,)] == 3
@@ -126,7 +126,7 @@ def test_ybe_one_dimensional_module():
     D = session_denominator(SL2, [lam])
     bp = DrinfeldPairing(SL2, D=D, degree_cap=3)
     V = irreducible(lam, 1, SL2, D=D, pairing=bp)
-    report = check_ybe(V, bp)
+    report = check_ybe(V)
     assert report.holds
 
 
@@ -137,7 +137,7 @@ def test_ybe_sl3_fundamental():
     V = irreducible(lam, 3, SL3, D=D, pairing=bp)
     assert V.complete
     assert sum(V.dim(m) for m in V.offsets()) == 3
-    report = check_ybe(V, bp)
+    report = check_ybe(V)
     assert report.holds
     dims = {total: d for total, d, ok in report.blocks}
     assert dims[(2, 1)] == 6  # the regular block of the 27-dimensional cube
@@ -152,7 +152,7 @@ def test_reversed_mirror_fails_ybe(monkeypatch):
     D = session_denominator(SL3, [lam])
     bp = DrinfeldPairing(SL3, D=D, degree_cap=6)
     V = irreducible(lam, 3, SL3, D=D, pairing=bp)
-    report = check_ybe(V, bp, totals=[(2, 1)])
+    report = check_ybe(V, totals=[(2, 1)])
     assert not report.holds
 
 
@@ -166,7 +166,23 @@ def test_tensor_block_enumeration(sl2_setup):
 
 def test_weight_preservation(sl2_setup):
     bp, V = sl2_setup
-    op = BraidOperator(V, 3, 0, bp)
+    op = BraidOperator(TruncatedR(V, V, bp), 3, 0)
     for total in total_offsets(V, 3):
         basis, mat = op.block(total)
         assert len(mat) == len(basis)
+
+
+def test_check_ybe_builds_one_r(sl2_setup, monkeypatch):
+    # both braid generators share the R of the module's own pairing
+    import qkm.rmatrix as rm
+    built = []
+    init = rm.TruncatedR.__init__
+
+    def counting(self, V, W, pairing):
+        built.append(pairing)
+        init(self, V, W, pairing)
+
+    monkeypatch.setattr(rm.TruncatedR, "__init__", counting)
+    bp, V = sl2_setup
+    assert check_ybe(V).holds
+    assert built == [bp]
