@@ -6,8 +6,9 @@ type) Gram blocks at an indeterminate highest weight: the form on free
 f-words with formal values x_i = lambda(h_i) has, generically, exactly the
 relation space as its null space, and that null space is defined over Q.
 Everything classical (graded dimensions, root multiplicities, module
-construction) derives from these certified kernels, entirely independently
-of the quantum pairing engine, which is what gives the flat-deformation
+construction) derives from these certified kernels, computed independently
+of the quantum pairing (the two engines share only the bookkeeping of
+`qpairing.GradedForm`), which is what gives the flat-deformation
 comparison its content.
 """
 
@@ -20,7 +21,6 @@ from math import factorial
 
 from .cartan import CartanDatum, Weight, weight_form
 from .freealg import (
-    ResourceLimitError,
     enumerate_words,
     lift_pair_action,
     tensor_block_basis,
@@ -28,7 +28,7 @@ from .freealg import (
     word_degree,
 )
 from .linalg import certified_rational_nullspace, invert, matrix_rank
-from .qpairing import degrees_upto
+from .qpairing import GradedForm, degrees_upto
 
 
 class PolyN:
@@ -126,7 +126,7 @@ def _weight_points(n: int):
                              2 + (k + i) % 4) for i in range(n))
 
 
-class ShapovalovForm:
+class ShapovalovForm(GradedForm):
     """Contravariant Gram blocks at an indeterminate highest weight.
 
     The entry for words x, z is computed by straightening: applying the
@@ -134,18 +134,8 @@ class ShapovalovForm:
     coefficient of the highest weight vector, with lambda(h_i) left formal.
     """
 
-    def __init__(self, cd: CartanDatum, degree_cap: int = 8):
-        self.cd = cd
-        self.cap = degree_cap
-        self._memo: dict = {}
-        self._block: dict = {}
-        self._kernel: dict = {}
-        self._reduction: dict = {}
-
-    def _check_cap(self, m) -> None:
-        if total_degree(m) > self.cap:
-            raise ResourceLimitError(
-                f"multidegree {m} exceeds the degree cap {self.cap}")
+    one = Fraction(1)
+    zero = Fraction(0)
 
     def pair_words(self, x, z) -> PolyN:
         if word_degree(x, self.cd.n) != word_degree(z, self.cd.n):
@@ -191,31 +181,16 @@ class ShapovalovForm:
     def kernel(self, m):
         """(quotient dim, rational kernel vectors, pivot columns)."""
         m = tuple(m)
-        if m in self._kernel:
-            return self._kernel[m]
-        words, mat = self.block(m)
-        rank, pivots, basis = certified_rational_nullspace(
-            mat, _weight_points(self.cd.n), PolyN.evaluate)
-        self._kernel[m] = (rank, basis, pivots)
-        reduction = {}
-        free = [c for c in range(len(words)) if c not in pivots]
-        for f, vec in zip(free, basis):
-            reduction[f] = [-vec[p] for p in pivots]
-        self._reduction[m] = (pivots, reduction)
+        if m not in self._kernel:
+            words, mat = self.block(m)
+            rank, pivots, basis = certified_rational_nullspace(
+                mat, _weight_points(self.cd.n), PolyN.evaluate)
+            self._set_reduction(m, words, pivots, basis, Fraction)
+            self._kernel[m] = (rank, basis, pivots)
         return self._kernel[m]
 
-    def reduction_table(self, m):
-        m = tuple(m)
-        if m not in self._reduction:
-            self.kernel(m)
-        return self._reduction[m]
-
-    def quotient_dim(self, m) -> int:
-        return self.kernel(m)[0]
-
-    def quotient_dims(self, max_total_degree: int):
-        return {m: self.quotient_dim(m)
-                for m in degrees_upto(self.cd.n, max_total_degree)}
+    def _solve(self, m) -> None:
+        self.kernel(m)
 
     def generic_block(self, m):
         """The Gram block at a certified-generic rational weight.
@@ -227,7 +202,7 @@ class ShapovalovForm:
         """
         m = tuple(m)
         words, mat = self.block(m)
-        rank = self.kernel(m)[0]
+        rank = self.quotient_dim(m)
         for pt in _weight_points(self.cd.n):
             spec = [[e.evaluate(pt) for e in row] for row in mat]
             if matrix_rank(spec) == rank:
@@ -337,9 +312,6 @@ class CasimirEngine:
             out = [({(i,): Fraction(1)}, None)]
             self._basis[beta] = out
             return out
-        pivots, table = self.form.reduction_table(beta)
-        words = enumerate_words(beta)
-        windex = {w: k for k, w in enumerate(words)}
         rows = []
         out = []
         for i in range(n):
@@ -351,26 +323,12 @@ class CasimirEngine:
                 for w, c in combo.items():
                     cand[w + (i,)] = cand.get(w + (i,), 0) + c
                     cand[(i,) + w] = cand.get((i,) + w, 0) - c
-                reduced = self._reduce_to_quotient(beta, cand, windex, pivots, table)
-                newrows = rows + [reduced]
+                newrows = rows + [self.form.reduce(beta, cand.items())]
                 if matrix_rank(newrows) == len(newrows):
                     rows = newrows
                     out.append((cand, (prev, parent_idx, i)))
         self._basis[beta] = out
         return out
-
-    def _reduce_to_quotient(self, beta, combo, windex, pivots, table):
-        pos = {p: r for r, p in enumerate(pivots)}
-        vec = [Fraction(0)] * len(pivots)
-        for w, c in combo.items():
-            col = windex[w]
-            if col in pos:
-                vec[pos[col]] += c
-            else:
-                for r, coeff in enumerate(table[col]):
-                    if coeff:
-                        vec[r] += c * coeff
-        return vec
 
     def _bracket_e_with_fside(self, i: int, combo):
         """[e_i, y] for y a Lie element written in f-words; the h_i terms

@@ -10,7 +10,9 @@ error (a failed exactness or certification invariant, not a verdict).
 from __future__ import annotations
 
 import argparse
+import cmath
 import hashlib
+import math
 import sys
 import time
 from dataclasses import dataclass, replace
@@ -75,18 +77,34 @@ class SessionConfig:
 
 _CONFIG_KEYS = ("matrix", "d", "max_degree", "depth", "hw", "hbar", "tol",
                 "deviation_tol", "wordlen", "strands")
-# integer keys (also the flag dests) -> (SessionConfig field, least value);
-# the one rule for config values and flag overrides alike
-_INT_KEYS = {"max_degree": ("degree_cap", 1), "depth": ("depth", 1),
-             "wordlen": ("wordlen", 1), "strands": ("strands", 2)}
 
 
-def _parse_fraction(token: str, lineno: int, col: int) -> Fraction:
+def _positive(x: float) -> bool:
+    return 0 < x < math.inf
+
+
+# scalar keys (also the flag dests) -> (SessionConfig field, parser, test,
+# rule); the one rule for config values and flag overrides alike
+_VALUE_KEYS = {
+    "max_degree": ("degree_cap", int, lambda x: x >= 1, "must be >= 1"),
+    "depth": ("depth", int, lambda x: x >= 1, "must be >= 1"),
+    "wordlen": ("wordlen", int, lambda x: x >= 1, "must be >= 1"),
+    "strands": ("strands", int, lambda x: x >= 2, "must be >= 2"),
+    "hbar": ("hbar", complex, lambda h: cmath.isfinite(h) and h.real != 0,
+             "must be finite with a nonzero real part: when |q| = 1, "
+             "q = e^(hbar/2) is a root of unity or cannot be told apart "
+             "from one"),
+    "tol": ("tol", float, _positive, "must be finite and > 0"),
+    "deviation_tol": ("deviation_tol", float, _positive,
+                      "must be finite and > 0"),
+}
+
+
+def _parse_fraction(token: str, where: str, col: int) -> Fraction:
     try:
         return Fraction(token)
     except (ValueError, ZeroDivisionError):
-        raise UsageError(
-            f"line {lineno}, column {col}: {token!r} is not a rational")
+        raise UsageError(f"{where}, column {col}: {token!r} is not a rational")
 
 
 def _tokens(text: str):
@@ -97,21 +115,26 @@ def _tokens(text: str):
         col += len(token) + 1
 
 
-def _parse_vector(text: str, lineno: int) -> tuple:
-    return tuple(_parse_fraction(token, lineno, col)
+def _parse_vector(text: str, where: str) -> tuple:
+    return tuple(_parse_fraction(token, where, col)
                  for token, col in _tokens(text))
 
 
-def _with_int(cfg: SessionConfig, key: str, value: int, name: str):
-    attr, least = _INT_KEYS[key]
-    if value < least:
-        raise UsageError(f"{name} must be >= {least}")
+def _with_value(cfg: SessionConfig, key: str, text: str, name: str):
+    attr, parse, test, rule = _VALUE_KEYS[key]
+    try:
+        value = parse(text)
+    except ValueError:
+        kind = "an integer" if parse is int else "a number"
+        raise UsageError(f"{name} must be {kind}, got {text!r}")
+    if not test(value):
+        raise UsageError(f"{name} {rule}")
     return replace(cfg, **{attr: value})
 
 
-def _parse_rows(text: str, lineno: int) -> tuple:
+def _parse_rows(text: str, where: str) -> tuple:
     rows = [row.strip() for row in text.split(";")]
-    return tuple(_parse_vector(row, lineno) for row in rows if row)
+    return tuple(_parse_vector(row, where) for row in rows if row)
 
 
 def parse_config(text: str) -> SessionConfig:
@@ -130,7 +153,7 @@ def parse_config(text: str) -> SessionConfig:
             raise UsageError(f"line {lineno}, column 1: unknown key {key!r}")
         if key in values:
             raise UsageError(f"line {lineno}, column 1: duplicate key {key!r}")
-        values[key] = (val, lineno)
+        values[key] = (val, f"line {lineno}")
     if "matrix" not in values:
         raise UsageError("config must set 'matrix'")
     text_m, line_m = values["matrix"]
@@ -138,37 +161,24 @@ def parse_config(text: str) -> SessionConfig:
     n = len(matrix)
     for row in matrix:
         if len(row) != n:
-            raise UsageError(f"line {line_m}, column 1: matrix must be square")
+            raise UsageError(f"{line_m}, column 1: matrix must be square")
     cfg = SessionConfig(matrix=matrix)
     if "d" in values:
         text_d, line_d = values["d"]
         dvec = _parse_vector(text_d, line_d)
         if len(dvec) != n:
-            raise UsageError(f"line {line_d}, column 1: need {n} symmetrizers")
+            raise UsageError(f"{line_d}, column 1: need {n} symmetrizers")
         for (token, col), x in zip(_tokens(text_d), dvec):
             if not x:
-                raise UsageError(f"line {line_d}, column {col}: symmetrizer "
+                raise UsageError(f"{line_d}, column {col}: symmetrizer "
                                  f"{token!r} must be nonzero")
         cfg = replace(cfg, d=dvec)
     if "hw" in values:
         cfg = replace(cfg, weights=_parse_rows(*values["hw"]))
-    for key in _INT_KEYS:
+    for key in _VALUE_KEYS:
         if key in values:
-            val, lineno = values[key]
-            try:
-                parsed = int(val)
-            except ValueError:
-                raise UsageError(f"line {lineno}, column 1: bad integer {val!r}")
-            cfg = _with_int(cfg, key, parsed, f"line {lineno}, column 1: {key}")
-    for key, attr, conv in (("hbar", "hbar", complex),
-                            ("tol", "tol", float),
-                            ("deviation_tol", "deviation_tol", float)):
-        if key in values:
-            val, lineno = values[key]
-            try:
-                cfg = replace(cfg, **{attr: conv(val)})
-            except ValueError:
-                raise UsageError(f"line {lineno}, column 1: bad number {val!r}")
+            val, line = values[key]
+            cfg = _with_value(cfg, key, val, f"{line}, column 1: {key}")
     return cfg
 
 
@@ -235,19 +245,12 @@ def _effective_config(args) -> SessionConfig:
             raise UsageError(f"cannot read config: {exc}")
     else:
         raise UsageError("--config is required (it supplies the matrix)")
-    for key in _INT_KEYS:
+    for key in _VALUE_KEYS:
         if getattr(args, key, None) is not None:
-            cfg = _with_int(cfg, key, getattr(args, key),
-                            "--" + key.replace("_", "-"))
+            cfg = _with_value(cfg, key, getattr(args, key),
+                              "--" + key.replace("_", "-"))
     if getattr(args, "hw", None) is not None:
-        cfg = replace(cfg, weights=_parse_rows(args.hw, 0))
-    if getattr(args, "hbar", None) is not None:
-        try:
-            cfg = replace(cfg, hbar=complex(args.hbar))
-        except ValueError:
-            raise UsageError(f"bad --hbar value {args.hbar!r}")
-    if getattr(args, "tol", None) is not None:
-        cfg = replace(cfg, tol=args.tol)
+        cfg = replace(cfg, weights=_parse_rows(args.hw, "--hw"))
     return cfg
 
 
@@ -414,16 +417,16 @@ def _make_parser() -> argparse.ArgumentParser:
 
     def common(p, depth=False, hw=False, numeric=False):
         p.add_argument("--config", required=False, help="config file path")
-        p.add_argument("--max-degree", type=int, dest="max_degree")
+        p.add_argument("--max-degree", dest="max_degree")
         if depth:
-            p.add_argument("--depth", type=int)
+            p.add_argument("--depth")
         if hw:
             p.add_argument("--hw", help="highest weight, space-separated rationals")
         if numeric:
             p.add_argument("--hbar")
-            p.add_argument("--tol", type=float)
-            p.add_argument("--wordlen", type=int)
-            p.add_argument("--strands", type=int)
+            p.add_argument("--tol")
+            p.add_argument("--wordlen")
+            p.add_argument("--strands")
 
     common(sub.add_parser("symmetrize", help="compute symmetrizers"))
     common(sub.add_parser("relations", help="pairing kernels per degree"))

@@ -5,15 +5,16 @@ nullspaces of polynomial matrices.
 support + - * / and truthiness (Fraction, QScalar); entries are never
 coerced, so callers pass field elements, not ints.
 
-A kernel of a matrix N over Z[v^+-1] (or over a multivariate polynomial
-ring) is certified in three steps.  The rank of N specialized at an exact
-rational point is a lower bound for its generic rank.  A one-step
-fraction-free (Bareiss) Gauss-Jordan elimination on the pivot rows and
-columns of that specialization lifts one candidate kernel vector per free
-column back to the ring.  Symbolic verification N . k = 0 then certifies
-every candidate; since the candidates are independent and their number is
-the specialized corank, the specialized rank is also the generic rank, so
-the kernel is exact whether or not the point was generic.  A point whose
+A kernel of a matrix N over Z[v^+-1], or over a polynomial ring over Q
+when the kernel is defined over Q, is certified by one loop.  The rank of
+N specialized at an exact rational point is a lower bound for its generic
+rank.  From the RREF of that specialization, one candidate kernel vector
+per free column is built in the ring: by a fraction-free (Bareiss) solve
+on the pivot rows and columns over Z[v^+-1], and as the specialized RREF
+basis itself over Q.  Symbolic verification N . k = 0 then certifies every
+candidate; since the candidates are independent and their number is the
+specialized corank, the specialized rank is also the generic rank, so the
+kernel is exact whether or not the point was generic.  A point whose
 candidates fail verification is discarded and the next one is tried.
 """
 
@@ -156,43 +157,22 @@ class BadPointError(RuntimeError):
     """All specialization points were rejected; should not happen in practice."""
 
 
-def certified_laurent_nullspace(N, zero, one, points, specialize, normalize):
-    """Certified kernel of a matrix over a univariate Laurent ring.
+def _certified_nullspace(N, points, specialize, candidates):
+    """The one certificate loop shared by both rings.
 
-    N: list of rows of ring elements.  specialize(entry, pt) -> Fraction.
-    normalize(vector) -> canonical form of a kernel vector.
-    Returns (rank, pivot columns, kernel vectors), one vector per free
-    column in increasing column order.  Sound for any point: specialized
-    rank is a lower bound for the generic rank, and the symbolic
-    verification N . k = 0 certifies every returned vector; both match
-    exactly when the point is generic, otherwise the next point is tried.
+    At each point: specialize N, reduce it to RREF, and let
+    candidates(red, pivots, perm) build one kernel vector of N per free
+    column (None rejects the point).  The first point whose candidates all
+    satisfy N . k = 0 symbolically gives (rank, pivot columns, vectors).
     """
-    nrows = len(N)
-    ncols = len(N[0]) if nrows else 0
+    ncols = len(N[0]) if N else 0
     if ncols == 0:
         return 0, [], []
     for pt in points:
-        mq = [[specialize(e, pt) for e in row] for row in N]
-        _, pivots, perm = rref(mq)
-        rank = len(pivots)
-        free = [c for c in range(ncols) if c not in pivots]
-        pivot_rows = [perm[r] for r in range(rank)]
-        vectors = []
-        if free:
-            P = [[N[r][c] for c in pivots] for r in pivot_rows]
-            B = [[N[r][f] for f in free] for r in pivot_rows]
-            try:
-                detP, X = bareiss_solve_columns(P, B, zero) if rank else (one, [])
-            except ValueError:
-                continue
-            for col, f in enumerate(free):
-                vec = [zero] * ncols
-                vec[f] = detP
-                for idx, p in enumerate(pivots):
-                    vec[p] = -X[idx][col]
-                vectors.append(normalize(vec))
-        if all(_verify_zero(N, v) for v in vectors):
-            return rank, pivots, vectors
+        red, pivots, perm = rref([[specialize(e, pt) for e in row] for row in N])
+        vectors = candidates(red, pivots, perm)
+        if vectors is not None and all(_verify_zero(N, v) for v in vectors):
+            return len(pivots), pivots, vectors
     raise BadPointError("no specialization point certified the kernel")
 
 
@@ -200,38 +180,53 @@ def _verify_zero(N, vec):
     for row in N:
         acc = None
         for e, c in zip(row, vec):
-            if not e or not c:
-                continue
-            term = e * c
-            acc = term if acc is None else acc + term
-        if acc is not None and acc:
+            if e and c:
+                term = e * c
+                acc = term if acc is None else acc + term
+        if acc:
             return False
     return True
+
+
+def certified_laurent_nullspace(N, zero, one, points, specialize, normalize):
+    """Certified kernel of a matrix over a univariate Laurent ring.
+
+    N: list of rows of ring elements.  specialize(entry, pt) -> Fraction.
+    normalize(vector) -> canonical form of a kernel vector.  The candidates
+    at a point come from a Bareiss solve on its pivot rows and columns.
+    Returns (rank, pivot columns, kernel vectors), one vector per free
+    column in increasing column order.
+    """
+    ncols = len(N[0]) if N else 0
+
+    def lift(red, pivots, perm):
+        free = [c for c in range(ncols) if c not in pivots]
+        if not free:
+            return []
+        rows = perm[:len(pivots)]
+        P = [[N[r][c] for c in pivots] for r in rows]
+        B = [[N[r][f] for f in free] for r in rows]
+        try:
+            det, X = bareiss_solve_columns(P, B, zero) if pivots else (one, [])
+        except ValueError:
+            return None
+        # P X = det B: the rows of X, keyed by free column, are the RREF
+        # rows scaled by det
+        scaled = [dict(zip(free, x)) for x in X]
+        return [normalize(v) for v in _free_basis(scaled, pivots, ncols, det)]
+
+    return _certified_nullspace(N, points, specialize, lift)
 
 
 def certified_rational_nullspace(S, points, specialize):
     """Certified Q-rational kernel of a symbolic matrix whose kernel is
     known to be defined over Q (e.g. a generic-parameter Gram block).
 
-    Stacks specializations until the joint Fraction kernel verifies
-    symbolically and its dimension matches the best specialized rank.
-    Returns (rank, pivot columns, list of Fraction vectors), one vector per
-    free column in increasing column order (RREF-normalized).
+    The candidates at a point are the RREF kernel basis of the
+    specialization itself: when they verify, the generic kernel is their
+    span.  Returns (rank, pivot columns, list of Fraction vectors), one
+    vector per free column in increasing column order.
     """
-    nrows = len(S)
-    ncols = len(S[0]) if nrows else 0
-    if ncols == 0:
-        return 0, [], []
-    stacked = []
-    best_rank = 0
-    for pt in points:
-        mq = [[specialize(e, pt) for e in row] for row in S]
-        best_rank = max(best_rank, matrix_rank(mq))
-        stacked.extend(mq)
-        red, pivots, _ = rref(stacked)
-        if len(pivots) != best_rank:
-            continue
-        basis = _free_basis(red, pivots, ncols, Fraction(1))
-        if all(_verify_zero(S, v) for v in basis):
-            return best_rank, pivots, basis
-    raise BadPointError("no specialization certified the rational kernel")
+    return _certified_nullspace(
+        S, points, specialize, lambda red, pivots, perm: _free_basis(
+            red, pivots, len(red[0]), Fraction(1)))

@@ -7,7 +7,8 @@ weight space at offset m is the quotient of the span of f-words of degree m
 by the relation ideal, with the reduced basis and the rewriting of
 eliminated words coming from the module's kernel engine (the Drinfeld
 pairing at generic q, the indeterminate-weight contravariant form
-classically).  The module keeps that engine, so the R-matrix and the
+classically); modules read it only through the engine's `quotient_basis`
+and `reduce`.  The module keeps that engine, so the R-matrix and the
 Casimir tensor built on it reuse the same pairing or form.  Lowering
 operators act by word concatenation followed by reduction; raising
 operators act by the straightening rule obtained from the cross relations,
@@ -21,7 +22,7 @@ from fractions import Fraction
 
 from .cartan import CartanDatum, Weight, session_denominator, weight_form
 from .classical import ShapovalovForm
-from .freealg import TruncationError, enumerate_words, total_degree, unit_degree
+from .freealg import TruncationError, total_degree, unit_degree, word_degree
 from .linalg import nullspace, rref
 from .qpairing import DrinfeldPairing, degrees_upto
 from .scalars import QScalar, exponent_to_int, q_power, v_difference
@@ -35,7 +36,7 @@ class WeightModule:
     basis labels (reduced f-words).  Action matrices are stored per
     generator and source offset; matrix[r][c] is the coefficient of target
     basis vector r in the image of source basis vector c.  engine is the
-    kernel engine whose reduction tables define the relations; the R-matrix
+    kernel engine whose word reduction defines the relations; the R-matrix
     and the Casimir tensor on this module reuse it.
     """
 
@@ -183,59 +184,42 @@ def _mat_vec(mat, vec, zero):
 
 def _build_verma(M: WeightModule) -> WeightModule:
     """Fill in the spaces and actions of an empty Verma module from the
-    reduction tables of its kernel engine."""
+    quotient bases and word reduction of its kernel engine."""
     n = M.cd.n
+    engine = M.engine
     offsets = degrees_upto(n, M.depth, include_zero=True)
     spaces = M.spaces
-    reducers = {}
     for m in offsets:
-        pivots, table = M.engine.reduction_table(m)
-        words = enumerate_words(m)
-        spaces[m] = tuple(words[p] for p in pivots)
-        windex = {w: k for k, w in enumerate(words)}
-        reducers[m] = (pivots, {p: r for r, p in enumerate(pivots)}, table, windex)
-
-    def reduce_word(m, word):
-        """Coefficients of a free word over the reduced basis at degree m."""
-        pivots, pos, table, windex = reducers[m]
-        c = windex[word]
-        if c in pos:
-            return {pos[c]: M.scalar_one}
-        return {r: coeff for r, coeff in enumerate(table[c]) if coeff}
-
-    zero = M.scalar_zero
+        spaces[m] = engine.quotient_basis(m)
+    one = M.scalar_one
     coeff_memo = {}
     for m in offsets:
         basis = spaces[m]
         for i in range(n):
             up = tuple(a + b for a, b in zip(m, unit_degree(n, i)))
             if up in spaces:
-                mat = [[zero] * len(basis) for _ in spaces[up]]
-                for c, w in enumerate(basis):
-                    for r, coeff in reduce_word(up, (i,) + w).items():
-                        mat[r][c] = coeff
-                M.f_action[(i, m)] = mat
+                cols = [engine.reduce(up, [((i,) + w, one)]) for w in basis]
+                M.f_action[(i, m)] = _transpose(cols, len(spaces[up]),
+                                                M.scalar_zero)
             down = tuple(a - b for a, b in zip(m, unit_degree(n, i)))
             if all(x >= 0 for x in down):
-                mat = [[zero] * len(basis) for _ in spaces[down]]
-                for c, w in enumerate(basis):
+                cols = []
+                for w in basis:
+                    combo = []
                     for t, letter in enumerate(w):
                         if letter != i:
                             continue
                         # the Cartan scalar on the weight below the struck
                         # letter: the offset of the letters after it
-                        tail = [0] * n
-                        for u in range(t + 1, len(w)):
-                            tail[w[u]] += 1
-                        key = (i, tuple(tail))
+                        key = (i, word_degree(w[t + 1:], n))
                         coeff = coeff_memo.get(key)
                         if coeff is None:
                             coeff = coeff_memo[key] = M.cartan_scalar(*key)
-                        if not coeff:
-                            continue
-                        for r, rc in reduce_word(down, w[:t] + w[t + 1:]).items():
-                            mat[r][c] = mat[r][c] + coeff * rc
-                M.e_action[(i, m)] = mat
+                        if coeff:
+                            combo.append((w[:t] + w[t + 1:], coeff))
+                    cols.append(engine.reduce(down, combo))
+                M.e_action[(i, m)] = _transpose(cols, len(spaces[down]),
+                                                M.scalar_zero)
     return M
 
 
@@ -250,7 +234,7 @@ def verma(hw, depth: int, cd: CartanDatum, D: int | None = None,
     elif pairing.D != D:
         raise ValueError("pairing engine uses a different session denominator")
     return _build_verma(WeightModule("quantum", cd, hw, depth, D, pairing,
-                                     QScalar.one(), QScalar.zero()))
+                                     pairing.one, pairing.zero))
 
 
 def classical_module(hw, kind: str, depth: int, cd: CartanDatum,
@@ -260,7 +244,7 @@ def classical_module(hw, kind: str, depth: int, cd: CartanDatum,
     if form is None:
         form = ShapovalovForm(cd, degree_cap=max(depth, 1))
     base = _build_verma(WeightModule("classical", cd, hw, depth, 1, form,
-                                     Fraction(1), Fraction(0)))
+                                     form.one, form.zero))
     if kind == "verma":
         return base
     if kind == "irreducible":

@@ -82,16 +82,13 @@ class GramBlock:
 
 @dataclass(frozen=True)
 class KernelBasis:
-    """A basis of the null space of one Gram block.
-
-    pivot_words index the quotient basis (the words whose classes survive);
-    every vector pairs to zero against all words of the same degree.
-    """
+    """A basis of the null space of one Gram block: every vector pairs to
+    zero against all words of the same degree.  The engine's
+    `quotient_basis` names the words whose classes survive."""
 
     degree: tuple[int, ...]
     vectors: tuple[FreeElement, ...]
     quotient_dim: int
-    pivot_words: tuple[tuple[int, ...], ...]
 
 
 def _frac_gcd(a: Fraction, b: Fraction) -> Fraction:
@@ -125,7 +122,94 @@ def _normalize_poly_vector(vec):
             if e else e for e in vec]
 
 
-class DrinfeldPairing:
+def degrees_upto(n: int, max_total: int, include_zero: bool = False):
+    """Multidegrees in graded lexicographic order."""
+    out = []
+    for total in range(0 if include_zero else 1, max_total + 1):
+        out.extend(sorted(_compositions(total, n)))
+    return out
+
+
+def _compositions(total: int, n: int):
+    if n == 1:
+        return [(total,)]
+    out = []
+    for first in range(total + 1):
+        for rest in _compositions(total - first, n - 1):
+            out.append((first,) + rest)
+    return out
+
+
+class GradedForm:
+    """A form on free words, graded by multidegree, whose null space in each
+    degree is the relation space there.
+
+    The base owns the degree cap, the caches and the quotient.  A subclass
+    sets the field's `one` and `zero`, and certifies the kernel of a degree
+    in its public kernel method (reached through `_solve`), which records
+    the word rewriting with `_set_reduction`; only `quotient_basis` and
+    `reduce` read it.
+    """
+
+    def __init__(self, cd: CartanDatum, degree_cap: int = 8):
+        self.cd = cd
+        self.cap = degree_cap
+        self._memo: dict = {}         # (word, word) -> form value
+        self._block: dict = {}        # degree -> Gram block
+        self._kernel: dict = {}       # degree -> certified kernel
+        self._reduction: dict = {}    # degree -> (quotient basis, rewriting)
+
+    def _check_cap(self, m) -> None:
+        if total_degree(m) > self.cap:
+            raise ResourceLimitError(
+                f"multidegree {m} exceeds the degree cap {self.cap}")
+
+    def _set_reduction(self, m, words, pivots, vectors, ratio) -> None:
+        """Rewrite every word of degree m as (quotient index, coefficient)
+        pairs over the pivot words: the kernel vector of free column f gives
+        w_f = sum_p ratio(-vec[p], vec[f]) w_p."""
+        basis = tuple(words[p] for p in pivots)
+        rewrite = {w: ((r, self.one),) for r, w in enumerate(basis)}
+        free = [c for c in range(len(words)) if c not in pivots]
+        for f, vec in zip(free, vectors):
+            rewrite[words[f]] = tuple((r, ratio(-vec[p], vec[f]))
+                                      for r, p in enumerate(pivots) if vec[p])
+        self._reduction[tuple(m)] = (basis, rewrite)
+
+    def _rewriting(self, m):
+        m = tuple(m)
+        if m not in self._reduction:
+            self._solve(m)
+        return self._reduction[m]
+
+    def quotient_basis(self, m) -> tuple:
+        """The pivot words of degree m; their classes form a basis of the
+        quotient by the relations."""
+        return self._rewriting(m)[0]
+
+    def reduce(self, m, combo) -> list:
+        """Coordinates over `quotient_basis(m)` of sum c * w for the
+        (word, coefficient) pairs in combo, all words of degree m."""
+        basis, rewrite = self._rewriting(m)
+        one = self.one
+        out = [None] * len(basis)
+        for w, c in combo:
+            for r, x in rewrite[w]:
+                # skip unit factors: each product builds a new scalar
+                term = x if c == one else c if x is one else c * x
+                out[r] = term if out[r] is None else out[r] + term
+        return [self.zero if x is None else x for x in out]
+
+    def quotient_dim(self, m) -> int:
+        return len(self.quotient_basis(m))
+
+    def quotient_dims(self, max_total_degree: int):
+        """Table multidegree -> quotient dimension, graded-lex order."""
+        return {m: self.quotient_dim(m)
+                for m in degrees_upto(self.cd.n, max_total_degree)}
+
+
+class DrinfeldPairing(GradedForm):
     """Pairing engine for one Cartan datum and session denominator.
 
     Gram blocks and kernels are memoized per multidegree; the (word, word)
@@ -133,11 +217,13 @@ class DrinfeldPairing:
     the caches are safe for concurrent reads once populated.
     """
 
+    one = QScalar.one()
+    zero = QScalar.zero()
+
     def __init__(self, cd: CartanDatum, D: int | None = None, degree_cap: int = 8,
                  exponent_sign: int = -1):
-        self.cd = cd
+        super().__init__(cd, degree_cap)
         self.D = D if D is not None else session_denominator(cd)
-        self.cap = degree_cap
         if exponent_sign not in (-1, 1):
             raise ValueError("exponent_sign must be +1 or -1")
         # -1 is the Hopf-axiom value; +1 is its bar-conjugate, kept for the
@@ -146,19 +232,10 @@ class DrinfeldPairing:
         n = cd.n
         self._form = tuple(tuple(exponent_to_int(cd.alpha_form(i, j), self.D)
                                  for j in range(n)) for i in range(n))
-        self._memo: dict = {}
-        self._gram: dict = {}
-        self._kernel: dict = {}
-        self._reduction: dict = {}
         self._dual: dict = {}          # rmatrix.dual_bases per degree
         self._oracle_memo: dict = {}
 
     # -- fast path ---------------------------------------------------------
-
-    def _check_cap(self, m) -> None:
-        if total_degree(m) > self.cap:
-            raise ResourceLimitError(
-                f"multidegree {m} exceeds the degree cap {self.cap}")
 
     def pair_numerator(self, x, z) -> LaurentPoly:
         """B(x, z) * (q - q^{-1})^{|x|} as a Laurent polynomial."""
@@ -200,15 +277,15 @@ class DrinfeldPairing:
 
     def gram_block(self, m) -> GramBlock:
         m = tuple(m)
-        if m in self._gram:
-            return self._gram[m]
+        if m in self._block:
+            return self._block[m]
         self._check_cap(m)
         words = enumerate_words(m)
         nums = tuple(tuple(self.pair_numerator(wa, wb) for wb in words)
                      for wa in words)
         block = GramBlock(degree=m, basis=words, numerators=nums,
                           denom_power=total_degree(m), D=self.D)
-        self._gram[m] = block
+        self._block[m] = block
         return block
 
     # -- kernels and the quotient ------------------------------------------
@@ -218,51 +295,20 @@ class DrinfeldPairing:
         if m in self._kernel:
             return self._kernel[m]
         block = self.gram_block(m)
-        rank, vectors, pivots, reduction = self._kernel_data(block)
+        rank, pivots, vectors = certified_laurent_nullspace(
+            block.numerators, LaurentPoly.zero(), LaurentPoly.one(),
+            EVAL_POINTS, LaurentPoly.evaluate_fraction, _normalize_poly_vector)
         words = block.basis
-        els = []
-        for vec in vectors:
-            coeffs = {words[c]: QScalar(p) for c, p in enumerate(vec) if p}
-            els.append(FreeElement.from_dict(m, coeffs))
-        kb = KernelBasis(degree=m, vectors=tuple(els),
-                         quotient_dim=rank,
-                         pivot_words=tuple(words[c] for c in pivots))
+        self._set_reduction(m, words, pivots, vectors, QScalar)
+        els = tuple(FreeElement.from_dict(
+            m, {words[c]: QScalar(p) for c, p in enumerate(vec) if p})
+            for vec in vectors)
+        kb = KernelBasis(degree=m, vectors=els, quotient_dim=rank)
         self._kernel[m] = kb
-        self._reduction[m] = (pivots, reduction)
         return kb
 
-    def _kernel_data(self, block: GramBlock):
-        N = [list(row) for row in block.numerators]
-        size = len(N)
-        rank, pivots, vectors = certified_laurent_nullspace(
-            N, LaurentPoly.zero(), LaurentPoly.one(), EVAL_POINTS,
-            LaurentPoly.evaluate_fraction, _normalize_poly_vector)
-        free_cols = [c for c in range(size) if c not in pivots]
-        reduction = {}
-        for f, vec in zip(free_cols, vectors):
-            # the kernel relation vec[f] w_f + sum_p vec[p] w_p = 0 rewrites
-            # the free word over the surviving pivot words
-            detp = vec[f]
-            reduction[f] = [QScalar(-vec[p], detp) if vec[p] else QScalar.zero()
-                            for p in pivots]
-        return rank, vectors, pivots, reduction
-
-    def reduction_table(self, m):
-        """(pivot columns, map free-column -> coefficients over pivots)."""
-        m = tuple(m)
-        if m not in self._reduction:
-            self.kernel_block(m)
-        return self._reduction[m]
-
-    def quotient_dim(self, m) -> int:
-        return self.kernel_block(m).quotient_dim
-
-    def quotient_dims(self, max_total_degree: int):
-        """Table multidegree -> quotient dimension, graded-lex order."""
-        out = {}
-        for m in degrees_upto(self.cd.n, max_total_degree):
-            out[m] = self.quotient_dim(m)
-        return out
+    def _solve(self, m) -> None:
+        self.kernel_block(m)
 
     # -- quantum Serre elements ---------------------------------------------
 
@@ -381,21 +427,3 @@ class DrinfeldPairing:
                 return QScalar.zero()
             return QScalar(LaurentPoly.one(), v_difference(self.D))
         return QScalar.zero()
-
-
-def degrees_upto(n: int, max_total: int, include_zero: bool = False):
-    """Multidegrees in graded lexicographic order."""
-    out = []
-    for total in range(0 if include_zero else 1, max_total + 1):
-        out.extend(sorted(_compositions(total, n)))
-    return out
-
-
-def _compositions(total: int, n: int):
-    if n == 1:
-        return [(total,)]
-    out = []
-    for first in range(total + 1):
-        for rest in _compositions(total - first, n - 1):
-            out.append((first,) + rest)
-    return out

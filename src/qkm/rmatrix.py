@@ -49,7 +49,7 @@ def dual_bases(beta, pairing: DrinfeldPairing) -> DualBasisPair:
     beta = tuple(beta)
     if beta in pairing._dual:
         return pairing._dual[beta]
-    words = pairing.kernel_block(beta).pivot_words
+    words = pairing.quotient_basis(beta)
     gram = [[pairing.pair_words(a, b) for b in words] for a in words]
     try:
         inv = invert(gram, QScalar.one())

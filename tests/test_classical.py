@@ -11,7 +11,13 @@ from qkm.classical import (
     weyl_kac_character,
     weyl_kac_multiplicities,
 )
-from qkm.linalg import invert, matrix_rank, nullspace, rref
+from qkm.linalg import (
+    certified_rational_nullspace,
+    invert,
+    matrix_rank,
+    nullspace,
+    rref,
+)
 from qkm.qpairing import DrinfeldPairing, degrees_upto
 from qkm.rmatrix import dual_bases
 from qkm.scalars import QScalar
@@ -194,3 +200,16 @@ def test_weyl_kac_character_affine_level1():
     assert ch[(1, 0)] == 1
     assert ch.get((0, 1), 0) == 0
     assert ch[(2, 1)] == 1
+
+
+def test_rational_certificate_skips_a_non_generic_point():
+    # at the zero weight every f-word is singular, so the sl3 (2,1) block
+    # vanishes there; the next point certifies the generic kernel
+    sf = ShapovalovForm(SL3)
+    _, mat = sf.block((2, 1))
+    zero, generic = (Fraction(0), Fraction(0)), (Fraction(101, 2), Fraction(7, 3))
+    assert matrix_rank([[e.evaluate(zero) for e in row] for row in mat]) == 0
+    rank, pivots, basis = certified_rational_nullspace(
+        mat, [zero, generic], PolyN.evaluate)
+    assert rank == 2
+    assert (rank, basis, pivots) == sf.kernel((2, 1))

@@ -284,3 +284,41 @@ def test_internal_errors_exit_4(tmp_path, monkeypatch, fault):
     assert code == EXIT_INTERNAL
     assert out == ""
     assert f"qkm: internal error: {expected}" in err
+
+
+DK_CFG = "matrix = 2 -1; -1 2\ndepth = 3\nhw = 1 0\n"
+HBAR_RULE = ("must be finite with a nonzero real part: when |q| = 1, "
+             "q = e^(hbar/2) is a root of unity or cannot be told apart "
+             "from one")
+
+# (extra config line, flags, expected stderr); tol = 0 used to end in a
+# DiagonalApproachError, negative or nan tol never finished, a negative
+# deviation_tol failed every verdict, and q = 1 or q = -1 reported pass
+VALUE_RULE_CASES = {
+    "tol_zero": ("", ["--tol", "0"], "--tol must be finite and > 0"),
+    "tol_negative": ("", ["--tol", "-1"], "--tol must be finite and > 0"),
+    "tol_nan": ("", ["--tol", "nan"], "--tol must be finite and > 0"),
+    "deviation_tol_negative": (
+        "deviation_tol = -1\n", [],
+        "line 4, column 1: deviation_tol must be finite and > 0"),
+    "hbar_zero": ("", ["--hbar", "0"], "--hbar " + HBAR_RULE),
+    "hbar_two_pi_i": ("", ["--hbar", "6.283185307179586j"],
+                      "--hbar " + HBAR_RULE),
+}
+
+
+@pytest.mark.parametrize("case", sorted(VALUE_RULE_CASES))
+def test_value_rules_are_usage_errors(tmp_path, case):
+    extra, flags, message = VALUE_RULE_CASES[case]
+    path = write_config(tmp_path, DK_CFG + extra)
+    code, out, err = invoke(["dk", "--config", path] + flags)
+    assert code == EXIT_USAGE and out == ""
+    assert _error_lines(err) == [f"qkm: usage error: {message}"]
+
+
+def test_hw_flag_error_names_the_flag(tmp_path):
+    path = write_config(tmp_path, "matrix = 2 -1; -1 2\ndepth = 2\n")
+    code, out, err = invoke(["character", "--config", path, "--hw", "1 x"])
+    assert code == EXIT_USAGE and out == ""
+    assert _error_lines(err) == [
+        "qkm: usage error: --hw, column 3: 'x' is not a rational"]

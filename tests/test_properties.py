@@ -1,0 +1,83 @@
+"""Property tests over random symmetrizable matrices A = diag(d)^-1 B.
+
+B is symmetric with small nonpositive off-diagonal entries; the diagonal of
+A ranges over finite, imaginary and fractional values.  Examples are
+derandomized and bounded, so every run checks the same matrices.
+"""
+
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qkm.cartan import build_realization
+from qkm.classical import ShapovalovForm
+from qkm.freealg import enumerate_words
+from qkm.qpairing import DrinfeldPairing, degrees_upto
+
+D_VALUES = (Fraction(1), Fraction(2), Fraction(1, 2), Fraction(3))
+A_DIAGONAL = (Fraction(2), Fraction(0), Fraction(-2), Fraction(4),
+              Fraction(2, 3))
+B_OFF_DIAGONAL = (Fraction(0), Fraction(-1, 2), Fraction(-1), Fraction(-2))
+
+PROPERTY = settings(derandomize=True, max_examples=20, deadline=None,
+                    database=None)
+
+
+@st.composite
+def symmetrizable(draw):
+    n = draw(st.integers(1, 3))
+    d = [draw(st.sampled_from(D_VALUES)) for _ in range(n)]
+    B = [[d[i] * draw(st.sampled_from(A_DIAGONAL)) if i == j else None
+          for j in range(n)] for i in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            B[i][j] = B[j][i] = draw(st.sampled_from(B_OFF_DIAGONAL))
+    A = [[B[i][j] / d[i] for j in range(n)] for i in range(n)]
+    return build_realization(A, d)
+
+
+def _cap(cd):
+    return 4 if cd.n <= 2 else 3
+
+
+@PROPERTY
+@given(symmetrizable())
+def test_flatness(cd):
+    """The quantum and classical relation spaces have equal dimensions."""
+    cap = _cap(cd)
+    quantum = DrinfeldPairing(cd, degree_cap=cap).quotient_dims(cap)
+    assert quantum == ShapovalovForm(cd, degree_cap=cap).quotient_dims(cap)
+
+
+@PROPERTY
+@given(symmetrizable())
+def test_reduce_kills_kernels_and_fixes_pivot_words(cd):
+    cap = _cap(cd)
+    bp = DrinfeldPairing(cd, degree_cap=cap)
+    sf = ShapovalovForm(cd, degree_cap=cap)
+    for m in degrees_upto(cd.n, cap):
+        words = enumerate_words(m)
+        kernels = ((bp, [v.terms for v in bp.kernel_block(m).vectors]),
+                   (sf, [list(zip(words, v)) for v in sf.kernel(m)[1]]))
+        for engine, combos in kernels:
+            basis = engine.quotient_basis(m)
+            zero = [engine.zero] * len(basis)
+            for combo in combos:
+                assert engine.reduce(m, combo) == zero, (cd.A, m)
+            for r, w in enumerate(basis):
+                unit = [engine.one if k == r else engine.zero
+                        for k in range(len(basis))]
+                assert engine.reduce(m, [(w, engine.one)]) == unit
+
+
+@PROPERTY
+@given(symmetrizable())
+def test_fast_recursion_matches_hopf_oracle(cd):
+    bp = DrinfeldPairing(cd, degree_cap=3)
+    for m in degrees_upto(cd.n, 3):
+        words = enumerate_words(m)
+        for x in words:
+            for z in words:
+                assert bp.pair_words(x, z) == bp.oracle_pair_words(x, z), (
+                    cd.A, x, z)

@@ -4,7 +4,13 @@ import pytest
 
 from qkm.cartan import build_realization, session_denominator
 from qkm.freealg import FreeElement, enumerate_words
-from qkm.qpairing import DrinfeldPairing, NotApplicableError, degrees_upto
+from qkm.linalg import certified_laurent_nullspace, matrix_rank
+from qkm.qpairing import (
+    DrinfeldPairing,
+    NotApplicableError,
+    _normalize_poly_vector,
+    degrees_upto,
+)
 from qkm.scalars import LaurentPoly, QScalar, q_factorial, q_integer
 
 SL2 = build_realization([[2]])
@@ -215,3 +221,15 @@ def test_rational_matrix_pairing():
     assert block.numerators[0][1] == LaurentPoly.monomial(1)
     assert block.numerators[0][1] == block.numerators[1][0]
     assert bp.kernel_block((1, 1)).quotient_dim == 2
+
+
+def test_laurent_certificate_skips_a_non_generic_point():
+    # at v = 1 the sl3 (1,1) numerators drop to rank 1; the candidate built
+    # there fails verification and v = 2 certifies the generic rank 2
+    N = DrinfeldPairing(SL3).gram_block((1, 1)).numerators
+    at_one = [[e.evaluate_fraction(Fraction(1)) for e in row] for row in N]
+    assert matrix_rank(at_one) == 1
+    rank, pivots, vectors = certified_laurent_nullspace(
+        N, LaurentPoly.zero(), LaurentPoly.one(), (Fraction(1), Fraction(2)),
+        LaurentPoly.evaluate_fraction, _normalize_poly_vector)
+    assert (rank, pivots, vectors) == (2, [0, 1], [])
