@@ -5,18 +5,22 @@ The relation ideal of U(n+) is extracted from the contravariant (Shapovalov
 type) Gram blocks at an indeterminate highest weight: the form on free
 f-words with formal values x_i = lambda(h_i) has, generically, exactly the
 relation space as its null space, and that null space is defined over Q.
-Everything classical (graded dimensions, root multiplicities, module
-construction) derives from these certified kernels, computed independently
-of the quantum pairing (the two engines share only the bookkeeping of
-`qpairing.GradedForm`), which is what gives the flat-deformation
-comparison its content.
+Module construction reads these certified kernels.  Graded dimensions and
+root multiplicities come from the dimension certificate of
+`qpairing.GradedForm`: the form evaluated mod p at the weight
+x_i = MOD_P_WEIGHT^(i + 1) bounds each dimension from below, the ideal
+generated by the kernels one letter down bounds it from above, and a
+kernel is computed only where the two differ.  The classical form is
+evaluated independently of the quantum pairing (the two engines share
+only the bookkeeping and the certificate loop of `qpairing.GradedForm`),
+which is what gives the flat-deformation comparison its content.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import cached_property, partial
 from math import factorial
 
 from .cartan import CartanDatum, Weight, weight_form
@@ -29,6 +33,10 @@ from .freealg import (
 )
 from .linalg import certified_rational_nullspace, invert, matrix_rank
 from .qpairing import GradedForm, degrees_upto
+
+# the classical point of the dimension certificate: the weight with
+# x_i = MOD_P_WEIGHT^(i + 1) mod p
+MOD_P_WEIGHT = 1000033
 
 
 class PolyN:
@@ -136,6 +144,7 @@ class ShapovalovForm(GradedForm):
 
     one = Fraction(1)
     zero = Fraction(0)
+    _peels_first = True
 
     def pair_words(self, x, z) -> PolyN:
         if word_degree(x, self.cd.n) != word_degree(z, self.cd.n):
@@ -191,6 +200,25 @@ class ShapovalovForm(GradedForm):
 
     def _solve(self, m) -> None:
         self.kernel(m)
+
+    def _factor_mod_p(self, i, tail) -> int:
+        """x_i - sum of a_iu over the letters u of tail at the weight of
+        MOD_P_WEIGHT, mod p: the factor of `_pair_rec`."""
+        p = self.p
+        row = self._a_p[i]
+        return (pow(MOD_P_WEIGHT, i + 1, p) - sum(row[u] for u in tail)) % p
+
+    @cached_property
+    def _a_p(self):
+        """The entries of A mod p."""
+        p = self.p
+        return [[a.numerator * pow(a.denominator, -1, p) % p for a in row]
+                for row in self.cd.A]
+
+    def _kernel_vectors(self, m):
+        """The exact kernel vectors of degree m, each entry as one (exponent,
+        coefficient) pair."""
+        return [[[(0, c)] for c in vec] for vec in self.kernel(m)[1]]
 
     def generic_block(self, m):
         """The Gram block at a certified-generic rational weight.

@@ -83,6 +83,13 @@ def _positive(x: float) -> bool:
     return 0 < x < math.inf
 
 
+# the least integrator tolerance, about 450 times the double-precision
+# epsilon: the step error estimate cannot resolve a finer relative error
+_TOL_FLOOR = 1e-13
+# the least |Re hbar|: the square root of the double-precision epsilon,
+# below which q - 1/q keeps fewer than half of its digits
+_HBAR_FLOOR = math.sqrt(sys.float_info.epsilon)
+
 # scalar keys (also the flag dests) -> (SessionConfig field, parser, test,
 # rule); the one rule for config values and flag overrides alike
 _VALUE_KEYS = {
@@ -90,11 +97,16 @@ _VALUE_KEYS = {
     "depth": ("depth", int, lambda x: x >= 1, "must be >= 1"),
     "wordlen": ("wordlen", int, lambda x: x >= 1, "must be >= 1"),
     "strands": ("strands", int, lambda x: x >= 2, "must be >= 2"),
-    "hbar": ("hbar", complex, lambda h: cmath.isfinite(h) and h.real != 0,
-             "must be finite with a nonzero real part: when |q| = 1, "
-             "q = e^(hbar/2) is a root of unity or cannot be told apart "
-             "from one"),
-    "tol": ("tol", float, _positive, "must be finite and > 0"),
+    "hbar": ("hbar", complex,
+             lambda h: cmath.isfinite(h) and abs(h.real) >= _HBAR_FLOOR,
+             f"must be finite with |Re hbar| >= {_HBAR_FLOOR:.1e}: when "
+             "|q| = 1, q = e^(hbar/2) is a root of unity or cannot be told "
+             "apart from one, and below this floor (the square root of the "
+             "double-precision epsilon) q - 1/q keeps fewer than half of its "
+             "digits"),
+    "tol": ("tol", float, lambda x: _TOL_FLOOR <= x < math.inf,
+            f"must be finite and >= {_TOL_FLOOR:.0e}: in double precision "
+            "the integrator cannot honour a finer relative error"),
     "deviation_tol": ("deviation_tol", float, _positive,
                       "must be finite and > 0"),
 }

@@ -16,11 +16,22 @@ candidate; since the candidates are independent and their number is the
 specialized corank, the specialized rank is also the generic rank, so the
 kernel is exact whether or not the point was generic.  A point whose
 candidates fail verification is discarded and the next one is tried.
+
+Graded dimensions need no kernel vectors, only ranks, and `rank_mod_p`
+gives those for integer matrices reduced mod a word-size prime.  It works
+on numpy int64 rows: `rref` on boxed Fractions would spend its time in
+gcd normalization, which a prime field does not need.  A rank mod p at a
+specialization point is a lower bound for the rank over the ring (the
+map to F_p is a ring homomorphism), and the rank mod p of images of known
+kernel vectors is a lower bound for the kernel dimension; how the two are
+combined into a certificate is described in `qpairing.GradedForm`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+
+import numpy as np
 
 
 def rref(rows):
@@ -56,6 +67,29 @@ def rref(rows):
 
 def matrix_rank(rows) -> int:
     return len(rref(rows)[1])
+
+
+def rank_mod_p(rows, p: int):
+    """Rank of a 2-d integer matrix mod a prime p < 2^31, and a row echelon
+    basis of its row space mod p (an int64 array with one row per unit of
+    rank).  Products of two residues stay below 2^62, inside int64."""
+    m = np.array(rows, dtype=np.int64) % p
+    r = 0
+    for c in range(m.shape[1]):
+        nonzero = np.flatnonzero(m[r:, c])
+        if not nonzero.size:
+            continue
+        pr = r + nonzero[0]
+        if pr != r:
+            m[[r, pr]] = m[[pr, r]]
+        m[r] = m[r] * pow(int(m[r, c]), -1, p) % p
+        below = r + 1 + np.flatnonzero(m[r + 1:, c])
+        if below.size:
+            m[below] = (m[below] - np.outer(m[below, c], m[r])) % p
+        r += 1
+        if r == m.shape[0]:
+            break
+    return r, m[:r]
 
 
 def invert(rows, one=Fraction(1)):

@@ -19,14 +19,22 @@ engine works on the Laurent-polynomial numerators and attaches the
 denominator at the boundary.  A slow oracle that expands the Hopf axioms
 with explicit group-like bookkeeping (and no closed recursion) is kept
 alongside for cross-checking.
+
+Graded dimensions of the quotient are certified without symbolic blocks:
+the same recursion evaluated at v = MOD_P_V mod a prime gives a lower
+bound, the two-sided ideal generated by the kernels one letter down an
+upper bound (see `GradedForm`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd as _int_gcd
 from math import lcm as _int_lcm
+
+import numpy as np
 
 from .cartan import CartanDatum, session_denominator
 from .freealg import (
@@ -38,7 +46,7 @@ from .freealg import (
     unit_degree,
     word_degree,
 )
-from .linalg import certified_laurent_nullspace
+from .linalg import BadPointError, certified_laurent_nullspace, rank_mod_p
 from .scalars import (
     LaurentPoly,
     QScalar,
@@ -58,6 +66,13 @@ class NotApplicableError(ValueError):
 EVAL_POINTS = tuple(Fraction(*t) for t in
                     [(2, 1), (3, 1), (5, 2), (7, 2), (7, 3), (11, 3),
                      (13, 5), (17, 5), (19, 7), (23, 7), (29, 11), (31, 11)])
+
+# the primes of the dimension certificate: the first that divides no
+# denominator of A is used
+PRIMES = (2**31 - 1, 2**31 - 19, 2**31 - 61)
+
+# the quantum point of the dimension certificate: v = MOD_P_V mod p
+MOD_P_V = 1000003
 
 
 @dataclass(frozen=True)
@@ -89,6 +104,15 @@ class KernelBasis:
     degree: tuple[int, ...]
     vectors: tuple[FreeElement, ...]
     quotient_dim: int
+
+
+def _cleared_mod_p(vec, p: int) -> list:
+    """Residues mod p of a kernel vector given as lists of (exponent of v,
+    rational coefficient) pairs per entry, after scaling the vector by the
+    lcm of its denominators; v is MOD_P_V."""
+    scale = _int_lcm(*(c.denominator for e in vec for _, c in e))
+    return [sum(int(c * scale) % p * pow(MOD_P_V, k, p) for k, c in e) % p
+            for e in vec]
 
 
 def _frac_gcd(a: Fraction, b: Fraction) -> Fraction:
@@ -149,6 +173,24 @@ class GradedForm:
     in its public kernel method (reached through `_solve`), which records
     the word rewriting with `_set_reduction`; only `quotient_basis` and
     `reduce` read it.
+
+    Quotient dimensions have a cheaper certificate that builds no symbolic
+    block.  Degree by degree in graded-lex order, modulo a prime p:
+
+    - lower bound: the rank mod p of the Gram block at one fixed point
+      (`_gram_mod_p`, from the subclass's `_factor_mod_p`).  Specializing
+      is a ring homomorphism, so the rank can only drop;
+    - upper bound: #words - rank mod p of the span of (i,) + k and k + (i,)
+      over k in K(m - e_i), where K holds mod-p images of genuine kernel
+      vectors.  The relations are the radical of a Hopf pairing (resp. of
+      the contravariant form at a generic weight), a two-sided ideal, so
+      the span lies in the kernel.
+
+    When the bounds meet, the dimension is certified and an echelon basis
+    of the span becomes K(m).  When they do not (the degrees of new
+    generators of the ideal, such as the Serre degrees, or an unlucky
+    point), the exact kernel of that degree alone is computed and its
+    vectors, denominators cleared, seed K(m) mod p.
     """
 
     def __init__(self, cd: CartanDatum, degree_cap: int = 8):
@@ -158,6 +200,23 @@ class GradedForm:
         self._block: dict = {}        # degree -> Gram block
         self._kernel: dict = {}       # degree -> certified kernel
         self._reduction: dict = {}    # degree -> (quotient basis, rewriting)
+        origin = (0,) * cd.n
+        self._dim: dict = {origin: 1}  # degree -> certified quotient dim
+        # degree -> (word index, Gram block mod p at the fixed point)
+        self._gram_p: dict = {origin: ({(): 0}, np.ones((1, 1), np.int64))}
+        # degree -> echelon rows mod p of kernel vectors
+        self._kernel_p: dict = {origin: np.zeros((0, 1), np.int64)}
+
+    @cached_property
+    def p(self) -> int:
+        """The prime of the dimension certificate: the first of PRIMES that
+        divides no denominator of A."""
+        dens = {a.denominator for row in self.cd.A for a in row}
+        for p in PRIMES:
+            if all(d % p for d in dens):
+                return p
+        raise BadPointError("every prime of the dimension certificate "
+                            "divides a denominator of A")
 
     def _check_cap(self, m) -> None:
         if total_degree(m) > self.cap:
@@ -201,12 +260,77 @@ class GradedForm:
         return [self.zero if x is None else x for x in out]
 
     def quotient_dim(self, m) -> int:
-        return len(self.quotient_basis(m))
+        """The certified dimension of the quotient in degree m (see the
+        class docstring)."""
+        m = tuple(m)
+        if m not in self._dim:
+            self._check_cap(m)
+            self._certify_dim(m)
+        return self._dim[m]
 
     def quotient_dims(self, max_total_degree: int):
         """Table multidegree -> quotient dimension, graded-lex order."""
         return {m: self.quotient_dim(m)
                 for m in degrees_upto(self.cd.n, max_total_degree)}
+
+    def _certify_dim(self, m) -> None:
+        """Certify the quotient dimension of degree m and record K(m); the
+        degrees below m are certified first."""
+        p = self.p
+        index, gram = self._gram_mod_p(m)
+        lower = rank_mod_p(gram, p)[0]
+        span = [np.zeros((0, len(index)), np.int64)]
+        for i, prev in self._predecessors(m):
+            self.quotient_dim(prev)
+            kernel = self._kernel_p[prev]
+            words = enumerate_words(prev)
+            for cols in ([index[(i,) + w] for w in words],
+                         [index[w + (i,)] for w in words]):
+                rows = np.zeros((len(kernel), len(index)), np.int64)
+                rows[:, cols] = kernel
+                span.append(rows)
+        rank, basis = rank_mod_p(np.vstack(span), p)
+        upper = dim = len(index) - rank
+        if lower != upper:
+            vectors = [_cleared_mod_p(v, p) for v in self._kernel_vectors(m)]
+            basis = rank_mod_p(np.array(vectors, np.int64).reshape(
+                len(vectors), len(index)), p)[1]
+            dim = len(index) - len(vectors)
+        if not lower <= dim <= upper:
+            raise AssertionError(f"quotient dimension {dim} at {m} is outside "
+                                 f"its mod-p bounds [{lower}, {upper}]")
+        self._kernel_p[m] = basis
+        self._dim[m] = dim
+
+    def _predecessors(self, m):
+        """(i, m - e_i) for every letter i occurring in degree m."""
+        return [(i, m[:i] + (m[i] - 1,) + m[i + 1:])
+                for i in range(len(m)) if m[i]]
+
+    def _gram_mod_p(self, m):
+        """(word index, Gram block mod p at the fixed point) of degree m,
+        built column by column from the blocks one letter down: the
+        subclass's recursion peels letter i off the row word (its first
+        letter when `_peels_first`, else its last) against each position t
+        of the column word z with z_t = i, with the factor
+        `_factor_mod_p(i, z[t + 1:])`."""
+        if m in self._gram_p:
+            return self._gram_p[m]
+        p = self.p
+        words = enumerate_words(m)
+        index = {w: c for c, w in enumerate(words)}
+        gram = np.zeros((len(words), len(words)), np.int64)
+        for i, prev in self._predecessors(m):
+            pindex, pgram = self._gram_mod_p(prev)
+            rows = [index[(i,) + w if self._peels_first else w + (i,)]
+                    for w in pindex]
+            for c, z in enumerate(words):
+                gram[rows, c] = sum(
+                    self._factor_mod_p(i, z[t + 1:])
+                    * pgram[:, pindex[z[:t] + z[t + 1:]]] % p
+                    for t, letter in enumerate(z) if letter == i) % p
+        self._gram_p[m] = (index, gram)
+        return index, gram
 
 
 class DrinfeldPairing(GradedForm):
@@ -219,6 +343,7 @@ class DrinfeldPairing(GradedForm):
 
     one = QScalar.one()
     zero = QScalar.zero()
+    _peels_first = False
 
     def __init__(self, cd: CartanDatum, D: int | None = None, degree_cap: int = 8,
                  exponent_sign: int = -1):
@@ -309,6 +434,24 @@ class DrinfeldPairing(GradedForm):
 
     def _solve(self, m) -> None:
         self.kernel_block(m)
+
+    # -- the dimension certificate ------------------------------------------
+
+    def _factor_mod_p(self, i, tail) -> int:
+        """v^(sign * sum of (alpha_i, alpha_u) over the letters u of tail) at
+        v = MOD_P_V, mod p: the factor of `_pair_rec`."""
+        return pow(MOD_P_V, self.sign * sum(self._form[i][u] for u in tail),
+                   self.p)
+
+    def _kernel_vectors(self, m):
+        """The exact kernel vectors of degree m, each entry as (exponent of
+        v, coefficient) pairs."""
+        out = []
+        for el in self.kernel_block(m).vectors:
+            nums = {w: c.num for w, c in el.terms}
+            out.append([list(enumerate(nums[w].coeffs, nums[w].offset))
+                        if w in nums else [] for w in enumerate_words(m)])
+        return out
 
     # -- quantum Serre elements ---------------------------------------------
 

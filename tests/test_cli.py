@@ -287,23 +287,34 @@ def test_internal_errors_exit_4(tmp_path, monkeypatch, fault):
 
 
 DK_CFG = "matrix = 2 -1; -1 2\ndepth = 3\nhw = 1 0\n"
-HBAR_RULE = ("must be finite with a nonzero real part: when |q| = 1, "
+HBAR_RULE = ("must be finite with |Re hbar| >= 1.5e-08: when |q| = 1, "
              "q = e^(hbar/2) is a root of unity or cannot be told apart "
-             "from one")
+             "from one, and below this floor (the square root of the "
+             "double-precision epsilon) q - 1/q keeps fewer than half of "
+             "its digits")
+TOL_RULE = ("must be finite and >= 1e-13: in double precision the "
+            "integrator cannot honour a finer relative error")
 
 # (extra config line, flags, expected stderr); tol = 0 used to end in a
 # DiagonalApproachError, negative or nan tol never finished, a negative
-# deviation_tol failed every verdict, and q = 1 or q = -1 reported pass
+# deviation_tol failed every verdict, q = 1 or q = -1 reported pass,
+# tol = 1e-300 ended in a DiagonalApproachError blaming a diagonal, and
+# hbar = 1e-300 gave q == 1.0 in floating point and reported pass
 VALUE_RULE_CASES = {
-    "tol_zero": ("", ["--tol", "0"], "--tol must be finite and > 0"),
-    "tol_negative": ("", ["--tol", "-1"], "--tol must be finite and > 0"),
-    "tol_nan": ("", ["--tol", "nan"], "--tol must be finite and > 0"),
+    "tol_zero": ("", ["--tol", "0"], "--tol " + TOL_RULE),
+    "tol_negative": ("", ["--tol", "-1"], "--tol " + TOL_RULE),
+    "tol_nan": ("", ["--tol", "nan"], "--tol " + TOL_RULE),
+    "tol_below_double_precision": ("", ["--tol", "1e-300"],
+                                   "--tol " + TOL_RULE),
     "deviation_tol_negative": (
         "deviation_tol = -1\n", [],
         "line 4, column 1: deviation_tol must be finite and > 0"),
     "hbar_zero": ("", ["--hbar", "0"], "--hbar " + HBAR_RULE),
     "hbar_two_pi_i": ("", ["--hbar", "6.283185307179586j"],
                       "--hbar " + HBAR_RULE),
+    "hbar_below_precision": ("", ["--hbar", "1e-300"], "--hbar " + HBAR_RULE),
+    "hbar_below_precision_config": (
+        "hbar = -1e-9\n", [], "line 4, column 1: hbar " + HBAR_RULE),
 }
 
 
@@ -314,6 +325,11 @@ def test_value_rules_are_usage_errors(tmp_path, case):
     code, out, err = invoke(["dk", "--config", path] + flags)
     assert code == EXIT_USAGE and out == ""
     assert _error_lines(err) == [f"qkm: usage error: {message}"]
+
+
+def test_value_floors_admit_their_bounds():
+    cfg = parse_config(DK_CFG + "tol = 1e-13\nhbar = -1.5e-8+3j\n")
+    assert cfg.tol == 1e-13 and cfg.hbar == complex(-1.5e-8, 3)
 
 
 def test_hw_flag_error_names_the_flag(tmp_path):

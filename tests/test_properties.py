@@ -11,9 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qkm.cartan import build_realization
-from qkm.classical import ShapovalovForm
+from qkm.classical import PolyN, ShapovalovForm
 from qkm.freealg import enumerate_words
 from qkm.qpairing import DrinfeldPairing, degrees_upto
+from qkm.scalars import LaurentPoly
 
 D_VALUES = (Fraction(1), Fraction(2), Fraction(1, 2), Fraction(3))
 A_DIAGONAL = (Fraction(2), Fraction(0), Fraction(-2), Fraction(4),
@@ -69,6 +70,35 @@ def test_reduce_kills_kernels_and_fixes_pivot_words(cd):
                 unit = [engine.one if k == r else engine.zero
                         for k in range(len(basis))]
                 assert engine.reduce(m, [(w, engine.one)]) == unit
+
+
+@PROPERTY
+@given(symmetrizable())
+def test_kernels_form_a_two_sided_ideal(cd):
+    """(i,) + w and w + (i,) carry exact kernel vectors into the kernel one
+    degree up, through degree 4: the upper bound of the dimension
+    certificate rests on it."""
+    bp = DrinfeldPairing(cd, degree_cap=3)
+    sf = ShapovalovForm(cd, degree_cap=3)
+    for m in degrees_upto(cd.n, 3):
+        words = enumerate_words(m)
+        kernels = (
+            (bp.pair_numerator, LaurentPoly.zero(),
+             [[(w, c.num) for w, c in v.terms]
+              for v in bp.kernel_block(m).vectors]),
+            (sf.pair_words, PolyN(cd.n),
+             [list(zip(words, v)) for v in sf.kernel(m)[1]]))
+        for pair, zero, combos in kernels:
+            for combo in combos:
+                for i in range(cd.n):
+                    up = m[:i] + (m[i] + 1,) + m[i + 1:]
+                    for grown in ([((i,) + w, c) for w, c in combo],
+                                  [(w + (i,), c) for w, c in combo]):
+                        for x in enumerate_words(up):
+                            total = zero
+                            for w, c in grown:
+                                total = total + pair(x, w) * c
+                            assert total == zero, (cd.A, m, i, x)
 
 
 @PROPERTY
