@@ -249,10 +249,11 @@ def gamma(i: int, cd: CartanDatum) -> tuple[Fraction, ...]:
 def session_denominator(cd: CartanDatum, weights=()) -> int:
     """Least D so every q-exponent in a session lands on the (1/D)-grid.
 
-    Covers (alpha_i, alpha_j), (lambda, alpha_i), and (lambda, mu) for all
+    Covers the symmetrizers d_i (the exponents of q_i = q^{d_i}),
+    (alpha_i, alpha_j), (lambda, alpha_i), and (lambda, mu) for all
     supplied highest weights.
     """
-    D = 1
+    D = lcm(*(di.denominator for di in cd.d))
     for i in range(cd.n):
         for j in range(cd.n):
             D = lcm(D, cd.alpha_form(i, j).denominator)

@@ -25,9 +25,9 @@ from math import factorial
 
 from .cartan import CartanDatum, Weight, weight_form
 from .freealg import (
+    PairOperator,
+    add_tensor_terms,
     enumerate_words,
-    lift_pair_action,
-    tensor_block_basis,
     total_degree,
     word_degree,
 )
@@ -436,36 +436,23 @@ class CasimirEngine:
         vecV = V.unit(mV, a)
         vecW = W.unit(mW, b)
         for beta in degrees_upto(cd.n, self.cap):
-            pairs = self.dual_root_pairs(beta)
-            for e_combo, f_combo in pairs:
-                self._accumulate(out, V, W, mV, mW, vecV, vecW,
-                                 e_combo, f_combo, beta, e_first=True)
-                self._accumulate(out, V, W, mV, mW, vecV, vecW,
-                                 e_combo, f_combo, beta, e_first=False)
+            for e_combo, f_combo in self.dual_root_pairs(beta):
+                # e (x) f raises the V site by beta, f (x) e lowers it
+                for sign, on_v, on_w in ((1, e_combo, f_combo),
+                                         (-1, f_combo, e_combo)):
+                    tV = tuple(x - sign * y for x, y in zip(mV, beta))
+                    tW = tuple(x + sign * y for x, y in zip(mW, beta))
+                    if min(tV + tW) < 0:
+                        continue
+                    resV = V.apply_combo(on_v.items(), mV, vecV,
+                                         raising=sign > 0)
+                    if resV is None:
+                        continue
+                    resW = W.apply_combo(on_w.items(), mW, vecW,
+                                         raising=sign < 0)
+                    if resW is not None:
+                        add_tensor_terms(out, tV, resV, tW, resW)
         return [(key, val) for key, val in out.items() if val]
-
-    def _accumulate(self, out, V, W, mV, mW, vecV, vecW, e_combo, f_combo,
-                    beta, e_first: bool):
-        sign = 1 if e_first else -1
-        tV = tuple(x - sign * y for x, y in zip(mV, beta))
-        tW = tuple(x + sign * y for x, y in zip(mW, beta))
-        if any(x < 0 for x in (tV if e_first else tW)):
-            return
-        on_v, on_w = (e_combo, f_combo) if e_first else (f_combo, e_combo)
-        resV = V.apply_combo(on_v.items(), mV, vecV, raising=e_first)
-        if resV is None:
-            return
-        resW = W.apply_combo(on_w.items(), mW, vecW, raising=not e_first)
-        if resW is None:
-            return
-        for r, cv in enumerate(resV):
-            if not cv:
-                continue
-            for s, cw in enumerate(resW):
-                if not cw:
-                    continue
-                key = (tV, r, tW, s)
-                out[key] = out.get(key, Fraction(0)) + cv * cw
 
 
 def casimir_omega(V, W, total_offset, engine: CasimirEngine | None = None) -> OmegaBlock:
@@ -474,13 +461,10 @@ def casimir_omega(V, W, total_offset, engine: CasimirEngine | None = None) -> Om
         raise ValueError("the Casimir tensor acts on classical modules")
     engine = engine or CasimirEngine(V.cd, form=V.engine,
                                      degree_cap=min(V.depth, W.depth))
-    pairs = tensor_block_basis((V, W), total_offset)
-    mat = [[Fraction(0)] * len(pairs) for _ in pairs]
-    action = partial(engine.pair_action, V, W)
-    for r, c, val in lift_pair_action(pairs, action, 0, 1, swap=False):
-        mat[r][c] += val
-    basis = tuple((mV, a, mW, b) for (mV, a), (mW, b) in pairs)
-    return OmegaBlock(total_offset=tuple(total_offset), basis=basis, matrix=mat)
+    basis, mat = PairOperator(V, W, partial(engine.pair_action, V, W)).block(
+        total_offset)
+    return OmegaBlock(total_offset=tuple(total_offset), basis=tuple(basis),
+                      matrix=mat)
 
 
 # -- Weyl-Kac oracles --------------------------------------------------------

@@ -498,6 +498,9 @@ def run(argv, out=None, err=None) -> int:
     except ResourceLimitError as exc:
         print(f"qkm: resource limit: {exc}", file=err)
         return EXIT_RESOURCE
+    except MemoryError:
+        print("qkm: resource limit: out of memory", file=err)
+        return EXIT_RESOURCE
     except (NotSymmetrizableError, TruncationError, PoleError,
             DiagonalApproachError) as exc:
         print(f"qkm: {type(exc).__name__}: {exc}", file=err)

@@ -6,8 +6,9 @@ common multidegree with exact scalar coefficients.
 
 Weight modules are graded by the same multidegrees (offsets below the
 highest weight), so the bases of total-weight blocks of their tensor
-products, and the lift of two-site operators onto those blocks, live here
-too: every layer that acts on tensor products, exact or numeric, uses them.
+products and the one two-site operator type (`PairOperator`: the R-matrix,
+sigma R and the Casimir tensor, lifted onto those blocks) live here too:
+every layer that acts on tensor products, exact or numeric, uses them.
 """
 
 from __future__ import annotations
@@ -192,21 +193,57 @@ def tensor_block_basis(factors, total):
     return out
 
 
-def lift_pair_action(basis, action, i: int, j: int, swap: bool):
-    """Lift a two-site operator onto sites (i, j) of a tensor block basis.
+def add_tensor_terms(out: dict, tV, imgV, tW, imgW) -> None:
+    """Add imgV (x) imgW, coefficient vectors at offsets tV and tW, into a
+    dict of ((tV, r, tW, s), value) terms."""
+    for r, cv in enumerate(imgV):
+        if not cv:
+            continue
+        for s, cw in enumerate(imgW):
+            if cw:
+                key = (tV, r, tW, s)
+                out[key] = out[key] + cv * cw if key in out else cv * cw
 
-    action(m_i, a_i, m_j, a_j) returns ((t, r, t', s), value) terms: the
-    image of the pair on sites i and j.  The image (t, r) lands on site i and
-    (t', s) on site j, or the other way round when `swap` is set (the flip
-    after R in a braid generator).  Yields the (row, column, value) entries
-    of the lifted matrix in column order.
-    """
-    index = {key: r for r, key in enumerate(basis)}
-    for c, key in enumerate(basis):
-        for (t, r, t2, s), val in action(*key[i], *key[j]):
-            new = list(key)
-            new[i], new[j] = ((t2, s), (t, r)) if swap else ((t, r), (t2, s))
-            row = index.get(tuple(new))
-            if row is None:
-                raise AssertionError(f"two-site image left the block: {new}")
-            yield row, c, val
+
+class PairOperator:
+    """A two-site operator on V (x) W: terms(m_V, a, m_W, b) is the image
+    of v_a (x) w_b as ((t, r, t', s), value) terms (v_r at offset t, w_s at
+    t'), in the modules' own scalars, computed once per pair.  R, sigma R
+    and the Casimir tensor share this memo and lift onto tensor blocks."""
+
+    def __init__(self, V, W, terms):
+        self.V = V
+        self.W = W
+        self.terms = terms
+        self._memo: dict = {}
+
+    def pair_terms(self, mV, a, mW, b):
+        key = (mV, a, mW, b)
+        out = self._memo.get(key)
+        if out is None:
+            out = self._memo[key] = self.terms(*key)
+        return out
+
+    def lift(self, basis, i: int, j: int, flip: bool = False):
+        """Dense matrix on a tensor block basis of the operator on sites
+        (i, j); with `flip` the two sites are exchanged afterwards (sigma
+        after R in a braid generator)."""
+        index = {key: r for r, key in enumerate(basis)}
+        mat = [[self.V.scalar_zero] * len(basis) for _ in basis]
+        for c, key in enumerate(basis):
+            for (t, r, t2, s), val in self.pair_terms(*key[i], *key[j]):
+                new = list(key)
+                new[i], new[j] = ((t2, s), (t, r)) if flip else ((t, r), (t2, s))
+                row = index.get(tuple(new))
+                if row is None:
+                    raise AssertionError(f"two-site image left the block: {new}")
+                # distinct terms land on distinct rows of a column
+                mat[row][c] = val
+        return mat
+
+    def block(self, total):
+        """(basis, matrix) on the total-weight block of V (x) W; basis
+        entries are (offset_V, index_V, offset_W, index_W)."""
+        pairs = tensor_block_basis((self.V, self.W), total)
+        return ([(mV, a, mW, b) for (mV, a), (mW, b) in pairs],
+                self.lift(pairs, 0, 1))

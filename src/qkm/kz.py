@@ -5,7 +5,10 @@ the comparison against the braiding built from the quantum R-matrix.
 The connection is d F = (hbar / 2 pi i) sum_{i<j} Omega_ij d log(z_i - z_j) F
 on configurations of k distinct points.  Transport matrices are integrated
 with an adaptive Dormand-Prince 5(4) stepper whose step ceiling shrinks
-with the distance to the nearest diagonal.  Monodromy is compared with the
+with the distance to the nearest diagonal.  The matrices Omega_ij are lifts
+onto sites (i, j) of one two-site operator, `freealg.PairOperator`, the
+type that also carries R: each basis pair of the Casimir tensor is
+computed once per comparison.  Monodromy is compared with the
 sigma R representation only through conjugation-invariant data (traces of
 braid words and generator eigenvalue multisets): the two representations
 are isomorphic, not equal.
@@ -23,7 +26,7 @@ from itertools import product
 import numpy as np
 
 from .classical import CasimirEngine
-from .freealg import lift_pair_action, tensor_block_basis
+from .freealg import PairOperator, tensor_block_basis
 from .qmodules import WeightModule, compare_characters
 from .rmatrix import BraidOperator, TruncatedR, total_offsets
 from .scalars import evaluate_numeric
@@ -54,22 +57,20 @@ class KZSystem:
 
 
 def build_kz_system(V: WeightModule, k: int, total_offset, hbar,
-                    engine: CasimirEngine | None = None) -> KZSystem:
-    """Assemble the pairwise Casimir matrices on a block of V^(x k)."""
+                    omega: PairOperator | None = None) -> KZSystem:
+    """Assemble the pairwise Casimir matrices on a block of V^(x k); omega
+    is the Casimir tensor on V (x) V (by default from the module's form)."""
     if V.kind != "classical":
         raise ValueError("the KZ connection uses classical modules")
-    engine = engine or CasimirEngine(V.cd, form=V.engine, degree_cap=V.depth)
+    if omega is None:
+        engine = CasimirEngine(V.cd, form=V.engine, degree_cap=V.depth)
+        omega = PairOperator(V, V, partial(engine.pair_action, V, V))
     total_offset = tuple(total_offset)
     basis = tuple(tensor_block_basis((V,) * k, total_offset))
     dim = len(basis)
-    action = partial(engine.pair_action, V, V)
-    omegas = {}
-    for i in range(k):
-        for j in range(i + 1, k):
-            mat = np.zeros((dim, dim), dtype=complex)
-            for r, c, val in lift_pair_action(basis, action, i, j, swap=False):
-                mat[r, c] += float(val)
-            omegas[(i, j)] = mat
+    omegas = {(i, j): np.array(omega.lift(basis, i, j),
+                               dtype=complex).reshape(dim, dim)
+              for i in range(k) for j in range(i + 1, k)}
     return KZSystem(k=k, total_offset=total_offset, basis=basis,
                     omegas=omegas, hbar=complex(hbar))
 
@@ -283,8 +284,9 @@ def drinfeld_kohno_compare(V_classical: WeightModule, V_quantum: WeightModule,
     Traces of all positive braid words up to the given length and the
     eigenvalue multisets of the generators are compared per total-weight
     block at q = e^{hbar/2}.  One R, from the quantum module's pairing,
-    serves every block and generator; the default Casimir engine uses the
-    classical module's form.
+    and one Casimir operator serve every block and generator, so each basis
+    pair is computed once on either side; the default Casimir engine uses
+    the classical module's form.
     """
     if not compare_characters(V_classical, V_quantum).equal:
         raise ValueError("classical and quantum modules must have equal "
@@ -292,6 +294,8 @@ def drinfeld_kohno_compare(V_classical: WeightModule, V_quantum: WeightModule,
     hbar = complex(hbar)
     engine = engine or CasimirEngine(V_classical.cd, form=V_classical.engine,
                                      degree_cap=V_classical.depth)
+    omega = PairOperator(V_classical, V_classical,
+                         partial(engine.pair_action, V_classical, V_classical))
     if totals is None:
         totals = total_offsets(V_classical, k)
     r = TruncatedR(V_quantum, V_quantum, V_quantum.engine)
@@ -301,7 +305,7 @@ def drinfeld_kohno_compare(V_classical: WeightModule, V_quantum: WeightModule,
     worst_eig = 0.0
     ngen = k - 1
     for total in totals:
-        system = build_kz_system(V_classical, k, total, hbar, engine)
+        system = build_kz_system(V_classical, k, total, hbar, omega)
         if system.dim == 0:
             continue
         kz_gens = [braid_monodromy(system, i, rtol) for i in range(ngen)]

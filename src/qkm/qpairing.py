@@ -4,21 +4,25 @@ and the relation ideal given by their null spaces.
 The pairing is the unique symmetric bilinear form with
 
     B(x y, z) = B(x (x) y, Delta(z)),   B(z, x y) = B(Delta(z), x (x) y),
-    B(q^a, q^b) = q^{-(a,b)},           B(E_i, E_j) = delta_ij / (q - q^{-1}),
+    B(q^a, q^b) = q^{-(a,b)},       B(E_i, E_j) = delta_ij / (q_i - q_i^{-1}),
 
-for the coproduct Delta(E_i) = E_i (x) q^{gamma_i} + 1 (x) E_i with
-gamma_i = d_i h_i.  Peeling the trailing letter of the first argument
-against the coproduct of the second yields the closed recursion
+with q_i = q^{d_i}, for the coproduct Delta(E_i) = E_i (x) q^{gamma_i} +
+1 (x) E_i with gamma_i = d_i h_i.  The per-letter normalization matches the
+modules' [E_i, F_i] = (K_i - K_i^{-1}) / (q_i - q_i^{-1}), so the dual bases
+built from the pairing give the R-matrix of those modules.  Peeling the
+trailing letter of the first argument against the coproduct of the second
+yields the closed recursion
 
-    B(w E_i, z) = (q - q^{-1})^{-1} *
+    B(w E_i, z) = (q_i - q_i^{-1})^{-1} *
         sum over positions t with z_t = i of
             q^{- sum_{u > t} (alpha_i, alpha_{z_u})} * B(w, z minus position t).
 
-Values of fixed multidegree m share the denominator (q - q^{-1})^{|m|}; the
-engine works on the Laurent-polynomial numerators and attaches the
-denominator at the boundary.  A slow oracle that expands the Hopf axioms
-with explicit group-like bookkeeping (and no closed recursion) is kept
-alongside for cross-checking.
+Values of fixed multidegree m share the denominator
+prod_i (q_i - q_i^{-1})^{m_i} (`DrinfeldPairing.denominator`); the engine
+works on the Laurent-polynomial numerators, which do not depend on the
+d_i, and attaches the denominator at the boundary.  A slow oracle that
+expands the Hopf axioms with explicit group-like bookkeeping (and no
+closed recursion) is kept alongside for cross-checking.
 
 Graded dimensions of the quotient are certified without symbolic blocks:
 the same recursion evaluated at v = MOD_P_V mod a prime gives a lower
@@ -79,17 +83,17 @@ MOD_P_V = 1000003
 class GramBlock:
     """The pairing matrix on one multidegree component.
 
-    Entries are numerators over the common denominator (q - q^{-1})^{|m|}.
+    Entries are numerators over the common denominator
+    prod_i (q_i - q_i^{-1})^{m_i}, one factor per letter.
     """
 
     degree: tuple[int, ...]
     basis: tuple[tuple[int, ...], ...]
     numerators: tuple[tuple[LaurentPoly, ...], ...]
-    denom_power: int
-    D: int
+    denominator: LaurentPoly
 
     def entry(self, a: int, b: int) -> QScalar:
-        return QScalar(self.numerators[a][b], v_difference(self.D) ** self.denom_power)
+        return QScalar(self.numerators[a][b], self.denominator)
 
     def size(self) -> int:
         return len(self.basis)
@@ -363,7 +367,8 @@ class DrinfeldPairing(GradedForm):
     # -- fast path ---------------------------------------------------------
 
     def pair_numerator(self, x, z) -> LaurentPoly:
-        """B(x, z) * (q - q^{-1})^{|x|} as a Laurent polynomial."""
+        """B(x, z) times the denominator of its degree, as a Laurent
+        polynomial."""
         if word_degree(x, self.cd.n) != word_degree(z, self.cd.n):
             return LaurentPoly.zero()
         return self._pair_rec(tuple(x), tuple(z))
@@ -398,7 +403,16 @@ class DrinfeldPairing(GradedForm):
         num = self.pair_numerator(x, z)
         if num.is_zero():
             return QScalar.zero()
-        return QScalar(num, v_difference(self.D) ** len(x))
+        return QScalar(num, self.denominator(word_degree(x, self.cd.n)))
+
+    def denominator(self, m) -> LaurentPoly:
+        """prod_i (q_i - q_i^{-1})^{m_i}, q_i = q^{d_i}: the denominator of
+        the pairing on degree m."""
+        out = LaurentPoly.one()
+        for di, k in zip(self.cd.d, m):
+            if k:
+                out = out * v_difference(exponent_to_int(di, self.D)) ** k
+        return out
 
     def gram_block(self, m) -> GramBlock:
         m = tuple(m)
@@ -409,7 +423,7 @@ class DrinfeldPairing(GradedForm):
         nums = tuple(tuple(self.pair_numerator(wa, wb) for wb in words)
                      for wa in words)
         block = GramBlock(degree=m, basis=words, numerators=nums,
-                          denom_power=total_degree(m), D=self.D)
+                          denominator=self.denominator(m))
         self._block[m] = block
         return block
 
@@ -568,5 +582,6 @@ class DrinfeldPairing(GradedForm):
         if a[0] == "E" and b[0] == "E":
             if a[1] != b[1]:
                 return QScalar.zero()
-            return QScalar(LaurentPoly.one(), v_difference(self.D))
+            return QScalar(LaurentPoly.one(),
+                           self.denominator(unit_degree(self.cd.n, a[1])))
         return QScalar.zero()

@@ -7,6 +7,10 @@ pieces of (dual negative-side basis acting on the first factor) tensor
 (positive-side word basis acting on the second factor); on a pair of
 highest weight vectors only the scalar q^{(mu, nu)} survives.  Truncation
 is exact on category-O blocks because raising out of the cone vanishes.
+
+R is a `freealg.PairOperator`: its image of each basis pair is computed
+once, and its blocks on V (x) W and the braid generators sigma R on
+V^(x k) are lifts of that one operator (the latter with the sites flipped).
 """
 
 from __future__ import annotations
@@ -17,7 +21,8 @@ from itertools import product
 from .cartan import weight_form
 from .freealg import (
     FreeElement,
-    lift_pair_action,
+    PairOperator,
+    add_tensor_terms,
     tensor_block_basis,
     total_degree,
 )
@@ -70,10 +75,6 @@ def dual_bases(beta, pairing: DrinfeldPairing) -> DualBasisPair:
     return pair
 
 
-def _cartan_factor(V: WeightModule, W: WeightModule, mV, mW) -> QScalar:
-    return q_power(weight_form(V.weight_at(mV), W.weight_at(mW), V.cd), V.D)
-
-
 def _betas_below(bound):
     ranges = [range(b + 1) for b in bound]
     for beta in product(*ranges):
@@ -81,8 +82,10 @@ def _betas_below(bound):
             yield beta
 
 
-class TruncatedR:
-    """The braiding operator R on V (x) W, assembled per total-weight block."""
+class TruncatedR(PairOperator):
+    """The braiding operator R on V (x) W: the two-site operator whose
+    `pair_terms` (QScalar values) come from the dual bases of the pairing,
+    times the Cartan factor q^{(mu, nu)} of the input pair."""
 
     def __init__(self, V: WeightModule, W: WeightModule, pairing: DrinfeldPairing):
         if V.kind != "quantum" or W.kind != "quantum":
@@ -90,20 +93,12 @@ class TruncatedR:
         if V.D != pairing.D or W.D != pairing.D:
             raise ValueError("modules and pairing disagree on the session "
                              "denominator")
-        self.V = V
-        self.W = W
+        super().__init__(V, W, self._r_terms)
         self.pairing = pairing
-        self._terms_memo = {}
 
-    def pair_terms(self, mV, a, mW, b):
-        """Image of v_a (x) w_b as ((offset_V, r, offset_W, s), QScalar) terms."""
-        key = (mV, a, mW, b)
-        cached = self._terms_memo.get(key)
-        if cached is not None:
-            return cached
+    def _r_terms(self, mV, a, mW, b):
         V, W = self.V, self.W
-        cartan = _cartan_factor(V, W, mV, mW)
-        out = {key: cartan}
+        out = {(mV, a, mW, b): QScalar.one()}
         vecW = W.unit(mW, b)
         vecV = V.unit(mV, a)
         for beta in _betas_below(mW):
@@ -114,28 +109,11 @@ class TruncatedR:
                 if all(not c for c in imgW):
                     continue
                 imgV = V.apply_combo(v.terms, mV, vecV, raising=False)
-                if imgV is None:
-                    continue
-                for r, cv in enumerate(imgV):
-                    if not cv:
-                        continue
-                    for t, cw in enumerate(imgW):
-                        if not cw:
-                            continue
-                        k2 = (tV, r, tW, t)
-                        out[k2] = out.get(k2, QScalar.zero()) + cartan * cv * cw
-        terms = [(k2, v) for k2, v in out.items() if v]
-        self._terms_memo[key] = terms
-        return terms
-
-    def block(self, total_offset):
-        """(basis, matrix) of R on the total-weight block."""
-        pairs = tensor_block_basis((self.V, self.W), total_offset)
-        mat = [[QScalar.zero()] * len(pairs) for _ in pairs]
-        for r, c, val in lift_pair_action(pairs, self.pair_terms, 0, 1,
-                                          swap=False):
-            mat[r][c] = mat[r][c] + val
-        return [(mV, a, mW, b) for (mV, a), (mW, b) in pairs], mat
+                if imgV is not None:
+                    add_tensor_terms(out, tV, imgV, tW, imgW)
+        cartan = q_power(weight_form(V.weight_at(mV), W.weight_at(mW), V.cd),
+                         V.D)
+        return [(k2, cartan * v) for k2, v in out.items() if v]
 
 
 # -- braid operators on tensor powers -----------------------------------------
@@ -168,12 +146,7 @@ class BraidOperator:
 
     def block(self, total):
         basis = tensor_block_basis((self.r.V,) * self.k, total)
-        mat = [[QScalar.zero()] * len(basis) for _ in basis]
-        # apply R on sites (i, i+1), then flip the two sites
-        for r, c, val in lift_pair_action(basis, self.r.pair_terms, self.i,
-                                          self.i + 1, swap=True):
-            mat[r][c] = mat[r][c] + val
-        return basis, mat
+        return basis, self.r.lift(basis, self.i, self.i + 1, flip=True)
 
 
 def _mat_mul(A, B, zero):

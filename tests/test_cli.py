@@ -154,6 +154,41 @@ def test_dk_command(tmp_path):
     assert "verdict\tmonodromy_match\tpass" in out
 
 
+# Cartan data with some d_i != 1: B2, a rescaled sl2 and sl3, and
+# d = (1, 1/2), which puts q^(1/2) into the session (D = 2)
+SYMMETRIZED_CFGS = {
+    "b2-10": "matrix = 2 -2; -1 2\ndepth = 5\nhw = 1 0\n",
+    "b2-01": "matrix = 2 -2; -1 2\ndepth = 5\nhw = 0 1\n",
+    "sl2-d2": "matrix = 2\nd = 2\ndepth = 2\nhw = 1\n",
+    "sl3-d22": "matrix = 2 -1; -1 2\nd = 2 2\ndepth = 3\nhw = 1 0\n",
+    "half-d": "matrix = 2 -1; -2 2\ndepth = 5\nhw = 1 0\n",
+}
+
+
+@pytest.mark.parametrize("case", sorted(SYMMETRIZED_CFGS))
+def test_braiding_with_symmetrizers(tmp_path, case):
+    cfg = SYMMETRIZED_CFGS[case] + "strands = 3\nwordlen = 3\n"
+    path = write_config(tmp_path, cfg)
+    code, out, _ = invoke(["ybe", "--config", path])
+    assert code == EXIT_PASS
+    assert "verdict\tbraid_relation\tpass" in out
+    if case == "half-d":
+        assert "# D\t2" in out
+    code, out, _ = invoke(["dk", "--config", path])
+    assert code == EXIT_PASS
+    assert "verdict\tmonodromy_match\tpass" in out
+
+
+def test_readme_relations_example(tmp_path):
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    example = readme.read_text().split(
+        "Example (`relations` on the A2 matrix")[1].split("```\n")[1]
+    code, out, _ = invoke(["relations", "--config",
+                           write_config(tmp_path, SL3_CFG)])
+    assert code == EXIT_PASS
+    assert out == example
+
+
 def test_exact_commands_are_deterministic(tmp_path):
     path = write_config(tmp_path, AFF_CFG)
     outputs = set()
@@ -227,6 +262,16 @@ def test_resource_exit(tmp_path):
     code, _, err = invoke(["relations", "--config", path])
     assert code == EXIT_RESOURCE
     assert "resource" in err.lower()
+
+
+def test_out_of_memory_is_resource_exit(tmp_path, monkeypatch):
+    monkeypatch.setattr(qpairing.DrinfeldPairing, "kernel_block",
+                        _raise(MemoryError()))
+    code, out, err = invoke(["relations", "--config",
+                             write_config(tmp_path, SL3_CFG)])
+    assert code == EXIT_RESOURCE
+    assert out == ""
+    assert "qkm: resource limit: out of memory\n" in err
 
 
 def test_weight_dimension_mismatch(tmp_path):

@@ -157,6 +157,26 @@ def test_drinfeld_kohno_shares_r_and_form(sl2_quantum, monkeypatch):
     assert built["form"] == [Vc.engine]
 
 
+def test_drinfeld_kohno_computes_each_casimir_pair_once(sl2_quantum,
+                                                        monkeypatch):
+    # one Casimir operator serves every block and every pair of sites
+    import qkm.classical as cl
+    calls = []
+    pair_action = cl.CasimirEngine.pair_action
+
+    def counting(self, V, W, *key):
+        calls.append(key)
+        return pair_action(self, V, W, *key)
+
+    monkeypatch.setattr(cl.CasimirEngine, "pair_action", counting)
+    _, Vq = sl2_quantum
+    Vc = classical_module(LAM, "irreducible", 2, SL2)
+    drinfeld_kohno_compare(Vc, Vq, 3, 0.1, word_length=2, rtol=1e-9)
+    offsets = [((m,), 0) for m in range(2)]
+    assert sorted(calls) == sorted(
+        (mV, a, mW, b) for mV, a in offsets for mW, b in offsets)
+
+
 def test_convergence_sanity(sl2_classical):
     hbar = 0.1
     traces = []

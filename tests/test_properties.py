@@ -10,24 +10,28 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qkm.cartan import build_realization
+from qkm.cartan import Weight, build_realization
 from qkm.classical import PolyN, ShapovalovForm
-from qkm.freealg import enumerate_words
+from qkm.freealg import enumerate_words, total_degree
+from qkm.qmodules import verma
 from qkm.qpairing import DrinfeldPairing, degrees_upto
+from qkm.rmatrix import check_ybe, total_offsets
 from qkm.scalars import LaurentPoly
 
 D_VALUES = (Fraction(1), Fraction(2), Fraction(1, 2), Fraction(3))
 A_DIAGONAL = (Fraction(2), Fraction(0), Fraction(-2), Fraction(4),
               Fraction(2, 3))
 B_OFF_DIAGONAL = (Fraction(0), Fraction(-1, 2), Fraction(-1), Fraction(-2))
+HW_VALUES = (Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2),
+             Fraction(-2, 3))
 
 PROPERTY = settings(derandomize=True, max_examples=20, deadline=None,
                     database=None)
 
 
 @st.composite
-def symmetrizable(draw):
-    n = draw(st.integers(1, 3))
+def symmetrizable(draw, max_n=3):
+    n = draw(st.integers(1, max_n))
     d = [draw(st.sampled_from(D_VALUES)) for _ in range(n)]
     B = [[d[i] * draw(st.sampled_from(A_DIAGONAL)) if i == j else None
           for j in range(n)] for i in range(n)]
@@ -111,3 +115,15 @@ def test_fast_recursion_matches_hopf_oracle(cd):
             for z in words:
                 assert bp.pair_words(x, z) == bp.oracle_pair_words(x, z), (
                     cd.A, x, z)
+
+
+@PROPERTY
+@given(symmetrizable(max_n=2), st.data())
+def test_braid_relation_on_verma_blocks(cd, data):
+    """sigma R satisfies the braid relation on V^(x 3) for the quantum Verma
+    module of a random rational highest weight, any symmetrizers d_i.  The
+    blocks with |t| <= depth are exact: R never leaves them."""
+    base = [data.draw(st.sampled_from(HW_VALUES)) for _ in range(cd.h_dim)]
+    V = verma(Weight.highest(base, cd.n), 2, cd)
+    totals = [t for t in total_offsets(V, 3) if total_degree(t) <= 2]
+    assert check_ybe(V, totals=totals).holds, (cd.A, cd.d, base)
