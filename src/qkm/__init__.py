@@ -26,7 +26,6 @@ from .classical import (
     PolyN,
     ShapovalovForm,
     casimir_omega,
-    normalized_classical_block,
     root_multiplicities,
     weyl_kac_character,
     weyl_kac_multiplicities,

@@ -5,15 +5,19 @@ The relation ideal of U(n+) is extracted from the contravariant (Shapovalov
 type) Gram blocks at an indeterminate highest weight: the form on free
 f-words with formal values x_i = lambda(h_i) has, generically, exactly the
 relation space as its null space, and that null space is defined over Q.
-Module construction reads these certified kernels.  Graded dimensions and
-root multiplicities come from the dimension certificate of
-`qpairing.GradedForm`: the form evaluated mod p at the weight
-x_i = MOD_P_WEIGHT^(i + 1) bounds each dimension from below, the ideal
-generated by the kernels one letter down bounds it from above, and a
-kernel is computed only where the two differ.  The classical form is
-evaluated independently of the quantum pairing (the two engines share
-only the bookkeeping and the certificate loop of `qpairing.GradedForm`),
-which is what gives the flat-deformation comparison its content.
+Module construction reads these certified kernels.  The form obeys the
+recursion of the Drinfeld pairing with the factor x_i - sum_{u > t} a_{i z_u}
+in place of a power of v, so `ShapovalovForm` states only that factor
+(`_factor`, over Q[x_1..x_n] or mod p) and the reduction of a polynomial to
+F_p at the weight x_i = MOD_P_WEIGHT^(i + 1) (`_residue`); the one column
+recursion of `qpairing.GradedForm` builds its Gram blocks.  Graded
+dimensions and root multiplicities come from the dimension certificate of
+`GradedForm`: the form mod p at that weight bounds each dimension from
+below, the ideal generated by the kernels one letter down bounds it from
+above, and a kernel is computed only where the two differ.  The two forms
+share the recursion, not its factor: the classical values never pass
+through Q(v), which is what gives the flat-deformation comparison its
+content.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
-from math import factorial
+from math import factorial, prod
 
 from .cartan import CartanDatum, Weight, weight_form
 from .freealg import (
@@ -29,10 +33,9 @@ from .freealg import (
     add_tensor_terms,
     enumerate_words,
     total_degree,
-    word_degree,
 )
 from .linalg import certified_rational_nullspace, invert, matrix_rank
-from .qpairing import GradedForm, degrees_upto
+from .qpairing import GradedForm, degrees_upto, rational_residue
 
 # the classical point of the dimension certificate: the weight with
 # x_i = MOD_P_WEIGHT^(i + 1) mod p
@@ -112,9 +115,6 @@ class PolyN:
             total += val
         return total
 
-    def complexity(self):
-        return (len(self.terms),)
-
     def __str__(self):
         if not self.terms:
             return "0"
@@ -137,54 +137,48 @@ def _weight_points(n: int):
 class ShapovalovForm(GradedForm):
     """Contravariant Gram blocks at an indeterminate highest weight.
 
-    The entry for words x, z is computed by straightening: applying the
-    raising generators of x (left to right) to the f-word z and reading the
-    coefficient of the highest weight vector, with lambda(h_i) left formal.
+    The entry for words x, z is the coefficient of the highest weight
+    vector in e_x f_z v, with x_i = lambda(h_i) left formal.  Straightening
+    the first raising generator e_i of x through the f-word z gives the
+    recursion of `GradedForm`, peeling the first letter, with the factor
+    x_i - sum of a_iu over the letters u after the struck one.
     """
 
     one = Fraction(1)
     zero = Fraction(0)
     _peels_first = True
 
-    def pair_words(self, x, z) -> PolyN:
-        if word_degree(x, self.cd.n) != word_degree(z, self.cd.n):
-            return PolyN(self.cd.n)
-        return self._pair_rec(tuple(x), tuple(z))
+    @cached_property
+    def _ring_one(self) -> PolyN:
+        return PolyN.constant(self.cd.n, 1)
 
-    def _pair_rec(self, x, z) -> PolyN:
-        n = self.cd.n
-        if not x:
-            return PolyN.constant(n, 1)
-        key = (x, z)
-        cached = self._memo.get(key)
-        if cached is not None:
-            return cached
-        i = x[0]
-        rest = x[1:]
-        A = self.cd.A
-        acc = PolyN(n)
-        suffix = [Fraction(0)] * (len(z) + 1)
-        for u in range(len(z) - 1, -1, -1):
-            suffix[u] = suffix[u + 1] + A[i][z[u]]
-        for t, letter in enumerate(z):
-            if letter != i:
-                continue
-            sub = self._pair_rec(rest, z[:t] + z[t + 1:])
-            if sub.is_zero():
-                continue
-            coeff = PolyN.variable(n, i) - PolyN.constant(n, suffix[t + 1])
-            acc = acc + coeff * sub
-        self._memo[key] = acc
-        return acc
+    def pair_words(self, x, z) -> PolyN:
+        return self._pair(x, z, PolyN(self.cd.n))
+
+    def _factor(self, i, tail, p=None):
+        """x_i - sum of a_iu over the letters u of the tail, or its value at
+        the weight x_j = MOD_P_WEIGHT^(j + 1) mod p."""
+        shift = sum(a * k for a, k in zip(self.cd.A[i], tail))
+        if p:
+            return (pow(MOD_P_WEIGHT, i + 1, p) - rational_residue(shift, p)) % p
+        return PolyN.variable(self.cd.n, i) - shift
+
+    def _residue(self, entry, p: int) -> int:
+        """The value of a polynomial (or of a rational kernel coordinate) at
+        the weight x_j = MOD_P_WEIGHT^(j + 1), mod p."""
+        if not isinstance(entry, PolyN):
+            entry = PolyN.constant(self.cd.n, entry)
+        x = [pow(MOD_P_WEIGHT, j + 1, p) for j in range(self.cd.n)]
+        return sum(rational_residue(c, p)
+                   * prod(pow(xj, k, p) for xj, k in zip(x, e))
+                   for e, c in entry.terms.items()) % p
 
     def block(self, m):
+        """(words, matrix) of degree m, entries in the polynomial ring."""
         m = tuple(m)
-        if m in self._block:
-            return self._block[m]
-        self._check_cap(m)
-        words = enumerate_words(m)
-        mat = [[self.pair_words(x, z) for z in words] for x in words]
-        self._block[m] = (words, mat)
+        if m not in self._block:
+            self._check_cap(m)
+            self._block[m] = (enumerate_words(m), self._gram(m)[1].tolist())
         return self._block[m]
 
     def kernel(self, m):
@@ -200,53 +194,6 @@ class ShapovalovForm(GradedForm):
 
     def _solve(self, m) -> None:
         self.kernel(m)
-
-    def _factor_mod_p(self, i, tail) -> int:
-        """x_i - sum of a_iu over the letters u of tail at the weight of
-        MOD_P_WEIGHT, mod p: the factor of `_pair_rec`."""
-        p = self.p
-        row = self._a_p[i]
-        return (pow(MOD_P_WEIGHT, i + 1, p) - sum(row[u] for u in tail)) % p
-
-    @cached_property
-    def _a_p(self):
-        """The entries of A mod p."""
-        p = self.p
-        return [[a.numerator * pow(a.denominator, -1, p) % p for a in row]
-                for row in self.cd.A]
-
-    def _kernel_vectors(self, m):
-        """The exact kernel vectors of degree m, each entry as one (exponent,
-        coefficient) pair."""
-        return [[[(0, c)] for c in vec] for vec in self.kernel(m)[1]]
-
-    def generic_block(self, m):
-        """The Gram block at a certified-generic rational weight.
-
-        Returns (weight point, Fraction matrix); the point is the first in
-        the deterministic stream whose specialized rank equals the generic
-        rank, so the null space dimension equals the relation space
-        dimension at this multidegree.
-        """
-        m = tuple(m)
-        words, mat = self.block(m)
-        rank = self.quotient_dim(m)
-        for pt in _weight_points(self.cd.n):
-            spec = [[e.evaluate(pt) for e in row] for row in mat]
-            if matrix_rank(spec) == rank:
-                return pt, spec
-        raise RuntimeError("no weight point matched the generic rank")
-
-
-def normalized_classical_block(m, cd: CartanDatum, form: ShapovalovForm | None = None):
-    """The classical contravariant Gram block as an exact rational matrix.
-
-    Evaluated at a deterministic generic weight certified to preserve the
-    generic rank; its null space dimension equals the dimension of the
-    relation space in this multidegree.
-    """
-    form = form or ShapovalovForm(cd)
-    return form.generic_block(m)[1]
 
 
 # -- root multiplicities -----------------------------------------------------

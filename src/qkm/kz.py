@@ -246,9 +246,12 @@ class MonodromyReport:
 
 def _eig_multiset_deviation(A, B) -> float:
     """Bottleneck distance between the eigenvalue multisets of A and B: the
-    least t such that some perfect matching pairs every eigenvalue of A with
-    one of B at distance <= t.  Exact, so no rounding can split a pair."""
-    dist = np.abs(np.linalg.eigvals(A)[:, None] - np.linalg.eigvals(B)[None, :])
+    least t such that some perfect matching pairs every eigenvalue a of A
+    with one b of B at relative distance |a - b| / max(1, |b|) <= t.
+    Exact, so no rounding can split a pair."""
+    eig_b = np.linalg.eigvals(B)
+    dist = (np.abs(np.linalg.eigvals(A)[:, None] - eig_b[None, :])
+            / np.maximum(1.0, np.abs(eig_b))[None, :])
     if not dist.size:
         return 0.0
     # feasibility is monotone in t, and the largest distance is feasible
@@ -283,7 +286,10 @@ def drinfeld_kohno_compare(V_classical: WeightModule, V_quantum: WeightModule,
 
     Traces of all positive braid words up to the given length and the
     eigenvalue multisets of the generators are compared per total-weight
-    block at q = e^{hbar/2}.  One R, from the quantum module's pairing,
+    block at q = e^{hbar/2}.  Both grow like |q|^(word length), so each
+    trace difference is divided by max(1, product of the Frobenius norms of
+    the word's sigma R generators), and each eigenvalue distance by
+    max(1, |sigma R eigenvalue|).  One R, from the quantum module's pairing,
     and one Casimir operator serve every block and generator, so each basis
     pair is computed once on either side; the default Casimir engine uses
     the classical module's form.
@@ -315,14 +321,18 @@ def drinfeld_kohno_compare(V_classical: WeightModule, V_quantum: WeightModule,
             num = np.array([[evaluate_numeric(x, hbar, V_quantum.D) for x in row]
                             for row in mat], dtype=complex)
             qr_gens.append(num)
+        norms = [np.linalg.norm(g) for g in qr_gens]
         trace_dev = 0.0
         for word in braid_words(ngen, word_length):
             tk = np.eye(system.dim, dtype=complex)
             tq = np.eye(system.dim, dtype=complex)
+            scale = 1.0
             for g in word:
                 tk = tk @ kz_gens[g]
                 tq = tq @ qr_gens[g]
-            trace_dev = max(trace_dev, abs(np.trace(tk) - np.trace(tq)))
+                scale *= norms[g]
+            trace_dev = max(trace_dev, abs(np.trace(tk) - np.trace(tq))
+                            / max(1.0, scale))
         eig_dev = max(_eig_multiset_deviation(a, b)
                       for a, b in zip(kz_gens, qr_gens))
         blocks.append(BlockComparison(total, system.dim, trace_dev, eig_dev))

@@ -24,10 +24,15 @@ d_i, and attaches the denominator at the boundary.  A slow oracle that
 expands the Hopf axioms with explicit group-like bookkeeping (and no
 closed recursion) is kept alongside for cross-checking.
 
-Graded dimensions of the quotient are certified without symbolic blocks:
-the same recursion evaluated at v = MOD_P_V mod a prime gives a lower
-bound, the two-sided ideal generated by the kernels one letter down an
-upper bound (see `GradedForm`).
+The classical contravariant form (`classical.ShapovalovForm`) obeys the
+same recursion with the factor x_i - sum_{u > t} a_{i z_u}.  `GradedForm`
+runs it once for both: a subclass states only the recursion's factor
+(`_factor`) and the reduction of its ring to F_p (`_residue`), and every
+Gram block, exact or mod p, is built by the one column recursion
+`GradedForm._gram`.  Graded dimensions of the quotient are certified
+without exact blocks: the recursion run at v = MOD_P_V mod a prime gives a
+lower bound, the two-sided ideal generated by the kernels one letter down
+an upper bound (see `GradedForm`).
 """
 
 from __future__ import annotations
@@ -110,13 +115,10 @@ class KernelBasis:
     quotient_dim: int
 
 
-def _cleared_mod_p(vec, p: int) -> list:
-    """Residues mod p of a kernel vector given as lists of (exponent of v,
-    rational coefficient) pairs per entry, after scaling the vector by the
-    lcm of its denominators; v is MOD_P_V."""
-    scale = _int_lcm(*(c.denominator for e in vec for _, c in e))
-    return [sum(int(c * scale) % p * pow(MOD_P_V, k, p) for k, c in e) % p
-            for e in vec]
+def rational_residue(c, p: int) -> int:
+    """The image of a rational number in F_p."""
+    c = Fraction(c)
+    return c.numerator * pow(c.denominator, -1, p) % p
 
 
 def _frac_gcd(a: Fraction, b: Fraction) -> Fraction:
@@ -172,18 +174,34 @@ class GradedForm:
     """A form on free words, graded by multidegree, whose null space in each
     degree is the relation space there.
 
+    Both forms obey one recursion.  Peeling letter i off the row word x (its
+    first letter when `_peels_first`, else its last) against each position
+    t of the column word z with z_t = i,
+
+        B(x, z) = sum over t with z_t = i of
+                      f_i(deg z[t + 1:]) * B(x minus i, z minus position t),
+
+    from B((), ()) = 1.  `_gram` builds every Gram block column by column
+    from the blocks one letter down, over the subclass's exact ring or mod
+    a prime p at the fixed point of the dimension certificate.  A subclass
+    states two facts about its ring (and its unit, `_ring_one`):
+
+    - `_factor(i, tail, p=None)`: the factor f_i at the tail degree, exact
+      or mod p;
+    - `_residue(entry, p)`: the image in F_p, at the fixed point, of an
+      entry of an exact block or of an exact kernel vector.
+
     The base owns the degree cap, the caches and the quotient.  A subclass
     sets the field's `one` and `zero`, and certifies the kernel of a degree
     in its public kernel method (reached through `_solve`), which records
-    the word rewriting with `_set_reduction`; only `quotient_basis` and
-    `reduce` read it.
+    the word rewriting and the exact kernel vectors with `_set_reduction`;
+    only `quotient_basis`, `reduce` and the dimension certificate read them.
 
-    Quotient dimensions have a cheaper certificate that builds no symbolic
-    block.  Degree by degree in graded-lex order, modulo a prime p:
+    Quotient dimensions have a cheaper certificate that builds no exact
+    block.  Degree by degree in graded-lex order, modulo p:
 
-    - lower bound: the rank mod p of the Gram block at one fixed point
-      (`_gram_mod_p`, from the subclass's `_factor_mod_p`).  Specializing
-      is a ring homomorphism, so the rank can only drop;
+    - lower bound: the rank mod p of the Gram block at the fixed point.
+      Specializing is a ring homomorphism, so the rank can only drop;
     - upper bound: #words - rank mod p of the span of (i,) + k and k + (i,)
       over k in K(m - e_i), where K holds mod-p images of genuine kernel
       vectors.  The relations are the radical of a Hopf pairing (resp. of
@@ -193,21 +211,21 @@ class GradedForm:
     When the bounds meet, the dimension is certified and an echelon basis
     of the span becomes K(m).  When they do not (the degrees of new
     generators of the ideal, such as the Serre degrees, or an unlucky
-    point), the exact kernel of that degree alone is computed and its
-    vectors, denominators cleared, seed K(m) mod p.
+    point), the exact kernel of that degree alone is certified and the
+    residues of its vectors seed K(m).
     """
 
     def __init__(self, cd: CartanDatum, degree_cap: int = 8):
         self.cd = cd
         self.cap = degree_cap
-        self._memo: dict = {}         # (word, word) -> form value
-        self._block: dict = {}        # degree -> Gram block
+        self._gram_cache: dict = {}   # (degree, p or None) -> Gram block
+        self._factors: dict = {}      # (i, tail degree, p or None) -> factor
+        self._block: dict = {}        # degree -> public Gram block
         self._kernel: dict = {}       # degree -> certified kernel
         self._reduction: dict = {}    # degree -> (quotient basis, rewriting)
+        self._vectors: dict = {}      # degree -> exact kernel vectors
         origin = (0,) * cd.n
         self._dim: dict = {origin: 1}  # degree -> certified quotient dim
-        # degree -> (word index, Gram block mod p at the fixed point)
-        self._gram_p: dict = {origin: ({(): 0}, np.ones((1, 1), np.int64))}
         # degree -> echelon rows mod p of kernel vectors
         self._kernel_p: dict = {origin: np.zeros((0, 1), np.int64)}
 
@@ -228,8 +246,9 @@ class GradedForm:
                 f"multidegree {m} exceeds the degree cap {self.cap}")
 
     def _set_reduction(self, m, words, pivots, vectors, ratio) -> None:
-        """Rewrite every word of degree m as (quotient index, coefficient)
-        pairs over the pivot words: the kernel vector of free column f gives
+        """Keep the exact kernel vectors of degree m, and rewrite every word
+        of degree m as (quotient index, coefficient) pairs over the pivot
+        words: the kernel vector of free column f gives
         w_f = sum_p ratio(-vec[p], vec[f]) w_p."""
         basis = tuple(words[p] for p in pivots)
         rewrite = {w: ((r, self.one),) for r, w in enumerate(basis)}
@@ -238,6 +257,7 @@ class GradedForm:
             rewrite[words[f]] = tuple((r, ratio(-vec[p], vec[f]))
                                       for r, p in enumerate(pivots) if vec[p])
         self._reduction[tuple(m)] = (basis, rewrite)
+        self._vectors[tuple(m)] = vectors
 
     def _rewriting(self, m):
         m = tuple(m)
@@ -281,7 +301,7 @@ class GradedForm:
         """Certify the quotient dimension of degree m and record K(m); the
         degrees below m are certified first."""
         p = self.p
-        index, gram = self._gram_mod_p(m)
+        index, gram = self._gram(m, p)
         lower = rank_mod_p(gram, p)[0]
         span = [np.zeros((0, len(index)), np.int64)]
         for i, prev in self._predecessors(m):
@@ -296,7 +316,9 @@ class GradedForm:
         rank, basis = rank_mod_p(np.vstack(span), p)
         upper = dim = len(index) - rank
         if lower != upper:
-            vectors = [_cleared_mod_p(v, p) for v in self._kernel_vectors(m)]
+            self._solve(m)
+            vectors = [[self._residue(e, p) for e in v]
+                       for v in self._vectors[m]]
             basis = rank_mod_p(np.array(vectors, np.int64).reshape(
                 len(vectors), len(index)), p)[1]
             dim = len(index) - len(vectors)
@@ -311,43 +333,66 @@ class GradedForm:
         return [(i, m[:i] + (m[i] - 1,) + m[i + 1:])
                 for i in range(len(m)) if m[i]]
 
-    def _gram_mod_p(self, m):
-        """(word index, Gram block mod p at the fixed point) of degree m,
-        built column by column from the blocks one letter down: the
-        subclass's recursion peels letter i off the row word (its first
-        letter when `_peels_first`, else its last) against each position t
-        of the column word z with z_t = i, with the factor
-        `_factor_mod_p(i, z[t + 1:])`."""
-        if m in self._gram_p:
-            return self._gram_p[m]
-        p = self.p
+    def _pair(self, x, z, zero):
+        """B(x, z): an entry of the exact Gram block of their degree."""
+        m = word_degree(x, self.cd.n)
+        if m != word_degree(z, self.cd.n):
+            return zero
+        index, gram = self._gram(m)
+        return gram[index[tuple(x)], index[tuple(z)]]
+
+    def _gram(self, m, p=None):
+        """(word index, Gram block) of degree m: an object array over the
+        exact ring, or an int64 array mod p at the fixed point when p is
+        given.  Each column z of the rows (i,) + w (resp. w + (i,)) sums,
+        over the positions t with z_t = i, the factor at the degree of
+        z[t + 1:] times column z minus t of the block one letter down."""
+        key = (m, p)
+        if key in self._gram_cache:
+            return self._gram_cache[key]
         words = enumerate_words(m)
         index = {w: c for c, w in enumerate(words)}
-        gram = np.zeros((len(words), len(words)), np.int64)
+        gram = np.empty((len(words), len(words)), np.int64 if p else object)
+        if not any(m):
+            gram[0, 0] = 1 if p else self._ring_one
+        factors = self._factors
         for i, prev in self._predecessors(m):
-            pindex, pgram = self._gram_mod_p(prev)
+            pindex, pgram = self._gram(prev, p)
             rows = [index[(i,) + w if self._peels_first else w + (i,)]
                     for w in pindex]
             for c, z in enumerate(words):
-                gram[rows, c] = sum(
-                    self._factor_mod_p(i, z[t + 1:])
-                    * pgram[:, pindex[z[:t] + z[t + 1:]]] % p
-                    for t, letter in enumerate(z) if letter == i) % p
-        self._gram_p[m] = (index, gram)
+                col = None
+                tail = [0] * len(m)
+                for t in range(len(z) - 1, -1, -1):
+                    if z[t] == i:
+                        fkey = (i, tuple(tail), p)
+                        f = factors.get(fkey)
+                        if f is None:
+                            f = factors[fkey] = self._factor(*fkey)
+                        term = pgram[:, pindex[z[:t] + z[t + 1:]]] * f
+                        if p:
+                            # a sum of unreduced products overflows int64
+                            term %= p
+                        col = term if col is None else col + term
+                    tail[z[t]] += 1
+                gram[rows, c] = col % p if p else col
+        self._gram_cache[key] = (index, gram)
         return index, gram
 
 
 class DrinfeldPairing(GradedForm):
     """Pairing engine for one Cartan datum and session denominator.
 
-    Gram blocks and kernels are memoized per multidegree; the (word, word)
-    recursion shares one memo table.  All cached values are immutable, so
-    the caches are safe for concurrent reads once populated.
+    Gram blocks and kernels are memoized per multidegree.  The ring of the
+    Gram recursion is Z[v^+-1] (Laurent numerators); its fixed point is
+    v = MOD_P_V.  All cached values are immutable, so the caches are safe
+    for concurrent reads once populated.
     """
 
     one = QScalar.one()
     zero = QScalar.zero()
     _peels_first = False
+    _ring_one = LaurentPoly.one()
 
     def __init__(self, cd: CartanDatum, D: int | None = None, degree_cap: int = 8,
                  exponent_sign: int = -1):
@@ -369,34 +414,18 @@ class DrinfeldPairing(GradedForm):
     def pair_numerator(self, x, z) -> LaurentPoly:
         """B(x, z) times the denominator of its degree, as a Laurent
         polynomial."""
-        if word_degree(x, self.cd.n) != word_degree(z, self.cd.n):
-            return LaurentPoly.zero()
-        return self._pair_rec(tuple(x), tuple(z))
+        return self._pair(x, z, LaurentPoly.zero())
 
-    def _pair_rec(self, x, z) -> LaurentPoly:
-        if not x:
-            return LaurentPoly.one()
-        key = (x, z)
-        cached = self._memo.get(key)
-        if cached is not None:
-            return cached
-        i = x[-1]
-        w = x[:-1]
-        form_i = self._form[i]
-        acc = LaurentPoly.zero()
-        # exponent carries the form values of the letters strictly after t
-        suffix = [0] * (len(z) + 1)
-        for u in range(len(z) - 1, -1, -1):
-            suffix[u] = suffix[u + 1] + form_i[z[u]]
-        for t, letter in enumerate(z):
-            if letter != i:
-                continue
-            sub = self._pair_rec(w, z[:t] + z[t + 1:])
-            if sub.is_zero():
-                continue
-            acc = acc + sub.shift(self.sign * suffix[t + 1])
-        self._memo[key] = acc
-        return acc
+    def _factor(self, i, tail, p=None):
+        """v^(sign * sum of (alpha_i, alpha_u) over the letters u of the
+        tail), or its value at v = MOD_P_V mod p."""
+        e = self.sign * sum(f * k for f, k in zip(self._form[i], tail))
+        return pow(MOD_P_V, e, p) if p else LaurentPoly.monomial(e)
+
+    def _residue(self, entry: LaurentPoly, p: int) -> int:
+        """The value of a Laurent polynomial at v = MOD_P_V, mod p."""
+        return sum(rational_residue(c, p) * pow(MOD_P_V, e, p)
+                   for e, c in enumerate(entry.coeffs, entry.offset)) % p
 
     def pair_words(self, x, z) -> QScalar:
         """The pairing of two words, exact."""
@@ -416,16 +445,13 @@ class DrinfeldPairing(GradedForm):
 
     def gram_block(self, m) -> GramBlock:
         m = tuple(m)
-        if m in self._block:
-            return self._block[m]
-        self._check_cap(m)
-        words = enumerate_words(m)
-        nums = tuple(tuple(self.pair_numerator(wa, wb) for wb in words)
-                     for wa in words)
-        block = GramBlock(degree=m, basis=words, numerators=nums,
-                          denominator=self.denominator(m))
-        self._block[m] = block
-        return block
+        if m not in self._block:
+            self._check_cap(m)
+            self._block[m] = GramBlock(
+                degree=m, basis=enumerate_words(m),
+                numerators=tuple(map(tuple, self._gram(m)[1])),
+                denominator=self.denominator(m))
+        return self._block[m]
 
     # -- kernels and the quotient ------------------------------------------
 
@@ -448,24 +474,6 @@ class DrinfeldPairing(GradedForm):
 
     def _solve(self, m) -> None:
         self.kernel_block(m)
-
-    # -- the dimension certificate ------------------------------------------
-
-    def _factor_mod_p(self, i, tail) -> int:
-        """v^(sign * sum of (alpha_i, alpha_u) over the letters u of tail) at
-        v = MOD_P_V, mod p: the factor of `_pair_rec`."""
-        return pow(MOD_P_V, self.sign * sum(self._form[i][u] for u in tail),
-                   self.p)
-
-    def _kernel_vectors(self, m):
-        """The exact kernel vectors of degree m, each entry as (exponent of
-        v, coefficient) pairs."""
-        out = []
-        for el in self.kernel_block(m).vectors:
-            nums = {w: c.num for w, c in el.terms}
-            out.append([list(enumerate(nums[w].coeffs, nums[w].offset))
-                        if w in nums else [] for w in enumerate_words(m)])
-        return out
 
     # -- quantum Serre elements ---------------------------------------------
 

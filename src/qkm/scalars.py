@@ -156,6 +156,8 @@ class LaurentPoly:
             return NotImplemented
         if self.is_zero() or other.is_zero():
             return LaurentPoly.zero()
+        if other.coeffs == (1,):
+            return self.shift(other.offset)
         return LaurentPoly(self.offset + other.offset,
                            _mul_lists(self.coeffs, other.coeffs))
 

@@ -6,7 +6,6 @@ from qkm.cartan import Weight, build_realization
 from qkm.classical import (
     PolyN,
     ShapovalovForm,
-    normalized_classical_block,
     root_multiplicities,
     weyl_kac_character,
     weyl_kac_multiplicities,
@@ -89,19 +88,26 @@ def test_kernel_vectors_kill_block_symbolically():
                 assert acc.is_zero()
 
 
+def _at_weight(cd, m, weight):
+    """The contravariant block of degree m at one rational weight."""
+    return [[e.evaluate(weight) for e in row]
+            for row in ShapovalovForm(cd).block(m)[1]]
+
+
 def test_normalized_block_rationality_and_rank():
-    blk = normalized_classical_block((2, 1), SL3)
+    generic = (Fraction(101, 2), Fraction(7, 3))
+    blk = _at_weight(SL3, (2, 1), generic)
     assert all(isinstance(x, Fraction) for row in blk for x in row)
     assert matrix_rank(blk) == 2
     kern = nullspace(blk)
     assert len(kern) == 1
     v = kern[0]
     assert [c / v[0] for c in v] == [1, -2, 1]
-    one = normalized_classical_block((1,), SL2)
+    one = _at_weight(SL2, (1,), generic[:1])
     assert len(one) == 1 and one[0][0] != 0
     # the same core over Q(v): constant QScalar entries reduce exactly as
     # their Fraction values do
-    square = normalized_classical_block((1, 1), SL3)
+    square = _at_weight(SL3, (1, 1), generic)
     for mat in (blk, square):
         red, pivots, perm = rref(mat)
         assert rref(_as_qscalar(mat)) == (_as_qscalar(red), pivots, perm)

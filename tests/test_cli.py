@@ -154,6 +154,19 @@ def test_dk_command(tmp_path):
     assert "verdict\tmonodromy_match\tpass" in out
 
 
+@pytest.mark.parametrize("hbar", ["-12", "12"])
+def test_dk_passes_at_large_hbar(tmp_path, hbar):
+    # traces and eigenvalues grow like |q|^(word length); absolute
+    # deviations of the correct R read 2.7e3 at hbar -12 on this config
+    path = write_config(
+        tmp_path,
+        f"matrix = 2\ndepth = 2\nhw = 1\nhbar = {hbar}\nwordlen = 3\n"
+        "strands = 3\n")
+    code, out, _ = invoke(["dk", "--config", path])
+    assert code == EXIT_PASS
+    assert "verdict\tmonodromy_match\tpass" in out
+
+
 # Cartan data with some d_i != 1: B2, a rescaled sl2 and sl3, and
 # d = (1, 1/2), which puts q^(1/2) into the session (D = 2)
 SYMMETRIZED_CFGS = {

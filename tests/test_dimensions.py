@@ -106,8 +106,8 @@ def _residue(x: Fraction, p: int) -> int:
 
 @pytest.mark.parametrize("name", ["sl3", "affine", "rational", "borcherds"])
 def test_gram_mod_p_matches_the_exact_recursion(name):
-    """The column-by-column block mod p equals the symbolic blocks of
-    `_pair_rec` evaluated at the same point and reduced mod p."""
+    """The Gram recursion run mod p equals the exact blocks evaluated at the
+    same point and reduced mod p."""
     cd = build_realization(MATRICES[name])
     bp = DrinfeldPairing(cd)
     sf = ShapovalovForm(cd)
@@ -115,12 +115,12 @@ def test_gram_mod_p_matches_the_exact_recursion(name):
     weight = [pow(classical.MOD_P_WEIGHT, i + 1, p) for i in range(cd.n)]
     for m in degrees_upto(cd.n, 4):
         numerators = bp.gram_block(m).numerators
-        assert bp._gram_mod_p(m)[1].tolist() == [
+        assert bp._gram(m, p)[1].tolist() == [
             [sum(_residue(Fraction(c), p) * pow(qpairing.MOD_P_V, e, p)
                  for e, c in enumerate(f.coeffs, f.offset)) % p for f in row]
             for row in numerators]
         words, mat = sf.block(m)
-        assert sf._gram_mod_p(m)[1].tolist() == [
+        assert sf._gram(m, p)[1].tolist() == [
             [sum(_residue(Fraction(c), p)
                  * math.prod(pow(x, k, p) for x, k in zip(weight, e))
                  for e, c in f.terms.items()) % p for f in row]

@@ -123,6 +123,22 @@ def test_drinfeld_kohno_k3(sl2_classical, sl2_quantum):
     assert dims[(1,)] == 3 and dims[(2,)] == 3
 
 
+def test_drinfeld_kohno_rejects_flipped_sign_at_large_hbar():
+    # relative deviations keep the negative control far from a pass where
+    # the monodromy itself is of size |q|^k
+    sl3 = build_realization([[2, -1], [-1, 2]])
+    lam = Weight.highest((Fraction(1), Fraction(0)), 2)
+    D = session_denominator(sl3, [lam])
+    Vc = classical_module(lam, "irreducible", 3, sl3)
+    deviations = []
+    for sign in (-1, 1):
+        bp = DrinfeldPairing(sl3, D=D, degree_cap=3, exponent_sign=sign)
+        Vq = irreducible(lam, 3, sl3, D=D, pairing=bp)
+        deviations.append(drinfeld_kohno_compare(
+            Vc, Vq, 2, -12, word_length=2, rtol=1e-9).max_deviation)
+    assert deviations[0] < 1e-6 < 0.1 < deviations[1], deviations
+
+
 def test_drinfeld_kohno_hbar_zero(sl2_classical, sl2_quantum):
     _, Vq = sl2_quantum
     report = drinfeld_kohno_compare(sl2_classical, Vq, 3, 0.0,
@@ -188,8 +204,10 @@ def test_convergence_sanity(sl2_classical):
 
 
 def test_eigenvalue_deviation_is_matching_free():
-    # the spectra are 2e-7 apart; pairing them by sort keys rounded to six
-    # decimals split the real-part tie and reported 2.0
+    # the spectra are 2e-7 apart, relative to the eigenvalues of B;
+    # pairing them by sort keys rounded to six decimals split the real-part
+    # tie and reported 2.0
     A = np.diag([1.0000004 + 1j, 1.0000006 - 1j])
     B = np.diag([1.0000006 + 1j, 1.0000004 - 1j])
-    assert _eig_multiset_deviation(A, B) == pytest.approx(2e-7, rel=1e-6)
+    assert _eig_multiset_deviation(A, B) == pytest.approx(
+        2e-7 / abs(1.0000006 + 1j), rel=1e-6)

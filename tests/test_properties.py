@@ -13,7 +13,12 @@ from hypothesis import strategies as st
 from qkm.cartan import Weight, build_realization
 from qkm.classical import PolyN, ShapovalovForm
 from qkm.freealg import enumerate_words, total_degree
-from qkm.qmodules import verma
+from qkm.qmodules import (
+    check_module_relations,
+    classical_module,
+    irreducible,
+    verma,
+)
 from qkm.qpairing import DrinfeldPairing, degrees_upto
 from qkm.rmatrix import check_ybe, total_offsets
 from qkm.scalars import LaurentPoly
@@ -53,6 +58,47 @@ def test_flatness(cd):
     cap = _cap(cd)
     quantum = DrinfeldPairing(cd, degree_cap=cap).quotient_dims(cap)
     assert quantum == ShapovalovForm(cd, degree_cap=cap).quotient_dims(cap)
+
+
+@PROPERTY
+@given(symmetrizable())
+def test_gram_blocks_are_symmetric(cd):
+    cap = _cap(cd)
+    bp = DrinfeldPairing(cd, degree_cap=cap)
+    sf = ShapovalovForm(cd, degree_cap=cap)
+    for m in degrees_upto(cd.n, cap):
+        for rows in (bp.gram_block(m).numerators, sf.block(m)[1]):
+            assert all(rows[a][b] == rows[b][a] for a in range(len(rows))
+                       for b in range(a)), (cd.A, m)
+
+
+@PROPERTY
+@given(symmetrizable())
+def test_residues_of_exact_blocks_are_the_blocks_mod_p(cd):
+    """One recursion, two rings: reducing the exact Gram blocks at the
+    fixed point gives the blocks the recursion builds mod p."""
+    cap = _cap(cd)
+    for engine in (DrinfeldPairing(cd, degree_cap=cap),
+                   ShapovalovForm(cd, degree_cap=cap)):
+        p = engine.p
+        for m in degrees_upto(cd.n, cap):
+            exact = engine._gram(m)[1]
+            assert engine._gram(m, p)[1].tolist() == [
+                [engine._residue(e, p) for e in row] for row in exact], (
+                cd.A, m)
+
+
+@PROPERTY
+@given(symmetrizable(), st.data())
+def test_module_relations_at_random_weights(cd, data):
+    """The defining relations hold on the quantum Verma and irreducible
+    modules and their classical counterparts, at any highest weight."""
+    base = [data.draw(st.sampled_from(HW_VALUES)) for _ in range(cd.h_dim)]
+    lam = Weight.highest(base, cd.n)
+    for M in (verma(lam, 2, cd), irreducible(lam, 2, cd),
+              classical_module(lam, "verma", 2, cd),
+              classical_module(lam, "irreducible", 2, cd)):
+        assert check_module_relations(M), (cd.A, base, M.kind)
 
 
 @PROPERTY
