@@ -9,13 +9,21 @@ A kernel of a matrix N over Z[v^+-1], or over a polynomial ring over Q
 when the kernel is defined over Q, is certified by one loop.  The rank of
 N specialized at an exact rational point is a lower bound for its generic
 rank.  From the RREF of that specialization, one candidate kernel vector
-per free column is built in the ring: by a fraction-free (Bareiss) solve
-on the pivot rows and columns over Z[v^+-1], and as the specialized RREF
-basis itself over Q.  Symbolic verification N . k = 0 then certifies every
-candidate; since the candidates are independent and their number is the
-specialized corank, the specialized rank is also the generic rank, so the
-kernel is exact whether or not the point was generic.  A point whose
-candidates fail verification is discarded and the next one is tried.
+per free column is built in the ring.  Over Z[v^+-1] it comes from a
+fraction-free (Bareiss) solve, with one of two sources.  When the caller
+knows as many independent kernel vectors as the point has free columns
+(the Drinfeld pairing propagates them from the degrees below), the solve
+is on those vectors restricted to the free columns, a corank x corank
+system with small entries.  Otherwise, or when those candidates fail, it
+is on the pivot rows and columns of N.  Over Q the candidates are the
+specialized RREF basis itself.  Either way every candidate is det times
+an RREF vector, so it has an invertible block on the free columns.
+Symbolic verification N . k = 0 then certifies every candidate; since the
+candidates are independent and their number is the specialized corank,
+the specialized rank is also the generic rank, so the kernel is exact
+whether or not the point was generic and whichever source built it.  A
+point whose candidates all fail verification is discarded and the next
+one is tried.
 
 Graded dimensions need no kernel vectors, only ranks, and `rank_mod_p`
 gives those for integer matrices reduced mod a word-size prime.  It works
@@ -195,18 +203,19 @@ def _certified_nullspace(N, points, specialize, candidates):
     """The one certificate loop shared by both rings.
 
     At each point: specialize N, reduce it to RREF, and let
-    candidates(red, pivots, perm) build one kernel vector of N per free
-    column (None rejects the point).  The first point whose candidates all
-    satisfy N . k = 0 symbolically gives (rank, pivot columns, vectors).
+    candidates(red, pivots, perm) yield candidate sets, each one kernel
+    vector of N per free column.  The first set whose vectors all satisfy
+    N . k = 0 symbolically gives (rank, pivot columns, vectors); a point
+    whose sets all fail is discarded.
     """
     ncols = len(N[0]) if N else 0
     if ncols == 0:
         return 0, [], []
     for pt in points:
         red, pivots, perm = rref([[specialize(e, pt) for e in row] for row in N])
-        vectors = candidates(red, pivots, perm)
-        if vectors is not None and all(_verify_zero(N, v) for v in vectors):
-            return len(pivots), pivots, vectors
+        for vectors in candidates(red, pivots, perm):
+            if all(_verify_zero(N, v) for v in vectors):
+                return len(pivots), pivots, vectors
     raise BadPointError("no specialization point certified the kernel")
 
 
@@ -222,32 +231,50 @@ def _verify_zero(N, vec):
     return True
 
 
-def certified_laurent_nullspace(N, zero, one, points, specialize, normalize):
+def certified_laurent_nullspace(N, zero, one, points, specialize, normalize,
+                                known=()):
     """Certified kernel of a matrix over a univariate Laurent ring.
 
     N: list of rows of ring elements.  specialize(entry, pt) -> Fraction.
-    normalize(vector) -> canonical form of a kernel vector.  The candidates
-    at a point come from a Bareiss solve on its pivot rows and columns.
-    Returns (rank, pivot columns, kernel vectors), one vector per free
-    column in increasing column order.
+    normalize(vector) -> canonical form of a kernel vector.  known: kernel
+    vectors of N believed independent over the fraction field, unverified.
+    At a point with exactly len(known) free columns F, the first candidates
+    come from a Bareiss solve on the known vectors K restricted to F: row f
+    of det K_F^-1 K is det times the RREF vector of free column f.
+    Otherwise, or when those fail, they come from a Bareiss solve on the
+    pivot rows and columns of N.  Returns (rank, pivot columns, kernel
+    vectors), one vector per free column in increasing column order.
     """
     ncols = len(N[0]) if N else 0
+
+    def solved(P, B, pivots, free, by_free):
+        """The kernel basis read off P X = det B, or none when P is
+        singular.  The pivot entries of det times the RREF vector of free
+        column f are minus row f of X when by_free, else minus column f."""
+        try:
+            det, X = bareiss_solve_columns(P, B, zero) if P else (one, [])
+        except ValueError:
+            return
+        scaled = [dict(zip(free, x)) for x in (zip(*X) if by_free else X)]
+        yield [normalize(v) for v in _free_basis(scaled, pivots, ncols, det)]
 
     def lift(red, pivots, perm):
         free = [c for c in range(ncols) if c not in pivots]
         if not free:
-            return []
+            yield []
+            return
+        if len(known) == len(free):
+            # the RREF basis is K_F^-1 K, so K_F X = -det K_pivots gives
+            # its pivot entries, one row of X per free column
+            yield from solved([[k[f] for f in free] for k in known],
+                              [[-k[p] for p in pivots] for k in known],
+                              pivots, free, True)
         rows = perm[:len(pivots)]
-        P = [[N[r][c] for c in pivots] for r in rows]
-        B = [[N[r][f] for f in free] for r in rows]
-        try:
-            det, X = bareiss_solve_columns(P, B, zero) if pivots else (one, [])
-        except ValueError:
-            return None
         # P X = det B: the rows of X, keyed by free column, are the RREF
         # rows scaled by det
-        scaled = [dict(zip(free, x)) for x in X]
-        return [normalize(v) for v in _free_basis(scaled, pivots, ncols, det)]
+        yield from solved([[N[r][c] for c in pivots] for r in rows],
+                          [[N[r][f] for f in free] for r in rows],
+                          pivots, free, False)
 
     return _certified_nullspace(N, points, specialize, lift)
 
@@ -262,5 +289,5 @@ def certified_rational_nullspace(S, points, specialize):
     vector per free column in increasing column order.
     """
     return _certified_nullspace(
-        S, points, specialize, lambda red, pivots, perm: _free_basis(
-            red, pivots, len(red[0]), Fraction(1)))
+        S, points, specialize, lambda red, pivots, perm: [_free_basis(
+            red, pivots, len(red[0]), Fraction(1))])

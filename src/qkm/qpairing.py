@@ -33,6 +33,16 @@ Gram block, exact or mod p, is built by the one column recursion
 without exact blocks: the recursion run at v = MOD_P_V mod a prime gives a
 lower bound, the two-sided ideal generated by the kernels one letter down
 an upper bound (see `GradedForm`).
+
+The same ideal feeds the exact kernels.  `DrinfeldPairing.kernel_block`
+hands the certificate of `linalg.certified_laurent_nullspace` the vectors
+(i,) + k and k + (i,) for k over the exact kernels one letter down that
+are already certified.  Where they fill the degree, the fraction-free
+solve runs on them, a corank x corank system, instead of on the
+rank x rank pivot block of the Gram numerators, whose minors swell.  At
+the degrees where new generators enter (the Serre degrees for a GCM) the
+solve stays on the Gram block.  Every candidate is verified N . k = 0
+either way, so the certificate and the canonical vectors do not change.
 """
 
 from __future__ import annotations
@@ -213,6 +223,10 @@ class GradedForm:
     generators of the ideal, such as the Serre degrees, or an unlucky
     point), the exact kernel of that degree alone is certified and the
     residues of its vectors seed K(m).
+
+    `_letter_maps` places a word w of degree m - e_i as (i,) + w and
+    w + (i,) in degree m, for the span above and for the exact kernels of
+    `DrinfeldPairing`, whose candidates come from the same ideal.
     """
 
     def __init__(self, cd: CartanDatum, degree_cap: int = 8):
@@ -304,15 +318,12 @@ class GradedForm:
         index, gram = self._gram(m, p)
         lower = rank_mod_p(gram, p)[0]
         span = [np.zeros((0, len(index)), np.int64)]
-        for i, prev in self._predecessors(m):
+        for prev, cols in self._letter_maps(m, index):
             self.quotient_dim(prev)
             kernel = self._kernel_p[prev]
-            words = enumerate_words(prev)
-            for cols in ([index[(i,) + w] for w in words],
-                         [index[w + (i,)] for w in words]):
-                rows = np.zeros((len(kernel), len(index)), np.int64)
-                rows[:, cols] = kernel
-                span.append(rows)
+            rows = np.zeros((len(kernel), len(index)), np.int64)
+            rows[:, cols] = kernel
+            span.append(rows)
         rank, basis = rank_mod_p(np.vstack(span), p)
         upper = dim = len(index) - rank
         if lower != upper:
@@ -332,6 +343,15 @@ class GradedForm:
         """(i, m - e_i) for every letter i occurring in degree m."""
         return [(i, m[:i] + (m[i] - 1,) + m[i + 1:])
                 for i in range(len(m)) if m[i]]
+
+    def _letter_maps(self, m, index):
+        """(m - e_i, cols) for every letter i occurring in degree m and each
+        side: cols[c] is the column in degree m (under `index`) of (i,) + w,
+        resp. w + (i,), for the c-th word w of degree m - e_i."""
+        for i, prev in self._predecessors(m):
+            words = enumerate_words(prev)
+            yield prev, [index[(i,) + w] for w in words]
+            yield prev, [index[w + (i,)] for w in words]
 
     def _pair(self, x, z, zero):
         """B(x, z): an entry of the exact Gram block of their degree."""
@@ -385,8 +405,10 @@ class DrinfeldPairing(GradedForm):
 
     Gram blocks and kernels are memoized per multidegree.  The ring of the
     Gram recursion is Z[v^+-1] (Laurent numerators); its fixed point is
-    v = MOD_P_V.  All cached values are immutable, so the caches are safe
-    for concurrent reads once populated.
+    v = MOD_P_V.  A kernel's candidate vectors come from the kernels one
+    letter down where those fill its degree, and from its Gram block
+    otherwise (`_propagated`).  All cached values are immutable, so the
+    caches are safe for concurrent reads once populated.
     """
 
     one = QScalar.one()
@@ -462,7 +484,8 @@ class DrinfeldPairing(GradedForm):
         block = self.gram_block(m)
         rank, pivots, vectors = certified_laurent_nullspace(
             block.numerators, LaurentPoly.zero(), LaurentPoly.one(),
-            EVAL_POINTS, LaurentPoly.evaluate_fraction, _normalize_poly_vector)
+            EVAL_POINTS, LaurentPoly.evaluate_fraction, _normalize_poly_vector,
+            self._propagated(m))
         words = block.basis
         self._set_reduction(m, words, pivots, vectors, QScalar)
         els = tuple(FreeElement.from_dict(
@@ -474,6 +497,27 @@ class DrinfeldPairing(GradedForm):
 
     def _solve(self, m) -> None:
         self.kernel_block(m)
+
+    def _propagated(self, m):
+        """An independent subset of the vectors (i,) + k and k + (i,), for k
+        over the exact kernels one letter down that are already certified
+        (none is computed here).  The relations form a two-sided ideal, so
+        these lie in the kernel of degree m; vectors whose residues at the
+        fixed point are independent mod p are independent over Q(v)."""
+        index = self._gram(m)[0]
+        zero = LaurentPoly.zero()
+        found = []
+        for prev, cols in self._letter_maps(m, index):
+            for k in self._vectors.get(prev, ()):
+                vec = [zero] * len(index)
+                for c, e in zip(cols, k):
+                    vec[c] = e
+                found.append(vec)
+        if not found:
+            return []
+        residues = [[self._residue(e, self.p) for e in v] for v in found]
+        echelon = rank_mod_p(np.array(residues, np.int64).T, self.p)[1]
+        return [found[int(np.flatnonzero(row)[0])] for row in echelon]
 
     # -- quantum Serre elements ---------------------------------------------
 

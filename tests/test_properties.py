@@ -13,13 +13,19 @@ from hypothesis import strategies as st
 from qkm.cartan import Weight, build_realization
 from qkm.classical import PolyN, ShapovalovForm
 from qkm.freealg import enumerate_words, total_degree
+from qkm.linalg import certified_laurent_nullspace
 from qkm.qmodules import (
     check_module_relations,
     classical_module,
     irreducible,
     verma,
 )
-from qkm.qpairing import DrinfeldPairing, degrees_upto
+from qkm.qpairing import (
+    EVAL_POINTS,
+    DrinfeldPairing,
+    _normalize_poly_vector,
+    degrees_upto,
+)
 from qkm.rmatrix import check_ybe, total_offsets
 from qkm.scalars import LaurentPoly
 
@@ -173,3 +179,22 @@ def test_braid_relation_on_verma_blocks(cd, data):
     V = verma(Weight.highest(base, cd.n), 2, cd)
     totals = [t for t in total_offsets(V, 3) if total_degree(t) <= 2]
     assert check_ybe(V, totals=totals).holds, (cd.A, cd.d, base)
+
+
+@PROPERTY
+@given(symmetrizable(max_n=2))
+def test_kernel_side_candidates_match_the_gram_side(cd):
+    """In graded order `kernel_block` builds its candidates from the
+    kernels one letter down where they fill the degree; the result equals
+    the certificate run on the Gram block alone."""
+    bp = DrinfeldPairing(cd, degree_cap=4)
+    for m in degrees_upto(cd.n, 4):
+        kb = bp.kernel_block(m)
+        block = bp.gram_block(m)
+        rank, pivots, vectors = certified_laurent_nullspace(
+            block.numerators, LaurentPoly.zero(), LaurentPoly.one(),
+            EVAL_POINTS, LaurentPoly.evaluate_fraction,
+            _normalize_poly_vector)
+        assert kb.quotient_dim == rank, (cd.A, m)
+        assert bp.quotient_basis(m) == tuple(block.basis[p] for p in pivots)
+        assert bp._vectors[m] == vectors, (cd.A, m)

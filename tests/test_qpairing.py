@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from qkm import linalg
 from qkm.cartan import build_realization, session_denominator
 from qkm.freealg import FreeElement, enumerate_words
 from qkm.linalg import certified_laurent_nullspace, matrix_rank
@@ -233,3 +234,47 @@ def test_laurent_certificate_skips_a_non_generic_point():
         N, LaurentPoly.zero(), LaurentPoly.one(), (Fraction(1), Fraction(2)),
         LaurentPoly.evaluate_fraction, _normalize_poly_vector)
     assert (rank, pivots, vectors) == (2, [0, 1], [])
+
+
+def _spy_bareiss(monkeypatch):
+    """Record the number of rows of every fraction-free solve."""
+    sizes = []
+    solve = linalg.bareiss_solve_columns
+
+    def spy(P, B, zero):
+        sizes.append(len(P))
+        return solve(P, B, zero)
+
+    monkeypatch.setattr(linalg, "bareiss_solve_columns", spy)
+    return sizes
+
+
+def test_kernel_side_solve_where_the_ideal_fills_the_degree(monkeypatch):
+    # hyperbolic (2,4): rank 13, corank 2; E_1 k and k E_1, for k the
+    # kernel vector of (1,4), span the kernel, so the solve is 2 x 2, not
+    # 13 x 13
+    bp = DrinfeldPairing(build_realization([[2, -3], [-3, 2]]), degree_cap=6)
+    for m in degrees_upto(2, 5) + [(0, 6), (1, 5)]:
+        bp.kernel_block(m)
+    sizes = _spy_bareiss(monkeypatch)
+    kb = bp.kernel_block((2, 4))
+    assert (kb.quotient_dim, len(kb.vectors)) == (13, 2)
+    assert sizes == [2]
+
+
+def test_corrupted_propagated_vector_falls_back_to_the_gram_side(monkeypatch):
+    bp = DrinfeldPairing(AFF, degree_cap=5)
+    for m in degrees_upto(2, 4):
+        bp.kernel_block(m)
+    # the cached affine Serre vector of (1,3), one coefficient off
+    bad = [list(v) for v in bp._vectors[(1, 3)]]
+    c = next(c for c, e in enumerate(bad[0]) if e)
+    bad[0][c] = bad[0][c] + LaurentPoly.one()
+    bp._vectors[(1, 3)] = bad
+    sizes = _spy_bareiss(monkeypatch)
+    fresh = DrinfeldPairing(AFF, degree_cap=5)
+    assert bp.kernel_block((1, 4)) == fresh.kernel_block((1, 4))
+    assert bp._vectors[(1, 4)] == fresh._vectors[(1, 4)]
+    # (1,4) has rank 3 and corank 2: the 2 x 2 kernel-side candidates
+    # fail verification, and the 3 x 3 Gram-side solve replaces them
+    assert sizes[:2] == [2, 3]
