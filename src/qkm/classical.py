@@ -177,7 +177,6 @@ class ShapovalovForm(GradedForm):
         """(words, matrix) of degree m, entries in the polynomial ring."""
         m = tuple(m)
         if m not in self._block:
-            self._check_cap(m)
             self._block[m] = (enumerate_words(m), self._gram(m)[1].tolist())
         return self._block[m]
 
@@ -227,7 +226,7 @@ def root_multiplicities(cd: CartanDatum, max_total_degree: int,
                         form: ShapovalovForm | None = None):
     """dim of the positive root space per root, from the graded quotient
     dimensions by Poincare-Birkhoff-Witt inversion."""
-    form = form or ShapovalovForm(cd, degree_cap=max_total_degree)
+    form = form or ShapovalovForm(cd)
     udims = form.quotient_dims(max_total_degree)
     series = {(0,) * cd.n: 1}
     mults = {}
@@ -266,11 +265,9 @@ class CasimirEngine:
     (e_i, f_j) = delta_ij / d_i.
     """
 
-    def __init__(self, cd: CartanDatum, form: ShapovalovForm | None = None,
-                 degree_cap: int = 8):
+    def __init__(self, cd: CartanDatum, form: ShapovalovForm | None = None):
         self.cd = cd
-        self.form = form or ShapovalovForm(cd, degree_cap=degree_cap)
-        self.cap = degree_cap
+        self.form = form or ShapovalovForm(cd)
         self._basis: dict = {}
         self._duals: dict = {}
 
@@ -371,7 +368,9 @@ class CasimirEngine:
         """Casimir action on a single product basis vector v_a (x) w_b.
 
         Returns a list of ((offset_V, r, offset_W, s), Fraction) terms,
-        including the diagonal Cartan contribution (mu, nu).
+        including the diagonal Cartan contribution (mu, nu).  Roots run up
+        to the shallower depth: a deeper one moves a site out of its cone
+        or past its depth.
         """
         cd = self.cd
         out = {}
@@ -382,7 +381,7 @@ class CasimirEngine:
             out[(mV, a, mW, b)] = cart
         vecV = V.unit(mV, a)
         vecW = W.unit(mW, b)
-        for beta in degrees_upto(cd.n, self.cap):
+        for beta in degrees_upto(cd.n, min(V.depth, W.depth)):
             for e_combo, f_combo in self.dual_root_pairs(beta):
                 # e (x) f raises the V site by beta, f (x) e lowers it
                 for sign, on_v, on_w in ((1, e_combo, f_combo),
@@ -402,12 +401,11 @@ class CasimirEngine:
         return [(key, val) for key, val in out.items() if val]
 
 
-def casimir_omega(V, W, total_offset, engine: CasimirEngine | None = None) -> OmegaBlock:
+def casimir_omega(V, W, total_offset) -> OmegaBlock:
     """The Casimir operator on the total-weight block of V (x) W."""
     if V.kind != "classical" or W.kind != "classical":
         raise ValueError("the Casimir tensor acts on classical modules")
-    engine = engine or CasimirEngine(V.cd, form=V.engine,
-                                     degree_cap=min(V.depth, W.depth))
+    engine = CasimirEngine(V.cd, form=V.engine)
     basis, mat = PairOperator(V, W, partial(engine.pair_action, V, W)).block(
         total_offset)
     return OmegaBlock(total_offset=tuple(total_offset), basis=tuple(basis),

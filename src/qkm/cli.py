@@ -305,7 +305,7 @@ def cmd_relations(cfg: SessionConfig, report: Report) -> None:
     cd = _build_datum(cfg)
     check_degree_budget(cd.n, cfg.degree_cap)
     D = session_denominator(cd)
-    bp = DrinfeldPairing(cd, D=D, degree_cap=cfg.degree_cap)
+    bp = DrinfeldPairing(cd, D=D)
     report.meta("D", D)
     rows = []
     for m in degrees_upto(cd.n, cfg.degree_cap):
@@ -322,7 +322,7 @@ def cmd_relations(cfg: SessionConfig, report: Report) -> None:
 def cmd_dims(cfg: SessionConfig, report: Report) -> None:
     cd = _build_datum(cfg)
     check_degree_budget(cd.n, cfg.degree_cap)
-    form = ShapovalovForm(cd, degree_cap=cfg.degree_cap)
+    form = ShapovalovForm(cd)
     dims = form.quotient_dims(cfg.degree_cap)
     report.table("quotient_dims", ("degree", "dim"),
                  [(_degree_label(m), dims[m]) for m in sorted(
@@ -344,13 +344,12 @@ def cmd_dims(cfg: SessionConfig, report: Report) -> None:
 def cmd_character(cfg: SessionConfig, report: Report, kind: str) -> None:
     cd = _build_datum(cfg)
     lam = _require_weight(cfg, cd)
-    D = session_denominator(cd, [lam])
-    report.meta("D", D)
+    report.meta("D", session_denominator(cd, [lam]))
     report.meta("kind", kind)
     if kind == "verma":
-        mod = verma(lam, cfg.depth, cd, D=D)
+        mod = verma(lam, cfg.depth, cd)
     else:
-        mod = irreducible(lam, cfg.depth, cd, D=D)
+        mod = irreducible(lam, cfg.depth, cd)
     ch = character(mod)
     report.table("character", ("offset", "dim"),
                  [(_degree_label(m), ch[m]) for m in mod.offsets()])
@@ -360,14 +359,13 @@ def cmd_character(cfg: SessionConfig, report: Report, kind: str) -> None:
 def cmd_compare_characters(cfg: SessionConfig, report: Report, kind: str) -> None:
     cd = _build_datum(cfg)
     lam = _require_weight(cfg, cd)
-    D = session_denominator(cd, [lam])
-    report.meta("D", D)
+    report.meta("D", session_denominator(cd, [lam]))
     report.meta("kind", kind)
     if kind == "verma":
-        left = verma(lam, cfg.depth, cd, D=D)
+        left = verma(lam, cfg.depth, cd)
         right = classical_module(lam, "verma", cfg.depth, cd)
     else:
-        left = irreducible(lam, cfg.depth, cd, D=D)
+        left = irreducible(lam, cfg.depth, cd)
         right = classical_module(lam, "irreducible", cfg.depth, cd)
     rep = compare_characters(left, right)
     detail = "" if rep.equal else (
@@ -376,17 +374,23 @@ def cmd_compare_characters(cfg: SessionConfig, report: Report, kind: str) -> Non
     report.verdict("characters_equal", rep.equal, detail)
 
 
+def _require_finite(V) -> None:
+    """Refuse an irreducible module with a nonzero weight space at its
+    depth: the braiding commands check every block of its tensor powers."""
+    for m in V.offsets():
+        if total_degree(m) == V.depth and V.dim(m):
+            raise TruncationError(
+                f"the irreducible module is not finite within depth "
+                f"{V.depth}: offset {_degree_label(m)} has dimension "
+                f"{V.dim(m)}; increase --depth")
+
+
 def cmd_ybe(cfg: SessionConfig, report: Report) -> None:
     cd = _build_datum(cfg)
     lam = _require_weight(cfg, cd)
-    D = session_denominator(cd, [lam])
-    report.meta("D", D)
-    bp = DrinfeldPairing(cd, D=D, degree_cap=max(cfg.degree_cap, 2 * cfg.depth))
-    V = irreducible(lam, cfg.depth, cd, D=D, pairing=bp)
-    if not V.complete:
-        raise TruncationError(
-            "the irreducible module is not finite within this depth; "
-            "increase --depth so all boundary weight spaces vanish")
+    report.meta("D", session_denominator(cd, [lam]))
+    V = irreducible(lam, cfg.depth, cd)
+    _require_finite(V)
     result = check_ybe(V)
     rows = [(_degree_label(total), dim, "pass" if ok else "fail")
             for total, dim, ok in result.blocks]
@@ -397,18 +401,14 @@ def cmd_ybe(cfg: SessionConfig, report: Report) -> None:
 def cmd_dk(cfg: SessionConfig, report: Report) -> None:
     cd = _build_datum(cfg)
     lam = _require_weight(cfg, cd)
-    D = session_denominator(cd, [lam])
-    report.meta("D", D)
+    report.meta("D", session_denominator(cd, [lam]))
     report.meta("hbar", cfg.hbar)
     report.meta("strands", cfg.strands)
     report.meta("wordlen", cfg.wordlen)
     report.meta("integrator_tol", cfg.tol)
-    bp = DrinfeldPairing(cd, D=D, degree_cap=max(cfg.degree_cap, 2 * cfg.depth))
-    Vq = irreducible(lam, cfg.depth, cd, D=D, pairing=bp)
+    Vq = irreducible(lam, cfg.depth, cd)
+    _require_finite(Vq)
     Vc = classical_module(lam, "irreducible", cfg.depth, cd)
-    if not Vq.complete:
-        raise TruncationError(
-            "the irreducible module is not finite within this depth")
     rep = drinfeld_kohno_compare(Vc, Vq, cfg.strands, cfg.hbar,
                                  word_length=cfg.wordlen, rtol=cfg.tol)
     rows = [(_degree_label(b.total_offset), b.dim,
@@ -427,9 +427,10 @@ def _make_parser() -> argparse.ArgumentParser:
         description="exact quantized Kac-Moody computations")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, depth=False, hw=False, numeric=False):
+    def common(p, degree=False, depth=False, hw=False, numeric=False):
         p.add_argument("--config", required=False, help="config file path")
-        p.add_argument("--max-degree", dest="max_degree")
+        if degree:
+            p.add_argument("--max-degree", dest="max_degree")
         if depth:
             p.add_argument("--depth")
         if hw:
@@ -441,9 +442,10 @@ def _make_parser() -> argparse.ArgumentParser:
             p.add_argument("--strands")
 
     common(sub.add_parser("symmetrize", help="compute symmetrizers"))
-    common(sub.add_parser("relations", help="pairing kernels per degree"))
+    common(sub.add_parser("relations", help="pairing kernels per degree"),
+           degree=True)
     common(sub.add_parser("dims", help="graded dimensions and root "
-                                       "multiplicities"))
+                                       "multiplicities"), degree=True)
     p_char = sub.add_parser("character", help="weight space dimensions")
     common(p_char, depth=True, hw=True)
     kind = p_char.add_mutually_exclusive_group()

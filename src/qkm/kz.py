@@ -63,7 +63,7 @@ def build_kz_system(V: WeightModule, k: int, total_offset, hbar,
     if V.kind != "classical":
         raise ValueError("the KZ connection uses classical modules")
     if omega is None:
-        engine = CasimirEngine(V.cd, form=V.engine, degree_cap=V.depth)
+        engine = CasimirEngine(V.cd, form=V.engine)
         omega = PairOperator(V, V, partial(engine.pair_action, V, V))
     total_offset = tuple(total_offset)
     basis = tuple(tensor_block_basis((V,) * k, total_offset))
@@ -279,9 +279,7 @@ def _has_perfect_matching(adj) -> bool:
 
 def drinfeld_kohno_compare(V_classical: WeightModule, V_quantum: WeightModule,
                            k: int, hbar, word_length: int = 4,
-                           rtol: float = 1e-9, totals=None,
-                           engine: CasimirEngine | None = None
-                           ) -> MonodromyReport:
+                           rtol: float = 1e-9, totals=None) -> MonodromyReport:
     """Conjugation-invariant comparison of the KZ monodromy with sigma R.
 
     Traces of all positive braid words up to the given length and the
@@ -291,15 +289,14 @@ def drinfeld_kohno_compare(V_classical: WeightModule, V_quantum: WeightModule,
     the word's sigma R generators), and each eigenvalue distance by
     max(1, |sigma R eigenvalue|).  One R, from the quantum module's pairing,
     and one Casimir operator serve every block and generator, so each basis
-    pair is computed once on either side; the default Casimir engine uses
-    the classical module's form.
+    pair is computed once on either side; the Casimir engine uses the
+    classical module's form.
     """
     if not compare_characters(V_classical, V_quantum).equal:
         raise ValueError("classical and quantum modules must have equal "
                          "characters")
     hbar = complex(hbar)
-    engine = engine or CasimirEngine(V_classical.cd, form=V_classical.engine,
-                                     degree_cap=V_classical.depth)
+    engine = CasimirEngine(V_classical.cd, form=V_classical.engine)
     omega = PairOperator(V_classical, V_classical,
                          partial(engine.pair_action, V_classical, V_classical))
     if totals is None:

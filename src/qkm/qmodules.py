@@ -9,7 +9,8 @@ eliminated words coming from the module's kernel engine (the Drinfeld
 pairing at generic q, the indeterminate-weight contravariant form
 classically); modules read it only through the engine's `quotient_basis`
 and `reduce`.  The module keeps that engine, so the R-matrix and the
-Casimir tensor built on it reuse the same pairing or form.  Lowering
+Casimir tensor built on it reuse the same pairing or form, and a quantum
+module's session denominator D is its pairing's.  Lowering
 operators act by word concatenation followed by reduction; raising
 operators act by the straightening rule obtained from the cross relations,
 with the Cartan contribution read off the weight.
@@ -94,63 +95,47 @@ class WeightModule:
         return [self.scalar_one if r == k else self.scalar_zero
                 for r in range(self.dim(offset))]
 
-    def _matrix(self, table, i, offset, target):
-        key = (i, tuple(offset))
-        mat = table.get(key)
-        if mat is None:
-            if tuple(target) not in self.spaces:
-                raise TruncationError(
-                    f"offset {target} lies beyond depth {self.depth}")
-            return None
-        return mat
+    def _apply(self, table, step, i: int, offset, vec):
+        """Image of a coefficient vector at `offset` under F_i (step 1, the
+        table f_action) or E_i (step -1, e_action)."""
+        m = tuple(offset)
+        target = list(m)
+        target[i] += step
+        target = tuple(target)
+        mat = table.get((i, m))
+        if mat is not None:
+            return target, _mat_vec(mat, vec, self.scalar_zero)
+        if min(target) >= 0 and target not in self.spaces:
+            raise TruncationError(
+                f"offset {target} lies beyond depth {self.depth}")
+        return target, [self.scalar_zero] * self.dim(target)
 
     def apply_f(self, i: int, offset, vec):
         """Image of a coefficient vector at `offset` under F_i."""
-        m = tuple(offset)
-        target = tuple(a + b for a, b in zip(m, unit_degree(self.cd.n, i)))
-        mat = self._matrix(self.f_action, i, m, target)
-        tdim = self.dim(target)
-        if mat is None or tdim == 0:
-            return target, [self.scalar_zero] * tdim
-        return target, _mat_vec(mat, vec, self.scalar_zero)
+        return self._apply(self.f_action, 1, i, offset, vec)
 
     def apply_e(self, i: int, offset, vec):
+        return self._apply(self.e_action, -1, i, offset, vec)
+
+    def _apply_word(self, table, step, word, offset, vec):
+        word = tuple(word)
+        final = list(offset)
+        for letter in word:
+            final[letter] += step
+        final = tuple(final)
         m = tuple(offset)
-        target = tuple(a - b for a, b in zip(m, unit_degree(self.cd.n, i)))
-        if any(x < 0 for x in target):
-            return target, []
-        mat = self.e_action.get((i, m))
-        tdim = self.dim(target)
-        if mat is None or tdim == 0:
-            return target, [self.scalar_zero] * tdim
-        return target, _mat_vec(mat, vec, self.scalar_zero)
+        for letter in reversed(word):
+            m, vec = self._apply(table, step, letter, m, vec)
+            if not any(vec):
+                return final, [self.scalar_zero] * self.dim(final)
+        return final, vec
 
     def apply_e_word(self, word, offset, vec):
         """Act by the algebra element E_{w_1} ... E_{w_k} (rightmost first)."""
-        word = tuple(word)
-        final = list(offset)
-        for letter in word:
-            final[letter] -= 1
-        final = tuple(final)
-        m = tuple(offset)
-        for letter in reversed(word):
-            m, vec = self.apply_e(letter, m, vec)
-            if not vec or all(not c for c in vec):
-                return final, [self.scalar_zero] * self.dim(final)
-        return final, vec
+        return self._apply_word(self.e_action, -1, word, offset, vec)
 
     def apply_f_word(self, word, offset, vec):
-        word = tuple(word)
-        final = list(offset)
-        for letter in word:
-            final[letter] += 1
-        final = tuple(final)
-        m = tuple(offset)
-        for letter in reversed(word):
-            m, vec = self.apply_f(letter, m, vec)
-            if not vec or all(not c for c in vec):
-                return final, [self.scalar_zero] * self.dim(final)
-        return final, vec
+        return self._apply_word(self.f_action, 1, word, offset, vec)
 
     def apply_combo(self, terms, offset, vec, raising: bool):
         """Sum of c * (word action) over (word, c) terms, E-words when
@@ -223,26 +208,21 @@ def _build_verma(M: WeightModule) -> WeightModule:
     return M
 
 
-def verma(hw, depth: int, cd: CartanDatum, D: int | None = None,
+def verma(hw, depth: int, cd: CartanDatum,
           pairing: DrinfeldPairing | None = None) -> WeightModule:
-    """The quantum Verma module at formal q, truncated at `depth`."""
+    """The quantum Verma module at formal q, truncated at `depth`, on the
+    v-grid of its pairing (by default the one of A and hw)."""
     hw = hw if isinstance(hw, Weight) else Weight.highest(hw, cd.n)
-    if D is None:
-        D = session_denominator(cd, [hw])
     if pairing is None:
-        pairing = DrinfeldPairing(cd, D=D, degree_cap=max(depth, 1))
-    elif pairing.D != D:
-        raise ValueError("pairing engine uses a different session denominator")
-    return _build_verma(WeightModule("quantum", cd, hw, depth, D, pairing,
-                                     pairing.one, pairing.zero))
+        pairing = DrinfeldPairing(cd, D=session_denominator(cd, [hw]))
+    return _build_verma(WeightModule("quantum", cd, hw, depth, pairing.D,
+                                     pairing, pairing.one, pairing.zero))
 
 
-def classical_module(hw, kind: str, depth: int, cd: CartanDatum,
-                     form: ShapovalovForm | None = None) -> WeightModule:
+def classical_module(hw, kind: str, depth: int, cd: CartanDatum) -> WeightModule:
     """Classical Verma or irreducible module with exact rational actions."""
     hw = hw if isinstance(hw, Weight) else Weight.highest(hw, cd.n)
-    if form is None:
-        form = ShapovalovForm(cd, degree_cap=max(depth, 1))
+    form = ShapovalovForm(cd)
     base = _build_verma(WeightModule("classical", cd, hw, depth, 1, form,
                                      form.one, form.zero))
     if kind == "verma":
@@ -325,10 +305,10 @@ def _transpose(cols, nrows, zero):
             for r in range(nrows)]
 
 
-def irreducible(hw, depth: int, cd: CartanDatum, D: int | None = None,
+def irreducible(hw, depth: int, cd: CartanDatum,
                 pairing: DrinfeldPairing | None = None) -> WeightModule:
     """The irreducible quotient of the quantum Verma module."""
-    return _radical_quotient(verma(hw, depth, cd, D=D, pairing=pairing))
+    return _radical_quotient(verma(hw, depth, cd, pairing=pairing))
 
 
 def character(module: WeightModule):

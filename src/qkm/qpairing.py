@@ -58,10 +58,8 @@ import numpy as np
 from .cartan import CartanDatum, session_denominator
 from .freealg import (
     FreeElement,
-    ResourceLimitError,
     add_degrees,
     enumerate_words,
-    total_degree,
     unit_degree,
     word_degree,
 )
@@ -201,7 +199,7 @@ class GradedForm:
     - `_residue(entry, p)`: the image in F_p, at the fixed point, of an
       entry of an exact block or of an exact kernel vector.
 
-    The base owns the degree cap, the caches and the quotient.  A subclass
+    The base owns the caches and the quotient.  A subclass
     sets the field's `one` and `zero`, and certifies the kernel of a degree
     in its public kernel method (reached through `_solve`), which records
     the word rewriting and the exact kernel vectors with `_set_reduction`;
@@ -229,9 +227,8 @@ class GradedForm:
     `DrinfeldPairing`, whose candidates come from the same ideal.
     """
 
-    def __init__(self, cd: CartanDatum, degree_cap: int = 8):
+    def __init__(self, cd: CartanDatum):
         self.cd = cd
-        self.cap = degree_cap
         self._gram_cache: dict = {}   # (degree, p or None) -> Gram block
         self._factors: dict = {}      # (i, tail degree, p or None) -> factor
         self._block: dict = {}        # degree -> public Gram block
@@ -253,11 +250,6 @@ class GradedForm:
                 return p
         raise BadPointError("every prime of the dimension certificate "
                             "divides a denominator of A")
-
-    def _check_cap(self, m) -> None:
-        if total_degree(m) > self.cap:
-            raise ResourceLimitError(
-                f"multidegree {m} exceeds the degree cap {self.cap}")
 
     def _set_reduction(self, m, words, pivots, vectors, ratio) -> None:
         """Keep the exact kernel vectors of degree m, and rewrite every word
@@ -302,7 +294,6 @@ class GradedForm:
         class docstring)."""
         m = tuple(m)
         if m not in self._dim:
-            self._check_cap(m)
             self._certify_dim(m)
         return self._dim[m]
 
@@ -416,9 +407,9 @@ class DrinfeldPairing(GradedForm):
     _peels_first = False
     _ring_one = LaurentPoly.one()
 
-    def __init__(self, cd: CartanDatum, D: int | None = None, degree_cap: int = 8,
+    def __init__(self, cd: CartanDatum, D: int | None = None,
                  exponent_sign: int = -1):
-        super().__init__(cd, degree_cap)
+        super().__init__(cd)
         self.D = D if D is not None else session_denominator(cd)
         if exponent_sign not in (-1, 1):
             raise ValueError("exponent_sign must be +1 or -1")
@@ -468,7 +459,6 @@ class DrinfeldPairing(GradedForm):
     def gram_block(self, m) -> GramBlock:
         m = tuple(m)
         if m not in self._block:
-            self._check_cap(m)
             self._block[m] = GramBlock(
                 degree=m, basis=enumerate_words(m),
                 numerators=tuple(map(tuple, self._gram(m)[1])),
@@ -545,7 +535,6 @@ class DrinfeldPairing(GradedForm):
         """True iff the Serre element pairs to zero against all its degree."""
         el = self.quantum_serre_element(i, j)
         m = el.degree
-        self._check_cap(m)
         for z in enumerate_words(m):
             acc = QScalar.zero()
             for w, c in el.terms:

@@ -447,12 +447,6 @@ class QScalar:
             raise PoleError(f"denominator {self.den} vanishes at v = {v}")
         return self.num.evaluate(v) / dval
 
-    def evaluate_fraction(self, v: Fraction) -> Fraction:
-        dval = self.den.evaluate_fraction(v)
-        if dval == 0:
-            raise PoleError(f"denominator {self.den} vanishes at v = {v}")
-        return self.num.evaluate_fraction(v) / dval
-
 
 def exponent_to_int(e, D: int) -> int:
     """Scale a rational q-exponent to the v-grid; error if it does not fit."""

@@ -66,7 +66,7 @@ def test_criterion_1_symmetrizability_gate():
 
 def test_criterion_2_pairing_normalization():
     for cd in (SL3, AFF):
-        bp = DrinfeldPairing(cd, degree_cap=6)
+        bp = DrinfeldPairing(cd)
         c_inv = QScalar(LaurentPoly.one(),
                         LaurentPoly.monomial(bp.D) - LaurentPoly.monomial(-bp.D))
         for i in range(cd.n):
@@ -106,8 +106,8 @@ def test_criterion_3_quantum_serre():
 def test_criterion_4_flatness():
     for cd, cap in ((SL3, 6), (AFF, 6), (RAT, 5)):
         D = session_denominator(cd)
-        bp = DrinfeldPairing(cd, D=D, degree_cap=cap)
-        sf = ShapovalovForm(cd, degree_cap=cap)
+        bp = DrinfeldPairing(cd, D=D)
+        sf = ShapovalovForm(cd)
         for m in degrees_upto(cd.n, cap):
             nq = len(bp.kernel_block(m).vectors)
             nc = len(sf.kernel(m)[1])
@@ -141,8 +141,8 @@ def character_modules():
     for cd, vals, depth in CHARACTER_CASES:
         lam = hw(cd, *vals)
         D = session_denominator(cd, [lam])
-        bp = DrinfeldPairing(cd, D=D, degree_cap=depth)
-        Lq = irreducible(lam, depth, cd, D=D, pairing=bp)
+        bp = DrinfeldPairing(cd, D=D)
+        Lq = irreducible(lam, depth, cd, pairing=bp)
         Lc = classical_module(lam, "irreducible", depth, cd)
         out.append((cd, vals, depth, Lq, Lc))
     return out
@@ -172,8 +172,8 @@ def test_criterion_7_module_relations(character_modules):
 def test_criterion_8_yang_baxter():
     lam = hw(SL2, 1)
     D = session_denominator(SL2, [lam])
-    bp = DrinfeldPairing(SL2, D=D, degree_cap=4)
-    V = irreducible(lam, 2, SL2, D=D, pairing=bp)
+    bp = DrinfeldPairing(SL2, D=D)
+    V = irreducible(lam, 2, SL2, pairing=bp)
     report = check_ybe(V)
     assert report.holds and len(report.blocks) == 4
     basis, mat = TruncatedR(V, V, bp).block((0,))
@@ -185,8 +185,8 @@ def test_criterion_8_yang_baxter():
 def test_criterion_9_drinfeld_kohno():
     lam = hw(SL2, 1)
     D = session_denominator(SL2, [lam])
-    bp = DrinfeldPairing(SL2, D=D, degree_cap=4)
-    Vq = irreducible(lam, 2, SL2, D=D, pairing=bp)
+    bp = DrinfeldPairing(SL2, D=D)
+    Vq = irreducible(lam, 2, SL2, pairing=bp)
     Vc = classical_module(lam, "irreducible", 2, SL2)
 
     report = drinfeld_kohno_compare(Vc, Vq, 3, 0.1, word_length=4,

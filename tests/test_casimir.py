@@ -5,8 +5,10 @@ import pytest
 from qkm.cartan import Weight, build_realization
 from qkm.classical import CasimirEngine, casimir_omega
 from qkm.qmodules import classical_module
+from qkm.qpairing import degrees_upto
 
 SL2 = build_realization([[2]])
+SL3 = build_realization([[2, -1], [-1, 2]])
 AFF = build_realization([[2, -2], [-2, 2]])
 
 
@@ -91,7 +93,7 @@ def test_casimir_commutes_with_diagonal_action(sl2_v):
 
 
 def test_affine_dual_pairs_at_delta():
-    eng = CasimirEngine(AFF, degree_cap=3)
+    eng = CasimirEngine(AFF)
     pairs = eng.dual_root_pairs((1, 1))
     assert len(pairs) == 1
     for b, (_, fdual) in enumerate(pairs):
@@ -101,7 +103,7 @@ def test_affine_dual_pairs_at_delta():
 
 
 def test_dual_pairs_duality_simple_roots():
-    eng = CasimirEngine(SL2, degree_cap=3)
+    eng = CasimirEngine(SL2)
     pairs = eng.dual_root_pairs((1,))
     assert len(pairs) == 1
     e_combo, f_dual = pairs[0]
@@ -111,7 +113,16 @@ def test_dual_pairs_duality_simple_roots():
 
 def test_root_space_dimensions_match_multiplicities():
     from qkm.classical import root_multiplicities
-    eng = CasimirEngine(AFF, degree_cap=4)
+    eng = CasimirEngine(AFF)
     mults = root_multiplicities(AFF, 4)
     for beta, m in mults.items():
         assert len(eng.root_basis(beta)) == m, beta
+
+
+def test_mixed_depths_agree_within_the_shallower_depth():
+    # the roots of the Casimir tensor run up to the shallower depth
+    lam = hw(SL3, 1, 1)
+    V2, V3 = (classical_module(lam, "irreducible", d, SL3) for d in (2, 3))
+    W3 = classical_module(lam, "irreducible", 3, SL3)
+    for t in degrees_upto(2, 2, include_zero=True):
+        assert casimir_omega(V2, W3, t) == casimir_omega(V3, W3, t)

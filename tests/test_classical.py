@@ -166,7 +166,7 @@ def test_weyl_kac_denominator_oracle_agreement():
 def test_pbw_consistency():
     # regenerate the graded dimensions from the multiplicities
     from qkm.classical import _series_mul_binom
-    sf = ShapovalovForm(AFF, degree_cap=5)
+    sf = ShapovalovForm(AFF)
     dims = sf.quotient_dims(5)
     mults = root_multiplicities(AFF, 5, form=sf)
     series = {(0, 0): 1}

@@ -1,5 +1,7 @@
+import ast
 import io
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -202,6 +204,26 @@ def test_readme_relations_example(tmp_path):
     assert out == example
 
 
+def test_readme_library_example():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    block = readme.read_text().split("## Library use")[1].split(
+        "```python\n")[1].split("```")[0]
+    lines = block.splitlines()
+    namespace = {}
+    stated = []
+    for node in ast.parse(block).body:
+        # a statement whose last line says "# -> value" must evaluate to it
+        claim = re.search(r"# -> (.*?)(?:, [A-Za-z].*)?$",
+                          lines[node.end_lineno - 1])
+        if claim:
+            value = eval(compile(ast.Expression(node.value), "README", "eval"),
+                         namespace)
+            stated.append((value, ast.literal_eval(claim.group(1))))
+        else:
+            exec(compile(ast.Module([node], []), "README", "exec"), namespace)
+    assert stated == [(2, 2), (((0, 0, 1), (0, 1, 0)),) * 2, (True, True)]
+
+
 def test_exact_commands_are_deterministic(tmp_path):
     path = write_config(tmp_path, AFF_CFG)
     outputs = set()
@@ -238,6 +260,25 @@ def test_usage_errors(tmp_path):
 def _error_lines(err):
     """stderr without the '# elapsed' timing line."""
     return [line for line in err.splitlines() if not line.startswith("# ")]
+
+
+@pytest.mark.parametrize("command", ["ybe", "dk"])
+def test_braiding_refuses_an_infinite_truncation(tmp_path, command):
+    path = write_config(tmp_path, "matrix = 2 -1; -1 2\ndepth = 2\nhw = 1 1\n")
+    code, out, err = invoke([command, "--config", path])
+    assert code == EXIT_FAIL and out == ""
+    assert _error_lines(err) == [
+        "qkm: TruncationError: the irreducible module is not finite within "
+        "depth 2: offset 1,1 has dimension 2; increase --depth"]
+
+
+def test_max_degree_flag_only_where_it_applies(tmp_path):
+    path = write_config(tmp_path, "matrix = 2 -1; -1 2\ndepth = 2\nhw = 1 0\n")
+    code, out, _ = invoke(["ybe", "--config", path, "--max-degree", "3"])
+    assert code == EXIT_USAGE and out == ""
+    for command in ("relations", "dims"):
+        code, out, _ = invoke([command, "--config", path, "--max-degree", "3"])
+        assert code == EXIT_PASS and "\n3,0\t" in out
 
 
 def test_zero_symmetrizer_is_usage_error(tmp_path):

@@ -34,8 +34,8 @@ CROSS_CHECK_CAP = {"affine": 5, "hyperbolic": 5}
 def _exact_dims(cd, cap):
     """Quotient dimensions from the exact kernels of every degree, on a
     quantum and a classical engine of their own."""
-    bp = DrinfeldPairing(cd, degree_cap=cap)
-    sf = ShapovalovForm(cd, degree_cap=cap)
+    bp = DrinfeldPairing(cd)
+    sf = ShapovalovForm(cd)
     quantum, classic = {}, {}
     for m in degrees_upto(cd.n, cap):
         quantum[m] = bp.kernel_block(m).quotient_dim
@@ -63,15 +63,15 @@ def test_certified_dims_equal_exact_kernel_ranks(name):
     cd = build_realization(MATRICES[name])
     cap = CROSS_CHECK_CAP.get(name, 6)
     quantum, classic = _exact_dims(cd, cap)
-    assert DrinfeldPairing(cd, degree_cap=cap).quotient_dims(cap) == quantum
-    assert ShapovalovForm(cd, degree_cap=cap).quotient_dims(cap) == classic
+    assert DrinfeldPairing(cd).quotient_dims(cap) == quantum
+    assert ShapovalovForm(cd).quotient_dims(cap) == classic
 
 
 def test_exact_kernels_only_at_the_serre_degrees(monkeypatch):
     seen = _spy_exact_kernels(monkeypatch)
     cd = build_realization(MATRICES["affine"])
-    DrinfeldPairing(cd, degree_cap=7).quotient_dims(7)
-    ShapovalovForm(cd, degree_cap=7).quotient_dims(7)
+    DrinfeldPairing(cd).quotient_dims(7)
+    ShapovalovForm(cd).quotient_dims(7)
     assert seen[DrinfeldPairing] == seen[ShapovalovForm] == {(1, 3), (3, 1)}
 
 
@@ -84,8 +84,8 @@ def test_non_generic_point_falls_back_to_exact_kernels(monkeypatch):
     seen = _spy_exact_kernels(monkeypatch)
     monkeypatch.setattr(qpairing, "MOD_P_V", 1)
     monkeypatch.setattr(classical, "MOD_P_WEIGHT", 0)
-    assert DrinfeldPairing(cd, degree_cap=5).quotient_dims(5) == quantum
-    assert ShapovalovForm(cd, degree_cap=5).quotient_dims(5) == classic
+    assert DrinfeldPairing(cd).quotient_dims(5) == quantum
+    assert ShapovalovForm(cd).quotient_dims(5) == classic
     assert {(1, 1), (2, 2), (2, 3)} <= seen[DrinfeldPairing]
     assert {(2, 0), (2, 2), (2, 3)} <= seen[ShapovalovForm]
 
@@ -96,8 +96,8 @@ def test_flatness_of_certified_dims(name, cap):
     """The paper's flatness theorem: the quantum and classical relation
     spaces have equal graded dimensions."""
     cd = build_realization(MATRICES[name])
-    quantum = DrinfeldPairing(cd, degree_cap=cap).quotient_dims(cap)
-    assert quantum == ShapovalovForm(cd, degree_cap=cap).quotient_dims(cap)
+    quantum = DrinfeldPairing(cd).quotient_dims(cap)
+    assert quantum == ShapovalovForm(cd).quotient_dims(cap)
 
 
 def _residue(x: Fraction, p: int) -> int:
@@ -153,9 +153,16 @@ def test_prime_divides_no_denominator_of_a():
     # classical engine alone, since v^(2^31 - 1) is no size for Z[v^+-1]
     a = Fraction(-1, 2**31 - 1)
     cd = build_realization([[2, a], [a, 2]])
-    sf = ShapovalovForm(cd, degree_cap=4)
-    exact = ShapovalovForm(cd, degree_cap=4)
+    sf = ShapovalovForm(cd)
+    exact = ShapovalovForm(cd)
     assert sf.p == 2**31 - 19
     assert sf.quotient_dims(4) == {
         m: len(enumerate_words(m)) - len(exact.kernel(m)[1])
         for m in degrees_upto(2, 4)}
+
+
+def test_engines_answer_past_degree_eight():
+    # the degree is bounded by the input (the CLI's max_degree) alone
+    sl2 = build_realization([[2]])
+    assert set(ShapovalovForm(sl2).quotient_dims(10).values()) == {1}
+    assert DrinfeldPairing(sl2).kernel_block((9,)).quotient_dim == 1

@@ -33,8 +33,8 @@ def sl2_classical():
 @pytest.fixture(scope="module")
 def sl2_quantum():
     D = session_denominator(SL2, [LAM])
-    bp = DrinfeldPairing(SL2, D=D, degree_cap=4)
-    return bp, irreducible(LAM, 2, SL2, D=D, pairing=bp)
+    bp = DrinfeldPairing(SL2, D=D)
+    return bp, irreducible(LAM, 2, SL2, pairing=bp)
 
 
 def test_hbar_zero_gives_permutation(sl2_classical):
@@ -135,8 +135,8 @@ def test_drinfeld_kohno_rejects_flipped_sign_at_large_hbar():
     Vc = classical_module(lam, "irreducible", 3, sl3)
     deviations = []
     for sign in (-1, 1):
-        bp = DrinfeldPairing(sl3, D=D, degree_cap=3, exponent_sign=sign)
-        Vq = irreducible(lam, 3, sl3, D=D, pairing=bp)
+        bp = DrinfeldPairing(sl3, D=D, exponent_sign=sign)
+        Vq = irreducible(lam, 3, sl3, pairing=bp)
         deviations.append(drinfeld_kohno_compare(
             Vc, Vq, 2, -12, word_length=2, rtol=1e-9).max_deviation)
     assert deviations[0] < 1e-6 < 0.1 < deviations[1], deviations

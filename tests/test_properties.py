@@ -62,16 +62,16 @@ def _cap(cd):
 def test_flatness(cd):
     """The quantum and classical relation spaces have equal dimensions."""
     cap = _cap(cd)
-    quantum = DrinfeldPairing(cd, degree_cap=cap).quotient_dims(cap)
-    assert quantum == ShapovalovForm(cd, degree_cap=cap).quotient_dims(cap)
+    quantum = DrinfeldPairing(cd).quotient_dims(cap)
+    assert quantum == ShapovalovForm(cd).quotient_dims(cap)
 
 
 @PROPERTY
 @given(symmetrizable())
 def test_gram_blocks_are_symmetric(cd):
     cap = _cap(cd)
-    bp = DrinfeldPairing(cd, degree_cap=cap)
-    sf = ShapovalovForm(cd, degree_cap=cap)
+    bp = DrinfeldPairing(cd)
+    sf = ShapovalovForm(cd)
     for m in degrees_upto(cd.n, cap):
         for rows in (bp.gram_block(m).numerators, sf.block(m)[1]):
             assert all(rows[a][b] == rows[b][a] for a in range(len(rows))
@@ -84,8 +84,8 @@ def test_residues_of_exact_blocks_are_the_blocks_mod_p(cd):
     """One recursion, two rings: reducing the exact Gram blocks at the
     fixed point gives the blocks the recursion builds mod p."""
     cap = _cap(cd)
-    for engine in (DrinfeldPairing(cd, degree_cap=cap),
-                   ShapovalovForm(cd, degree_cap=cap)):
+    for engine in (DrinfeldPairing(cd),
+                   ShapovalovForm(cd)):
         p = engine.p
         for m in degrees_upto(cd.n, cap):
             exact = engine._gram(m)[1]
@@ -111,8 +111,8 @@ def test_module_relations_at_random_weights(cd, data):
 @given(symmetrizable())
 def test_reduce_kills_kernels_and_fixes_pivot_words(cd):
     cap = _cap(cd)
-    bp = DrinfeldPairing(cd, degree_cap=cap)
-    sf = ShapovalovForm(cd, degree_cap=cap)
+    bp = DrinfeldPairing(cd)
+    sf = ShapovalovForm(cd)
     for m in degrees_upto(cd.n, cap):
         words = enumerate_words(m)
         kernels = ((bp, [v.terms for v in bp.kernel_block(m).vectors]),
@@ -134,8 +134,8 @@ def test_kernels_form_a_two_sided_ideal(cd):
     """(i,) + w and w + (i,) carry exact kernel vectors into the kernel one
     degree up, through degree 4: the upper bound of the dimension
     certificate rests on it."""
-    bp = DrinfeldPairing(cd, degree_cap=3)
-    sf = ShapovalovForm(cd, degree_cap=3)
+    bp = DrinfeldPairing(cd)
+    sf = ShapovalovForm(cd)
     for m in degrees_upto(cd.n, 3):
         words = enumerate_words(m)
         kernels = (
@@ -160,7 +160,7 @@ def test_kernels_form_a_two_sided_ideal(cd):
 @PROPERTY
 @given(symmetrizable())
 def test_fast_recursion_matches_hopf_oracle(cd):
-    bp = DrinfeldPairing(cd, degree_cap=3)
+    bp = DrinfeldPairing(cd)
     for m in degrees_upto(cd.n, 3):
         words = enumerate_words(m)
         for x in words:
@@ -187,7 +187,7 @@ def test_kernel_side_candidates_match_the_gram_side(cd):
     """In graded order `kernel_block` builds its candidates from the
     kernels one letter down where they fill the degree; the result equals
     the certificate run on the Gram block alone."""
-    bp = DrinfeldPairing(cd, degree_cap=4)
+    bp = DrinfeldPairing(cd)
     for m in degrees_upto(cd.n, 4):
         kb = bp.kernel_block(m)
         block = bp.gram_block(m)

@@ -1,10 +1,11 @@
 from fractions import Fraction
 
-from qkm.cartan import Weight, build_realization
+from qkm.cartan import Weight, build_realization, session_denominator
 from qkm.classical import weyl_kac_character
 from qkm.qmodules import (
     WeightModule,
     character,
+    check_module_relations,
     classical_module,
     compare_characters,
     contravariant_form,
@@ -45,8 +46,8 @@ def test_e_annihilates_highest_vector():
 
 
 def test_verma_dims_match_quotient_dims():
-    bp = DrinfeldPairing(AFF, degree_cap=4)
-    M = verma(hw(AFF, 1, 0), 4, AFF, D=bp.D, pairing=bp)
+    bp = DrinfeldPairing(AFF)
+    M = verma(hw(AFF, 1, 0), 4, AFF, pairing=bp)
     dims = bp.quotient_dims(4)
     for m, d in dims.items():
         assert M.dim(m) == d
@@ -236,3 +237,14 @@ def test_verma_character_comparison_is_automatic():
     Mq = verma(lam, 3, SL3)
     Mc = classical_module(lam, "verma", 3, SL3)
     assert compare_characters(Mq, Mc).equal
+
+
+def test_modules_take_the_session_denominator_from_the_pairing():
+    lam = hw(SL3, Fraction(1, 2), Fraction(-1, 3))
+    D = session_denominator(SL3, [lam])
+    bp = DrinfeldPairing(SL3, D=2 * D)
+    for build in (verma, irreducible):
+        M = build(lam, 2, SL3, pairing=bp)
+        assert M.D == bp.D and M.engine is bp
+        assert check_module_relations(M)
+    assert verma(lam, 2, SL3).D == irreducible(lam, 2, SL3).D == D

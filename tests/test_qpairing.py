@@ -253,7 +253,7 @@ def test_kernel_side_solve_where_the_ideal_fills_the_degree(monkeypatch):
     # hyperbolic (2,4): rank 13, corank 2; E_1 k and k E_1, for k the
     # kernel vector of (1,4), span the kernel, so the solve is 2 x 2, not
     # 13 x 13
-    bp = DrinfeldPairing(build_realization([[2, -3], [-3, 2]]), degree_cap=6)
+    bp = DrinfeldPairing(build_realization([[2, -3], [-3, 2]]))
     for m in degrees_upto(2, 5) + [(0, 6), (1, 5)]:
         bp.kernel_block(m)
     sizes = _spy_bareiss(monkeypatch)
@@ -263,7 +263,7 @@ def test_kernel_side_solve_where_the_ideal_fills_the_degree(monkeypatch):
 
 
 def test_corrupted_propagated_vector_falls_back_to_the_gram_side(monkeypatch):
-    bp = DrinfeldPairing(AFF, degree_cap=5)
+    bp = DrinfeldPairing(AFF)
     for m in degrees_upto(2, 4):
         bp.kernel_block(m)
     # the cached affine Serre vector of (1,3), one coefficient off
@@ -272,7 +272,7 @@ def test_corrupted_propagated_vector_falls_back_to_the_gram_side(monkeypatch):
     bad[0][c] = bad[0][c] + LaurentPoly.one()
     bp._vectors[(1, 3)] = bad
     sizes = _spy_bareiss(monkeypatch)
-    fresh = DrinfeldPairing(AFF, degree_cap=5)
+    fresh = DrinfeldPairing(AFF)
     assert bp.kernel_block((1, 4)) == fresh.kernel_block((1, 4))
     assert bp._vectors[(1, 4)] == fresh._vectors[(1, 4)]
     # (1,4) has rank 3 and corank 2: the 2 x 2 kernel-side candidates

@@ -29,8 +29,8 @@ SL3 = build_realization([[2, -1], [-1, 2]])
 def sl2_setup():
     lam = hw(SL2, 1)
     D = session_denominator(SL2, [lam])
-    bp = DrinfeldPairing(SL2, D=D, degree_cap=4)
-    V = irreducible(lam, 2, SL2, D=D, pairing=bp)
+    bp = DrinfeldPairing(SL2, D=D)
+    V = irreducible(lam, 2, SL2, pairing=bp)
     return bp, V
 
 
@@ -50,7 +50,7 @@ def test_dual_basis_single_root(sl2_setup):
 
 def test_dual_basis_duality_sl3():
     # duality under the letterwise mirror F_i -> E_i
-    bp = DrinfeldPairing(SL3, degree_cap=4)
+    bp = DrinfeldPairing(SL3)
     for beta in [(1, 1), (2, 1)]:
         db = dual_bases(beta, bp)
         for a, u in enumerate(db.u_basis):
@@ -124,8 +124,8 @@ def test_ybe_sl2_exact(sl2_setup):
 def test_ybe_one_dimensional_module():
     lam = hw(SL2, 0)
     D = session_denominator(SL2, [lam])
-    bp = DrinfeldPairing(SL2, D=D, degree_cap=3)
-    V = irreducible(lam, 1, SL2, D=D, pairing=bp)
+    bp = DrinfeldPairing(SL2, D=D)
+    V = irreducible(lam, 1, SL2, pairing=bp)
     report = check_ybe(V)
     assert report.holds
 
@@ -133,8 +133,8 @@ def test_ybe_one_dimensional_module():
 def test_ybe_sl3_fundamental():
     lam = hw(SL3, 1, 0)
     D = session_denominator(SL3, [lam])
-    bp = DrinfeldPairing(SL3, D=D, degree_cap=6)
-    V = irreducible(lam, 3, SL3, D=D, pairing=bp)
+    bp = DrinfeldPairing(SL3, D=D)
+    V = irreducible(lam, 3, SL3, pairing=bp)
     assert V.complete
     assert sum(V.dim(m) for m in V.offsets()) == 3
     report = check_ybe(V)
@@ -150,8 +150,8 @@ def test_reversed_mirror_fails_ybe(monkeypatch):
     monkeypatch.setattr(rm, "MIRROR_REVERSES", True)
     lam = hw(SL3, 1, 0)
     D = session_denominator(SL3, [lam])
-    bp = DrinfeldPairing(SL3, D=D, degree_cap=6)
-    V = irreducible(lam, 3, SL3, D=D, pairing=bp)
+    bp = DrinfeldPairing(SL3, D=D)
+    V = irreducible(lam, 3, SL3, pairing=bp)
     report = check_ybe(V, totals=[(2, 1)])
     assert not report.holds
 
