@@ -35,7 +35,8 @@ from .freealg import (
     total_degree,
 )
 from .linalg import certified_rational_nullspace, invert, matrix_rank
-from .qpairing import GradedForm, degrees_upto, rational_residue
+from .qpairing import GradedForm, degrees_upto
+from .scalars import rational_residue
 
 # the classical point of the dimension certificate: the weight with
 # x_i = MOD_P_WEIGHT^(i + 1) mod p

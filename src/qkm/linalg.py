@@ -7,22 +7,22 @@ coerced, so callers pass field elements, not ints.
 
 A kernel of a matrix N over Z[v^+-1], or over a polynomial ring over Q
 when the kernel is defined over Q, is certified by one loop.  The rank of
-N specialized at an exact rational point is a lower bound for its generic
-rank.  From the RREF of that specialization, one candidate kernel vector
-per free column is built in the ring.  Over Z[v^+-1] it comes from a
-fraction-free (Bareiss) solve, with one of two sources.  When the caller
-knows as many independent kernel vectors as the point has free columns
-(the Drinfeld pairing propagates them from the degrees below), the solve
-is on those vectors restricted to the free columns, a corank x corank
-system with small entries.  Otherwise, or when those candidates fail, it
-is on the pivot rows and columns of N.  Over Q the candidates are the
-specialized RREF basis itself.  Either way every candidate is det times
-an RREF vector, so it has an invertible block on the free columns.
-Symbolic verification N . k = 0 then certifies every candidate; since the
-candidates are independent and their number is the specialized corank,
-the specialized rank is also the generic rank, so the kernel is exact
-whether or not the point was generic and whichever source built it.  A
-point whose candidates all fail verification is discarded and the next
+N specialized at a point is a lower bound for its generic rank.  Over Q
+the point is rational and the candidates, one kernel vector per free
+column, are the RREF basis of the specialization.  Over Z[v^+-1] the
+point is read in F_p, where `rank_mod_p` gives the rank and pivot columns
+C, and each candidate comes from a fraction-free (Bareiss) solve, with one
+of two sources.  When the caller knows as many independent kernel vectors
+as the point has free columns (the Drinfeld pairing propagates them from
+the degrees below), the solve is on those vectors restricted to the free
+columns, a corank x corank system with small entries.  Otherwise, or when
+those candidates fail, it is on N[C][C].  Either way every candidate is
+det times an RREF vector, so it has an invertible block on the free
+columns.  Symbolic verification N . k = 0 then certifies every candidate;
+since the candidates are independent and their number is the specialized
+corank, the specialized rank is also the generic rank, so the kernel is
+exact whether or not the point was generic and whichever source built it.
+A point whose candidates all fail verification is discarded and the next
 one is tried.
 
 Graded dimensions need no kernel vectors, only ranks, and `rank_mod_p`
@@ -41,17 +41,15 @@ from fractions import Fraction
 
 import numpy as np
 
+from .scalars import rational_residue
+
 
 def rref(rows):
-    """Reduced row echelon form over an exact field.
-
-    Returns (reduced rows, pivot columns, row permutation) where
-    permutation[r] is the original index of reduced row r.
-    """
+    """Reduced row echelon form over an exact field: (reduced rows, pivot
+    columns)."""
     m = [list(r) for r in rows]
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0
-    perm = list(range(nrows))
     pivots = []
     r = 0
     for c in range(ncols):
@@ -59,7 +57,6 @@ def rref(rows):
         if pr is None:
             continue
         m[r], m[pr] = m[pr], m[r]
-        perm[r], perm[pr] = perm[pr], perm[r]
         pv = m[r][c]
         m[r] = [x / pv for x in m[r]]
         for i in range(nrows):
@@ -70,7 +67,7 @@ def rref(rows):
         r += 1
         if r == nrows:
             break
-    return m, pivots, perm
+    return m, pivots
 
 
 def matrix_rank(rows) -> int:
@@ -107,7 +104,7 @@ def invert(rows, one=Fraction(1)):
     zero = one - one
     aug = [list(rows[i]) + [one if i == j else zero for j in range(n)]
            for i in range(n)]
-    red, pivots, _ = rref(aug)
+    red, pivots = rref(aug)
     if pivots[:n] != list(range(n)):
         raise ValueError("matrix not invertible")
     return [row[n:] for row in red]
@@ -134,15 +131,8 @@ def nullspace(rows, one=Fraction(1)):
     unit."""
     if not rows:
         return []
-    red, pivots, _ = rref(rows)
+    red, pivots = rref(rows)
     return _free_basis(red, pivots, len(rows[0]), one)
-
-
-def _complexity(x):
-    comp = getattr(x, "complexity", None)
-    if comp is not None:
-        return comp()
-    return 0
 
 
 def bareiss_solve_columns(P, B, zero):
@@ -159,10 +149,10 @@ def bareiss_solve_columns(P, B, zero):
     width = n + t
     prev = None
     for k in range(n):
-        cands = [(i, _complexity(M[i][k])) for i in range(k, n) if M[i][k]]
-        if not cands:
+        piv = min((i for i in range(k, n) if M[i][k]), default=None,
+                  key=lambda i: (M[i][k].complexity(), i))
+        if piv is None:
             raise ValueError("singular system in bareiss_solve_columns")
-        piv = min(cands, key=lambda s: (s[1], s[0]))[0]
         if piv != k:
             M[k], M[piv] = M[piv], M[k]
         pk = M[k][k]
@@ -199,21 +189,21 @@ class BadPointError(RuntimeError):
     """All specialization points were rejected; should not happen in practice."""
 
 
-def _certified_nullspace(N, points, specialize, candidates):
+def _certified_nullspace(N, points, candidates):
     """The one certificate loop shared by both rings.
 
-    At each point: specialize N, reduce it to RREF, and let
-    candidates(red, pivots, perm) yield candidate sets, each one kernel
-    vector of N per free column.  The first set whose vectors all satisfy
-    N . k = 0 symbolically gives (rank, pivot columns, vectors); a point
-    whose sets all fail is discarded.
+    At each point, candidates(pt) gives the pivot columns of N specialized
+    there and an iterable of candidate sets, each one kernel vector of N
+    per free column.  The first set whose vectors all satisfy N . k = 0
+    symbolically gives (rank, pivot columns, vectors); a point whose sets
+    all fail is discarded.
     """
     ncols = len(N[0]) if N else 0
     if ncols == 0:
         return 0, [], []
     for pt in points:
-        red, pivots, perm = rref([[specialize(e, pt) for e in row] for row in N])
-        for vectors in candidates(red, pivots, perm):
+        pivots, sets = candidates(pt)
+        for vectors in sets:
             if all(_verify_zero(N, v) for v in vectors):
                 return len(pivots), pivots, vectors
     raise BadPointError("no specialization point certified the kernel")
@@ -231,19 +221,19 @@ def _verify_zero(N, vec):
     return True
 
 
-def certified_laurent_nullspace(N, zero, one, points, specialize, normalize,
+def certified_laurent_nullspace(N, zero, one, points, p, normalize,
                                 known=()):
-    """Certified kernel of a matrix over a univariate Laurent ring.
+    """Certified kernel of a symmetric matrix over Z[v^+-1].
 
-    N: list of rows of ring elements.  specialize(entry, pt) -> Fraction.
-    normalize(vector) -> canonical form of a kernel vector.  known: kernel
-    vectors of N believed independent over the fraction field, unverified.
-    At a point with exactly len(known) free columns F, the first candidates
-    come from a Bareiss solve on the known vectors K restricted to F: row f
-    of det K_F^-1 K is det times the RREF vector of free column f.
-    Otherwise, or when those fail, they come from a Bareiss solve on the
-    pivot rows and columns of N.  Returns (rank, pivot columns, kernel
-    vectors), one vector per free column in increasing column order.
+    N: rows of Laurent polynomials, N[a][b] == N[b][a]; the rows of the
+    pivot columns C mod p are then independent too, so N[C][C] is
+    invertible at the point and over Q(v).  points: rational values of v,
+    each read in F_p.  normalize(vector) -> canonical form of a kernel
+    vector.  known: kernel vectors of N believed independent over Q(v),
+    unverified; at a point with len(known) free columns F the first
+    candidates are the rows of det K_F^-1 K, each det times the RREF vector
+    of a free column.  Returns (rank, pivot columns, kernel vectors), one
+    vector per free column in increasing column order.
     """
     ncols = len(N[0]) if N else 0
 
@@ -258,7 +248,7 @@ def certified_laurent_nullspace(N, zero, one, points, specialize, normalize,
         scaled = [dict(zip(free, x)) for x in (zip(*X) if by_free else X)]
         yield [normalize(v) for v in _free_basis(scaled, pivots, ncols, det)]
 
-    def lift(red, pivots, perm):
+    def lift(pivots):
         free = [c for c in range(ncols) if c not in pivots]
         if not free:
             yield []
@@ -267,16 +257,21 @@ def certified_laurent_nullspace(N, zero, one, points, specialize, normalize,
             # the RREF basis is K_F^-1 K, so K_F X = -det K_pivots gives
             # its pivot entries, one row of X per free column
             yield from solved([[k[f] for f in free] for k in known],
-                              [[-k[p] for p in pivots] for k in known],
+                              [[-k[c] for c in pivots] for k in known],
                               pivots, free, True)
-        rows = perm[:len(pivots)]
-        # P X = det B: the rows of X, keyed by free column, are the RREF
-        # rows scaled by det
-        yield from solved([[N[r][c] for c in pivots] for r in rows],
-                          [[N[r][f] for f in free] for r in rows],
+        # N[C][C] X = det N[C][F]: the rows of X, keyed by free column, are
+        # the RREF rows scaled by det
+        yield from solved([[N[r][c] for c in pivots] for r in pivots],
+                          [[N[r][f] for f in free] for r in pivots],
                           pivots, free, False)
 
-    return _certified_nullspace(N, points, specialize, lift)
+    def candidates(pt):
+        x = rational_residue(pt, p)
+        rows = rank_mod_p([[e.residue(x, p) for e in row] for row in N], p)[1]
+        pivots = [int(np.flatnonzero(row)[0]) for row in rows]
+        return pivots, lift(pivots)
+
+    return _certified_nullspace(N, points, candidates)
 
 
 def certified_rational_nullspace(S, points, specialize):
@@ -288,6 +283,8 @@ def certified_rational_nullspace(S, points, specialize):
     span.  Returns (rank, pivot columns, list of Fraction vectors), one
     vector per free column in increasing column order.
     """
-    return _certified_nullspace(
-        S, points, specialize, lambda red, pivots, perm: [_free_basis(
-            red, pivots, len(red[0]), Fraction(1))])
+    def candidates(pt):
+        red, pivots = rref([[specialize(e, pt) for e in row] for row in S])
+        return pivots, [_free_basis(red, pivots, len(red[0]), Fraction(1))]
+
+    return _certified_nullspace(S, points, candidates)

@@ -273,7 +273,7 @@ def _radical_quotient(base: WeightModule) -> WeightModule:
             keep[m] = list(range(size))
             reducers[m] = ([], [])
             continue
-        red, pivots, _ = rref(rad)
+        red, pivots = rref(rad)
         keep[m] = [c for c in range(size) if c not in pivots]
         reducers[m] = (pivots, red)
 

@@ -35,14 +35,15 @@ lower bound, the two-sided ideal generated by the kernels one letter down
 an upper bound (see `GradedForm`).
 
 The same ideal feeds the exact kernels.  `DrinfeldPairing.kernel_block`
-hands the certificate of `linalg.certified_laurent_nullspace` the vectors
-(i,) + k and k + (i,) for k over the exact kernels one letter down that
-are already certified.  Where they fill the degree, the fraction-free
-solve runs on them, a corank x corank system, instead of on the
-rank x rank pivot block of the Gram numerators, whose minors swell.  At
-the degrees where new generators enter (the Serre degrees for a GCM) the
-solve stays on the Gram block.  Every candidate is verified N . k = 0
-either way, so the certificate and the canonical vectors do not change.
+hands the certificate of `linalg.certified_laurent_nullspace` (ranks and
+pivots mod p at the points of EVAL_POINTS) the vectors (i,) + k and
+k + (i,) for k over the exact kernels one letter down that are already
+certified.  Where they fill the degree, the fraction-free solve runs on
+them, a corank x corank system, instead of on the rank x rank principal
+pivot block of the Gram numerators, whose minors swell.  At the degrees
+where new generators enter (the Serre degrees for a GCM) the solve stays
+on the Gram block.  Every candidate is verified N . k = 0 either way, so
+the certificate and the canonical vectors do not change.
 """
 
 from __future__ import annotations
@@ -79,7 +80,7 @@ class NotApplicableError(ValueError):
     """An operation needs a generalized Cartan matrix and did not get one."""
 
 
-# deterministic specialization points for certified kernel extraction
+# the values of v, read in F_p, at which exact kernels are certified
 EVAL_POINTS = tuple(Fraction(*t) for t in
                     [(2, 1), (3, 1), (5, 2), (7, 2), (7, 3), (11, 3),
                      (13, 5), (17, 5), (19, 7), (23, 7), (29, 11), (31, 11)])
@@ -123,17 +124,6 @@ class KernelBasis:
     quotient_dim: int
 
 
-def rational_residue(c, p: int) -> int:
-    """The image of a rational number in F_p."""
-    c = Fraction(c)
-    return c.numerator * pow(c.denominator, -1, p) % p
-
-
-def _frac_gcd(a: Fraction, b: Fraction) -> Fraction:
-    return Fraction(_int_gcd(a.numerator, b.numerator),
-                    _int_lcm(a.denominator, b.denominator) if a != 0 or b != 0 else 1)
-
-
 def _normalize_poly_vector(vec):
     """Canonical form of a polynomial vector: divide out the monic gcd of the
     entries and the rational content, shift the lowest exponent to zero, and
@@ -150,9 +140,9 @@ def _normalize_poly_vector(vec):
         vec = [e.exact_div(g) if e else e for e in vec]
         nonzero = [e for e in vec if e]
     shift = min(e.min_exp for e in nonzero)
-    cont = Fraction(0)
-    for e in nonzero:
-        cont = _frac_gcd(cont, e.content())
+    contents = [e.content() for e in nonzero]
+    cont = Fraction(_int_gcd(*(c.numerator for c in contents)),
+                    _int_lcm(*(c.denominator for c in contents)))
     first = next(e for e in vec if e)
     sign = 1 if first.coeffs[0] > 0 else -1
     scale = Fraction(sign, 1) / cont
@@ -437,8 +427,7 @@ class DrinfeldPairing(GradedForm):
 
     def _residue(self, entry: LaurentPoly, p: int) -> int:
         """The value of a Laurent polynomial at v = MOD_P_V, mod p."""
-        return sum(rational_residue(c, p) * pow(MOD_P_V, e, p)
-                   for e, c in enumerate(entry.coeffs, entry.offset)) % p
+        return entry.residue(MOD_P_V, p)
 
     def pair_words(self, x, z) -> QScalar:
         """The pairing of two words, exact."""
@@ -474,8 +463,7 @@ class DrinfeldPairing(GradedForm):
         block = self.gram_block(m)
         rank, pivots, vectors = certified_laurent_nullspace(
             block.numerators, LaurentPoly.zero(), LaurentPoly.one(),
-            EVAL_POINTS, LaurentPoly.evaluate_fraction, _normalize_poly_vector,
-            self._propagated(m))
+            EVAL_POINTS, self.p, _normalize_poly_vector, self._propagated(m))
         words = block.basis
         self._set_reduction(m, words, pivots, vectors, QScalar)
         els = tuple(FreeElement.from_dict(

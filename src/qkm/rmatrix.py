@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .cartan import weight_form
+from .cartan import session_denominator, weight_form
 from .freealg import (
     FreeElement,
     PairOperator,
@@ -29,7 +29,7 @@ from .freealg import (
 from .linalg import invert
 from .qmodules import WeightModule
 from .qpairing import DrinfeldPairing
-from .scalars import QScalar, q_power
+from .scalars import DenominatorError, QScalar, q_power
 
 # The negative-side partner of an E-word keeps the letter order (the
 # letterwise algebra mirror E_i -> F_i), so the duality reads
@@ -93,6 +93,11 @@ class TruncatedR(PairOperator):
         if V.D != pairing.D or W.D != pairing.D:
             raise ValueError("modules and pairing disagree on the session "
                              "denominator")
+        # q^{(mu, nu)} needs a finer grid than the modules' own relations
+        need = session_denominator(V.cd, [V.highest, W.highest])
+        if pairing.D % need:
+            raise DenominatorError(f"session denominator too small for R: "
+                                   f"needs a multiple of D = {need}")
         super().__init__(V, W, self._r_terms)
         self.pairing = pairing
 

@@ -36,6 +36,12 @@ def _coeff(c):
     raise TypeError(f"coefficient must be int or Fraction, got {type(c)!r}")
 
 
+def rational_residue(c, p: int) -> int:
+    """The image of a rational number in F_p."""
+    c = Fraction(c)
+    return c.numerator * pow(c.denominator, -1, p) % p
+
+
 def _mul_lists(a, b):
     """Convolution of two coefficient lists."""
     out = [0] * (len(a) + len(b) - 1)
@@ -250,13 +256,13 @@ class LaurentPoly:
             acc = acc * v + complex(c)
         return acc * v ** self.offset
 
-    def evaluate_fraction(self, v: Fraction) -> Fraction:
-        if self.is_zero():
-            return Fraction(0)
-        acc = Fraction(0)
+    def residue(self, x: int, p: int) -> int:
+        """The value at v = x in F_p, by Horner's rule; x is a unit mod p."""
+        acc = 0
         for c in reversed(self.coeffs):
-            acc = acc * v + c
-        return acc * v ** self.offset
+            c = c if type(c) is int else rational_residue(c, p)
+            acc = (acc * x + c) % p
+        return acc * pow(x, self.offset, p) % p
 
     def magnitude_at(self, v: complex) -> float:
         """Sum of |coeff| * |v|^exp; a scale reference for pole detection."""

@@ -109,8 +109,8 @@ def test_normalized_block_rationality_and_rank():
     # their Fraction values do
     square = _at_weight(SL3, (1, 1), generic)
     for mat in (blk, square):
-        red, pivots, perm = rref(mat)
-        assert rref(_as_qscalar(mat)) == (_as_qscalar(red), pivots, perm)
+        red, pivots = rref(mat)
+        assert rref(_as_qscalar(mat)) == (_as_qscalar(red), pivots)
     assert nullspace(_as_qscalar(blk), QScalar.one()) == _as_qscalar(kern)
     assert (invert(_as_qscalar(square), QScalar.one())
             == _as_qscalar(invert(square)))

@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import io
 import os
 import re
@@ -237,6 +238,29 @@ def test_exact_commands_are_deterministic(tmp_path):
         code, out, _ = invoke(["dims", "--config", path])
         outputs.add(out)
     assert len(outputs) == 1
+
+
+# sha256 of the `relations` report at max_degree 6, fixed when the kernels
+# were certified at rational points; any other certificate must reproduce
+# them byte for byte
+RELATIONS_SHA256 = {
+    "2 -2; -2 2":
+        "760a97b57907bfc5d87f85719c5a19568e1eb8c515cdb9106f7ebd4cba737487",
+    "2 -3; -3 2":
+        "44f8abeecd35361f1fee7b59df18070cb188150592d264aebfd1b3365404a68e",
+    "2 -1/2; -1/2 2":
+        "342e0e432d286e0747612f1c6f94f7f018c6cbb8c96aaf72361a78b3ea2f22b5",
+    "2 -1; -1 0":
+        "62699b26ab0dd692c8b2c91355a0a0a3e77870e44bdeb405df9cad57e0c4aa14",
+}
+
+
+@pytest.mark.parametrize("matrix", sorted(RELATIONS_SHA256))
+def test_relations_reports_are_golden(tmp_path, matrix):
+    path = write_config(tmp_path, f"matrix = {matrix}\nmax_degree = 6\n")
+    code, out, _ = invoke(["relations", "--config", path])
+    assert code == EXIT_PASS
+    assert hashlib.sha256(out.encode()).hexdigest() == RELATIONS_SHA256[matrix]
 
 
 def test_usage_errors(tmp_path):

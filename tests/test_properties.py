@@ -7,10 +7,16 @@ derandomized and bounded, so every run checks the same matrices.
 
 from fractions import Fraction
 
-from hypothesis import given, settings
+import numpy as np
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qkm.cartan import Weight, build_realization
+from qkm.cartan import (
+    Weight,
+    build_realization,
+    weight_form,
+    weight_form_base,
+)
 from qkm.classical import PolyN, ShapovalovForm
 from qkm.freealg import enumerate_words, total_degree
 from qkm.linalg import certified_laurent_nullspace
@@ -55,6 +61,32 @@ def symmetrizable(draw, max_n=3):
 
 def _cap(cd):
     return 4 if cd.n <= 2 else 3
+
+
+@PROPERTY
+@given(symmetrizable())
+@example(build_realization([[2, -2], [-2, 2]]))
+@example(build_realization([[2, -1, -1], [-1, 2, -1], [-1, -1, 2]]))
+@example(build_realization([[0]]))
+def test_realization_invariants(cd):
+    """The realization has dimension 2n - rank(A), alpha_i(h_j) = a_ji, a
+    symmetric form with (alpha_i, alpha_j) = d_i a_ij, and G_inv inverts G;
+    the examples are rank-deficient."""
+    n, h = cd.n, cd.h_dim
+    assert h == 2 * n - np.linalg.matrix_rank(np.array(cd.A, float)), cd.A
+    for i in range(n):
+        for j in range(n):
+            assert sum(a * c for a, c in zip(cd.alpha[i], cd.h_coords[j])) \
+                == cd.A[j][i], (cd.A, i, j)
+            assert weight_form_base(cd, cd.alpha[i], cd.alpha[j]) \
+                == cd.d[i] * cd.A[i][j], (cd.A, cd.d, i, j)
+    basis = [Weight.highest([int(k == c) for k in range(h)], n)
+             for c in range(h)]
+    assert all(weight_form(x, y, cd) == weight_form(y, x, cd)
+               for x in basis for y in basis), cd.A
+    assert [[sum(g * ginv for g, ginv in zip(row, col))
+             for col in zip(*cd.G_inv)] for row in cd.G] == [
+        [int(r == c) for c in range(h)] for r in range(h)], cd.A
 
 
 @PROPERTY
@@ -193,8 +225,7 @@ def test_kernel_side_candidates_match_the_gram_side(cd):
         block = bp.gram_block(m)
         rank, pivots, vectors = certified_laurent_nullspace(
             block.numerators, LaurentPoly.zero(), LaurentPoly.one(),
-            EVAL_POINTS, LaurentPoly.evaluate_fraction,
-            _normalize_poly_vector)
+            EVAL_POINTS, bp.p, _normalize_poly_vector)
         assert kb.quotient_dim == rank, (cd.A, m)
         assert bp.quotient_basis(m) == tuple(block.basis[p] for p in pivots)
         assert bp._vectors[m] == vectors, (cd.A, m)

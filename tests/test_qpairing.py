@@ -5,7 +5,7 @@ import pytest
 from qkm import linalg
 from qkm.cartan import build_realization, session_denominator
 from qkm.freealg import FreeElement, enumerate_words
-from qkm.linalg import certified_laurent_nullspace, matrix_rank
+from qkm.linalg import certified_laurent_nullspace, rank_mod_p
 from qkm.qpairing import (
     DrinfeldPairing,
     NotApplicableError,
@@ -225,15 +225,31 @@ def test_rational_matrix_pairing():
 
 
 def test_laurent_certificate_skips_a_non_generic_point():
-    # at v = 1 the sl3 (1,1) numerators drop to rank 1; the candidate built
-    # there fails verification and v = 2 certifies the generic rank 2
-    N = DrinfeldPairing(SL3).gram_block((1, 1)).numerators
-    at_one = [[e.evaluate_fraction(Fraction(1)) for e in row] for row in N]
-    assert matrix_rank(at_one) == 1
+    # at v = 1 the sl3 (1,1) numerators drop to rank 1 in F_p; the candidate
+    # built there fails verification and v = 2 certifies the generic rank 2
+    bp = DrinfeldPairing(SL3)
+    N = bp.gram_block((1, 1)).numerators
+    at_one = [[e.residue(1, bp.p) for e in row] for row in N]
+    assert rank_mod_p(at_one, bp.p)[0] == 1
+    points = iter((Fraction(1), Fraction(2)))
     rank, pivots, vectors = certified_laurent_nullspace(
-        N, LaurentPoly.zero(), LaurentPoly.one(), (Fraction(1), Fraction(2)),
-        LaurentPoly.evaluate_fraction, _normalize_poly_vector)
+        N, LaurentPoly.zero(), LaurentPoly.one(), points, bp.p,
+        _normalize_poly_vector)
     assert (rank, pivots, vectors) == (2, [0, 1], [])
+    assert next(points, None) is None
+
+
+def test_laurent_kernels_never_reach_the_field_rref(monkeypatch):
+    # ranks and pivots of the Laurent blocks come from F_p alone
+    def refuse(rows):
+        raise AssertionError("rref on a Laurent kernel path")
+
+    monkeypatch.setattr(linalg, "rref", refuse)
+    bp = DrinfeldPairing(AFF)
+    for m in degrees_upto(2, 5):
+        bp.kernel_block(m)
+    assert [bp.kernel_block(m).quotient_dim for m in ((1, 3), (2, 3))] == [
+        3, 8]
 
 
 def _spy_bareiss(monkeypatch):

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from qkm.cartan import Weight, build_realization, session_denominator
-from qkm.qmodules import irreducible
+from qkm.qmodules import check_module_relations, irreducible
 from qkm.qpairing import DrinfeldPairing
 from qkm.rmatrix import (
     BraidOperator,
@@ -13,7 +13,7 @@ from qkm.rmatrix import (
     tensor_block_basis,
     total_offsets,
 )
-from qkm.scalars import LaurentPoly, QScalar
+from qkm.scalars import DenominatorError, LaurentPoly, QScalar
 
 
 def hw(cd, *vals):
@@ -141,6 +141,18 @@ def test_ybe_sl3_fundamental():
     assert report.holds
     dims = {total: d for total, d, ok in report.blocks}
     assert dims[(2, 1)] == 6  # the regular block of the 27-dimensional cube
+
+
+def test_r_refuses_a_pairing_too_coarse_for_the_highest_weights():
+    # (lam, lam) = 2/3 on A2: the modules' own relations live on D = 1, but
+    # the Cartan factor of R needs D = 3
+    lam = hw(SL3, 1, 0)
+    V = irreducible(lam, 3, SL3, pairing=DrinfeldPairing(SL3))
+    assert V.D == 1 and check_module_relations(V)
+    with pytest.raises(DenominatorError, match=r"multiple of D = 3\b"):
+        TruncatedR(V, V, V.engine)
+    with pytest.raises(DenominatorError, match=r"multiple of D = 3\b"):
+        check_ybe(V)
 
 
 def test_reversed_mirror_fails_ybe(monkeypatch):
