@@ -236,6 +236,20 @@ class Weight:
         return sum(c[k] * cd.h_coords[i][k] for k in range(cd.h_dim))
 
 
+def highest_weight(hw, cd: CartanDatum) -> Weight:
+    """hw as a Weight: n coordinates are padded with zeros to the dimension
+    of h; any count other than n or that dimension raises ValueError."""
+    if isinstance(hw, Weight):
+        return hw
+    vec = tuple(Fraction(x) for x in hw)
+    if len(vec) == cd.n:
+        vec += (Fraction(0),) * (cd.h_dim - cd.n)
+    if len(vec) != cd.h_dim:
+        raise ValueError(f"weight vector needs {cd.h_dim} coordinates "
+                         f"(h has dimension {cd.h_dim}), got {len(vec)}")
+    return Weight.highest(vec, cd.n)
+
+
 def weight_form(x: Weight, y: Weight, cd: CartanDatum) -> Fraction:
     """(x, y) on h*, bilinear, computed via G_inv."""
     return weight_form_base(cd, x.coords(cd), y.coords(cd))
@@ -257,8 +271,7 @@ def session_denominator(cd: CartanDatum, weights=()) -> int:
     for i in range(cd.n):
         for j in range(cd.n):
             D = lcm(D, cd.alpha_form(i, j).denominator)
-    ws = [Weight.highest(w, cd.n) if not isinstance(w, Weight) else w
-          for w in weights]
+    ws = [highest_weight(w, cd) for w in weights]
     for w in ws:
         for i in range(cd.n):
             ai = Weight(tuple(cd.alpha[i]), (0,) * cd.n)

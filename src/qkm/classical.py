@@ -27,7 +27,7 @@ from fractions import Fraction
 from functools import cached_property, partial
 from math import factorial, prod
 
-from .cartan import CartanDatum, Weight, weight_form
+from .cartan import CartanDatum, highest_weight, weight_form
 from .freealg import (
     PairOperator,
     add_tensor_terms,
@@ -464,7 +464,7 @@ def weyl_kac_multiplicities(cd: CartanDatum, cap: int):
 def weyl_kac_character(highest, cd: CartanDatum, depth: int):
     """Weight multiplicities of the irreducible with dominant integral
     highest weight, from the Weyl-Kac character formula (series quotient)."""
-    lam = highest if isinstance(highest, Weight) else Weight.highest(highest, cd.n)
+    lam = highest_weight(highest, cd)
     vals = [lam.value_on_coroot(cd, i) for i in range(cd.n)]
     for v in vals:
         if v.denominator != 1 or v < 0:

@@ -22,6 +22,7 @@ from .cartan import (
     NotSymmetrizableError,
     Weight,
     build_realization,
+    highest_weight,
     session_denominator,
     symmetrize,
 )
@@ -270,21 +271,13 @@ def _build_datum(cfg: SessionConfig):
     return build_realization(cfg.matrix, cfg.d)
 
 
-def _weight_from_vector(cd, vec) -> Weight:
-    vec = tuple(Fraction(x) for x in vec)
-    if len(vec) == cd.n and cd.h_dim > cd.n:
-        vec = vec + (Fraction(0),) * (cd.h_dim - cd.n)
-    if len(vec) != cd.h_dim:
-        raise UsageError(
-            f"weight vector needs {cd.h_dim} coordinates "
-            f"(h has dimension {cd.h_dim}), got {len(vec)}")
-    return Weight.highest(vec, cd.n)
-
-
 def _require_weight(cfg, cd) -> Weight:
     if not cfg.weights:
         raise UsageError("this command needs a highest weight (--hw)")
-    return _weight_from_vector(cd, cfg.weights[0])
+    try:
+        return highest_weight(cfg.weights[0], cd)
+    except ValueError as exc:
+        raise UsageError(str(exc))
 
 
 def _degree_label(m) -> str:

@@ -1,31 +1,36 @@
-"""Category-O highest weight modules: Verma modules, contravariant forms,
-irreducible quotients, and character comparison.
+"""Category-O highest weight modules: Verma modules, irreducible quotients,
+contravariant forms, and character comparison.
 
-Both the quantum modules (exact scalars in Q(v)) and their classical
-counterparts (exact rationals) are built by one routine.  A Verma module's
-weight space at offset m is the quotient of the span of f-words of degree m
-by the relation ideal, with the reduced basis and the rewriting of
-eliminated words coming from the module's kernel engine (the Drinfeld
-pairing at generic q, the indeterminate-weight contravariant form
-classically); modules read it only through the engine's `quotient_basis`
-and `reduce`.  The module keeps that engine, so the R-matrix and the
-Casimir tensor built on it reuse the same pairing or form, and a quantum
-module's session denominator D is its pairing's.  Lowering
+One builder makes every module, quantum (exact scalars in Q(v)) or
+classical (exact rationals): the weight space at offset m is the span of
+the f-words of degree m modulo the null space of a form, read through the
+form's `quotient_basis` and `reduce`.  A Verma module M(lambda) takes the
+kernel engine, whose null space is the relation ideal (the Drinfeld pairing
+at generic q; classically the contravariant form at an indeterminate
+weight).  The irreducible L(lambda) takes the contravariant form at lambda
+(`HighestWeightForm`), whose null space holds the relations and the radical
+of M(lambda) at once, so no Verma module is built on the way.  A module
+keeps the generic engine, which the R-matrix and the Casimir tensor reuse;
+a quantum module's session denominator D is its pairing's.  Lowering
 operators act by word concatenation followed by reduction; raising
-operators act by the straightening rule obtained from the cross relations,
-with the Cartan contribution read off the weight.
+operators by the straightening rule of the cross relations, with the Cartan
+contribution read off the weight.  `contravariant_form` evaluates the form
+on a built module by its own word actions, the independent reference.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import truediv
 
-from .cartan import CartanDatum, Weight, session_denominator, weight_form
+from .cartan import (CartanDatum, Weight, highest_weight, session_denominator,
+                     weight_form)
 from .classical import ShapovalovForm
-from .freealg import TruncationError, total_degree, unit_degree, word_degree
-from .linalg import nullspace, rref
-from .qpairing import DrinfeldPairing, degrees_upto
+from .freealg import (TruncationError, enumerate_words, total_degree,
+                      unit_degree, word_degree)
+from .linalg import _free_basis, nullspace, rref
+from .qpairing import DrinfeldPairing, GradedForm, degrees_upto
 from .scalars import QScalar, exponent_to_int, q_power, v_difference
 
 
@@ -36,23 +41,27 @@ class WeightModule:
     spaces maps each offset multidegree (|m| <= depth) to the tuple of
     basis labels (reduced f-words).  Action matrices are stored per
     generator and source offset; matrix[r][c] is the coefficient of target
-    basis vector r in the image of source basis vector c.  engine is the
-    kernel engine whose word reduction defines the relations; the R-matrix
-    and the Casimir tensor on this module reuse it.
+    basis vector r in the image of source basis vector c.  engine holds the
+    generic relations, which the R-matrix and the Casimir tensor on this
+    module read, and fixes the kind, D and the scalars.  The module's own
+    quotient comes from the form it was built with: the engine for a Verma
+    module, the form at the highest weight for an irreducible one.
     """
 
-    kind: str                      # "quantum" or "classical"
     cd: CartanDatum
     highest: Weight
     depth: int
-    D: int
     engine: object                 # DrinfeldPairing or ShapovalovForm
-    scalar_one: object
-    scalar_zero: object
     spaces: dict = field(default_factory=dict)
     # (i, offset) -> matrix into offset + 1_i, resp. offset - 1_i
     f_action: dict = field(default_factory=dict)
     e_action: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        quantum = isinstance(self.engine, DrinfeldPairing)
+        self.kind = "quantum" if quantum else "classical"
+        self.D = self.engine.D if quantum else 1   # q = v^D
+        self.scalar_one, self.scalar_zero = self.engine.one, self.engine.zero
 
     @property
     def complete(self) -> bool:
@@ -167,15 +176,41 @@ def _mat_vec(mat, vec, zero):
     return out
 
 
-def _build_verma(M: WeightModule) -> WeightModule:
-    """Fill in the spaces and actions of an empty Verma module from the
-    quotient bases and word reduction of its kernel engine."""
+class HighestWeightForm(GradedForm):
+    """The contravariant form at the highest weight of a module, over the
+    module's field: B(x, z) is the coefficient of v in E_{x_k}..E_{x_1} F_z v.
+    Straightening E_{x_1} through F_z v is `GradedForm`'s recursion peeling
+    the first letter, with the factor `cartan_scalar` at the offset of the
+    letters after the struck one.  Its null space in degree m holds the
+    relations and the radical of the Verma module, so its quotient is the
+    irreducible module.  The entries lie in a field, so one RREF solves a
+    degree exactly; there is no mod-p certificate."""
+
+    _peels_first = True
+
+    def __init__(self, module: WeightModule):
+        super().__init__(module.cd)
+        self.module = module
+        self.one = self._ring_one = module.scalar_one
+        self.zero = module.scalar_zero
+
+    def _factor(self, i, tail, p=None):
+        return self.module.cartan_scalar(i, tail)
+
+    def _solve(self, m) -> None:
+        red, pivots = rref(self._gram(m)[1].tolist())
+        words = enumerate_words(m)
+        self._set_reduction(m, words, pivots, _free_basis(
+            red, pivots, len(words), self.one), truediv)
+
+
+def _build(M: WeightModule, form) -> WeightModule:
+    """Fill an empty module from the quotient bases and reduction of `form`."""
     n = M.cd.n
-    engine = M.engine
     offsets = degrees_upto(n, M.depth, include_zero=True)
     spaces = M.spaces
     for m in offsets:
-        spaces[m] = engine.quotient_basis(m)
+        spaces[m] = form.quotient_basis(m)
     one = M.scalar_one
     coeff_memo = {}
     for m in offsets:
@@ -183,7 +218,7 @@ def _build_verma(M: WeightModule) -> WeightModule:
         for i in range(n):
             up = tuple(a + b for a, b in zip(m, unit_degree(n, i)))
             if up in spaces:
-                cols = [engine.reduce(up, [((i,) + w, one)]) for w in basis]
+                cols = [form.reduce(up, [((i,) + w, one)]) for w in basis]
                 M.f_action[(i, m)] = _transpose(cols, len(spaces[up]),
                                                 M.scalar_zero)
             down = tuple(a - b for a, b in zip(m, unit_degree(n, i)))
@@ -202,34 +237,39 @@ def _build_verma(M: WeightModule) -> WeightModule:
                             coeff = coeff_memo[key] = M.cartan_scalar(*key)
                         if coeff:
                             combo.append((w[:t] + w[t + 1:], coeff))
-                    cols.append(engine.reduce(down, combo))
+                    cols.append(form.reduce(down, combo))
                 M.e_action[(i, m)] = _transpose(cols, len(spaces[down]),
                                                 M.scalar_zero)
     return M
 
 
+def _quantum(hw, depth: int, cd: CartanDatum, pairing) -> WeightModule:
+    """An empty quantum module on the v-grid of `pairing`, by default hw's."""
+    hw = highest_weight(hw, cd)
+    pairing = pairing or DrinfeldPairing(cd, D=session_denominator(cd, [hw]))
+    return WeightModule(cd, hw, depth, pairing)
+
+
 def verma(hw, depth: int, cd: CartanDatum,
           pairing: DrinfeldPairing | None = None) -> WeightModule:
-    """The quantum Verma module at formal q, truncated at `depth`, on the
-    v-grid of its pairing (by default the one of A and hw)."""
-    hw = hw if isinstance(hw, Weight) else Weight.highest(hw, cd.n)
-    if pairing is None:
-        pairing = DrinfeldPairing(cd, D=session_denominator(cd, [hw]))
-    return _build_verma(WeightModule("quantum", cd, hw, depth, pairing.D,
-                                     pairing, pairing.one, pairing.zero))
+    """The quantum Verma module at formal q, truncated at `depth`."""
+    M = _quantum(hw, depth, cd, pairing)
+    return _build(M, M.engine)
+
+
+def irreducible(hw, depth: int, cd: CartanDatum,
+                pairing: DrinfeldPairing | None = None) -> WeightModule:
+    """The irreducible quotient L(hw), from the contravariant form at hw."""
+    M = _quantum(hw, depth, cd, pairing)
+    return _build(M, HighestWeightForm(M))
 
 
 def classical_module(hw, kind: str, depth: int, cd: CartanDatum) -> WeightModule:
     """Classical Verma or irreducible module with exact rational actions."""
-    hw = hw if isinstance(hw, Weight) else Weight.highest(hw, cd.n)
-    form = ShapovalovForm(cd)
-    base = _build_verma(WeightModule("classical", cd, hw, depth, 1, form,
-                                     form.one, form.zero))
-    if kind == "verma":
-        return base
-    if kind == "irreducible":
-        return _radical_quotient(base)
-    raise ValueError("kind must be 'verma' or 'irreducible'")
+    if kind not in ("verma", "irreducible"):
+        raise ValueError("kind must be 'verma' or 'irreducible'")
+    M = WeightModule(cd, highest_weight(hw, cd), depth, ShapovalovForm(cd))
+    return _build(M, M.engine if kind == "verma" else HighestWeightForm(M))
 
 
 def contravariant_form(module: WeightModule):
@@ -259,56 +299,9 @@ def radical_dimensions(module: WeightModule):
             for m in blocks}
 
 
-def _radical_quotient(base: WeightModule) -> WeightModule:
-    """Quotient a Verma module by the radical of its contravariant form."""
-    blocks = contravariant_form(base)
-    one = base.scalar_one
-    zero = base.scalar_zero
-    keep = {}
-    reducers = {}
-    for m, mat in blocks.items():
-        size = len(base.spaces[m])
-        rad = nullspace(mat, one) if size else []
-        if not rad:
-            keep[m] = list(range(size))
-            reducers[m] = ([], [])
-            continue
-        red, pivots = rref(rad)
-        keep[m] = [c for c in range(size) if c not in pivots]
-        reducers[m] = (pivots, red)
-
-    def reduce_mod_radical(m, vec):
-        pivots, rows = reducers[m]
-        vec = list(vec)
-        for r, p in enumerate(pivots):
-            c = vec[p]
-            if c:
-                vec = [a - c * b for a, b in zip(vec, rows[r])]
-        return [vec[k] for k in keep[m]]
-
-    spaces = {m: tuple(base.spaces[m][k] for k in keep[m]) for m in base.spaces}
-    f_action = {}
-    e_action = {}
-    for table, out, step in ((base.f_action, f_action, 1),
-                             (base.e_action, e_action, -1)):
-        for (i, m), mat in table.items():
-            target = tuple(a + step * b
-                           for a, b in zip(m, unit_degree(base.cd.n, i)))
-            cols = [reduce_mod_radical(target, [row[c] for row in mat])
-                    for c in keep[m]]
-            out[(i, m)] = _transpose(cols, len(spaces[target]), zero)
-    return replace(base, spaces=spaces, f_action=f_action, e_action=e_action)
-
-
 def _transpose(cols, nrows, zero):
     return [[col[r] if r < len(col) else zero for col in cols]
             for r in range(nrows)]
-
-
-def irreducible(hw, depth: int, cd: CartanDatum,
-                pairing: DrinfeldPairing | None = None) -> WeightModule:
-    """The irreducible quotient of the quantum Verma module."""
-    return _radical_quotient(verma(hw, depth, cd, pairing=pairing))
 
 
 def character(module: WeightModule):

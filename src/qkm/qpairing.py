@@ -25,14 +25,13 @@ expands the Hopf axioms with explicit group-like bookkeeping (and no
 closed recursion) is kept alongside for cross-checking.
 
 The classical contravariant form (`classical.ShapovalovForm`) obeys the
-same recursion with the factor x_i - sum_{u > t} a_{i z_u}.  `GradedForm`
-runs it once for both: a subclass states only the recursion's factor
-(`_factor`) and the reduction of its ring to F_p (`_residue`), and every
-Gram block, exact or mod p, is built by the one column recursion
-`GradedForm._gram`.  Graded dimensions of the quotient are certified
-without exact blocks: the recursion run at v = MOD_P_V mod a prime gives a
-lower bound, the two-sided ideal generated by the kernels one letter down
-an upper bound (see `GradedForm`).
+same recursion with the factor x_i - sum_{u > t} a_{i z_u}, and so does the
+form at a fixed weight (`qmodules.HighestWeightForm`).  `GradedForm` runs
+it once for all three: a subclass states the factor (`_factor`) and the
+reduction of its ring to F_p (`_residue`), and `GradedForm._gram` builds
+every Gram block, exact or mod p.  Graded dimensions are certified without
+exact blocks: the recursion at v = MOD_P_V mod a prime gives a lower bound,
+the ideal generated by the kernels one letter down an upper bound.
 
 The same ideal feeds the exact kernels.  `DrinfeldPairing.kernel_block`
 hands the certificate of `linalg.certified_laurent_nullspace` (ranks and
@@ -189,11 +188,13 @@ class GradedForm:
     - `_residue(entry, p)`: the image in F_p, at the fixed point, of an
       entry of an exact block or of an exact kernel vector.
 
-    The base owns the caches and the quotient.  A subclass
-    sets the field's `one` and `zero`, and certifies the kernel of a degree
-    in its public kernel method (reached through `_solve`), which records
-    the word rewriting and the exact kernel vectors with `_set_reduction`;
-    only `quotient_basis`, `reduce` and the dimension certificate read them.
+    The base owns the caches and the quotient.  A subclass sets the field's
+    `one` and `zero` and solves a degree in `_solve`, which records the word
+    rewriting and the exact kernel vectors with `_set_reduction`; only
+    `quotient_basis`, `reduce` and the dimension certificate read them.  A
+    third subclass, `qmodules.HighestWeightForm`, is over a field (Q(v) or
+    Q), so one RREF solves a degree; it has no `_residue` and no mod-p
+    certificate.
 
     Quotient dimensions have a cheaper certificate that builds no exact
     block.  Degree by degree in graded-lex order, modulo p:

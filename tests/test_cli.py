@@ -263,6 +263,38 @@ def test_relations_reports_are_golden(tmp_path, matrix):
     assert hashlib.sha256(out.encode()).hexdigest() == RELATIONS_SHA256[matrix]
 
 
+# sha256 of module reports, fixed while irreducibles were the quotient of
+# the Verma module by the radical of its contravariant form; every other
+# construction of L(lambda) must reproduce them byte for byte
+MODULE_SHA256 = {
+    ("character", "2 -1; -1 2", "2 1", 5):
+        "70ecff7b6642d8aa1de2329c409c90f1c6c0651d941b15b40df6114ca4ee62bf",
+    ("compare-characters", "2 -1; -1 2", "2 1", 5):
+        "9ea436bda674af1258f18f6c6826173e129518c44e216c169576ed76c23a597a",
+    ("character", "2 -2; -2 2", "1 1", 4):
+        "e13c04ba4d1d3fd929a376a2e84336be10a6993be3ba98490178fc9278bce098",
+    ("compare-characters", "2 -2; -2 2", "1 1", 4):
+        "39ec350c27fb50023187626b938b73bd1e5a521b8d41c2ef0d5cc4fede307840",
+    ("character", "2 -3; -3 2", "1 1", 4):
+        "bea27d822a5445a51376b6f77322256088d62dad521dc06ca0ba14d870d3ef4c",
+    ("compare-characters", "2 -3; -3 2", "1 1", 4):
+        "20dff2e9e0b81d658bdb58ed8bc219f08813af9131e14d92c03d3f11bf556c18",
+    ("ybe", "2 -1; -1 2", "1 0", 3):
+        "b825aa7e82304702f92adec3c93277153851090b91f8af761ad0697d39a5f081",
+}
+
+
+@pytest.mark.parametrize("case", sorted(MODULE_SHA256))
+def test_module_reports_are_golden(tmp_path, case):
+    command, matrix, weight, depth = case
+    path = write_config(
+        tmp_path, f"matrix = {matrix}\nhw = {weight}\ndepth = {depth}\n")
+    flags = ["--irr"] if command == "compare-characters" else []
+    code, out, _ = invoke([command, *flags, "--config", path])
+    assert code == EXIT_PASS
+    assert hashlib.sha256(out.encode()).hexdigest() == MODULE_SHA256[case]
+
+
 def test_usage_errors(tmp_path):
     code, _, err = invoke(["relations"])
     assert code == EXIT_USAGE and "config" in err

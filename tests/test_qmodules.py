@@ -1,7 +1,14 @@
 from fractions import Fraction
 
-from qkm.cartan import Weight, build_realization, session_denominator
-from qkm.classical import weyl_kac_character
+import pytest
+
+from qkm.cartan import (
+    Weight,
+    build_realization,
+    highest_weight,
+    session_denominator,
+)
+from qkm.classical import ShapovalovForm, weyl_kac_character
 from qkm.qmodules import (
     WeightModule,
     character,
@@ -248,3 +255,42 @@ def test_modules_take_the_session_denominator_from_the_pairing():
         assert M.D == bp.D and M.engine is bp
         assert check_module_relations(M)
     assert verma(lam, 2, SL3).D == irreducible(lam, 2, SL3).D == D
+
+
+def test_irreducibles_reach_no_generic_kernel(monkeypatch):
+    """L(lambda) is the quotient by the contravariant form at lambda: no
+    Verma module, hence no kernel of the generic pairing or form, is built
+    on the way."""
+    def refuse(*args):
+        raise AssertionError("an irreducible reached a generic kernel")
+
+    monkeypatch.setattr(DrinfeldPairing, "kernel_block", refuse)
+    monkeypatch.setattr(ShapovalovForm, "kernel", refuse)
+    lam = hw(SL3, 1, 1)
+    for L in (irreducible(lam, 5, SL3),
+              classical_module(lam, "irreducible", 5, SL3)):
+        assert sum(character(L).values()) == 8 and L.complete
+        assert check_module_relations(L)
+
+
+def test_weight_coordinates_follow_one_rule():
+    """n coordinates are padded to the dimension of h in every entry point;
+    any other count is refused."""
+    lam = hw(AFF, 1, 1)
+    assert highest_weight((1, 1), AFF) == lam
+    assert session_denominator(AFF, [(1, 1)]) == session_denominator(AFF, [lam])
+    for build in (verma, irreducible):
+        assert character(build((1, 1), 2, AFF)) == character(build(lam, 2, AFF))
+    for kind in ("verma", "irreducible"):
+        assert (character(classical_module((1, 1), kind, 2, AFF))
+                == character(classical_module(lam, kind, 2, AFF)))
+    assert weyl_kac_character((1, 1), AFF, 3) == weyl_kac_character(lam, AFF, 3)
+    for cd, bad in ((AFF, (1,)), (AFF, (1, 1, 0, 0)), (SL3, (1, 1, 5))):
+        with pytest.raises(ValueError, match=f"needs {cd.h_dim} coordinates"):
+            irreducible(bad, 2, cd)
+        with pytest.raises(ValueError, match="coordinates"):
+            classical_module(bad, "verma", 2, cd)
+        with pytest.raises(ValueError, match="coordinates"):
+            weyl_kac_character(bad, cd, 2)
+        with pytest.raises(ValueError, match="coordinates"):
+            session_denominator(cd, [bad])
