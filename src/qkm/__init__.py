@@ -22,10 +22,9 @@ from .cartan import (
 )
 from .classical import (
     CasimirEngine,
-    OmegaBlock,
+    CasimirTensor,
     PolyN,
     ShapovalovForm,
-    casimir_omega,
     root_multiplicities,
     weyl_kac_character,
     weyl_kac_multiplicities,

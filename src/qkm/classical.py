@@ -22,7 +22,6 @@ content.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
 from math import factorial, prod
@@ -242,20 +241,6 @@ def root_multiplicities(cd: CartanDatum, max_total_degree: int,
 # -- root spaces, the invariant form, and the Casimir tensor ------------------
 
 
-@dataclass
-class OmegaBlock:
-    """The Casimir operator restricted to one total-weight block of V (x) W.
-
-    basis entries are (offset_V, index_V, offset_W, index_W); the matrix is
-    exact rational, matrix[r][c] = coefficient of basis vector r in the
-    image of basis vector c.
-    """
-
-    total_offset: tuple
-    basis: tuple
-    matrix: list
-
-
 class CasimirEngine:
     """Dual bases of the positive and negative root spaces under the
     invariant form, and the resulting two-site Casimir action.
@@ -402,15 +387,16 @@ class CasimirEngine:
         return [(key, val) for key, val in out.items() if val]
 
 
-def casimir_omega(V, W, total_offset) -> OmegaBlock:
-    """The Casimir operator on the total-weight block of V (x) W."""
-    if V.kind != "classical" or W.kind != "classical":
-        raise ValueError("the Casimir tensor acts on classical modules")
-    engine = CasimirEngine(V.cd, form=V.engine)
-    basis, mat = PairOperator(V, W, partial(engine.pair_action, V, W)).block(
-        total_offset)
-    return OmegaBlock(total_offset=tuple(total_offset), basis=tuple(basis),
-                      matrix=mat)
+class CasimirTensor(PairOperator):
+    """The Casimir tensor on V (x) W of classical modules: the two-site
+    operator whose `pair_terms` (Fraction values) are
+    `CasimirEngine.pair_action` over the dual root bases of V's form."""
+
+    def __init__(self, V, W):
+        if V.kind != "classical" or W.kind != "classical":
+            raise ValueError("the Casimir tensor acts on classical modules")
+        engine = CasimirEngine(V.cd, form=V.engine)
+        super().__init__(V, W, partial(engine.pair_action, V, W))
 
 
 # -- Weyl-Kac oracles --------------------------------------------------------

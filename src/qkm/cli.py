@@ -1,6 +1,10 @@
 """Command line interface: config ingestion, command dispatch, and TSV
 report emission.
 
+Each command is declared once, in `COMMANDS`: its handler, its help line
+and the config keys it offers as flags.  The parser is built from that
+table and `run` dispatches through it.
+
 Reports are deterministic: exact-arithmetic commands produce byte-identical
 stdout for identical configs (timing goes to stderr), so reports can be
 golden-diffed.  Exit codes: 0 pass, 1 fail, 2 usage, 3 resource, 4 internal
@@ -20,7 +24,6 @@ from fractions import Fraction
 
 from .cartan import (
     NotSymmetrizableError,
-    Weight,
     build_realization,
     highest_weight,
     session_denominator,
@@ -66,7 +69,7 @@ EXIT_INTERNAL = 4
 class SessionConfig:
     matrix: tuple
     d: tuple | None = None
-    degree_cap: int = 4
+    max_degree: int = 4
     depth: int = 4
     weights: tuple = ()
     hbar: complex = 0.1
@@ -76,14 +79,6 @@ class SessionConfig:
     strands: int = 3
 
 
-_CONFIG_KEYS = ("matrix", "d", "max_degree", "depth", "hw", "hbar", "tol",
-                "deviation_tol", "wordlen", "strands")
-
-
-def _positive(x: float) -> bool:
-    return 0 < x < math.inf
-
-
 # the least integrator tolerance, about 450 times the double-precision
 # epsilon: the step error estimate cannot resolve a finer relative error
 _TOL_FLOOR = 1e-13
@@ -91,26 +86,27 @@ _TOL_FLOOR = 1e-13
 # below which q - 1/q keeps fewer than half of its digits
 _HBAR_FLOOR = math.sqrt(sys.float_info.epsilon)
 
-# scalar keys (also the flag dests) -> (SessionConfig field, parser, test,
-# rule); the one rule for config values and flag overrides alike
+# scalar keys (also the SessionConfig fields and flag dests) -> (parser,
+# test, rule); the one rule for config values and flag overrides alike
 _VALUE_KEYS = {
-    "max_degree": ("degree_cap", int, lambda x: x >= 1, "must be >= 1"),
-    "depth": ("depth", int, lambda x: x >= 1, "must be >= 1"),
-    "wordlen": ("wordlen", int, lambda x: x >= 1, "must be >= 1"),
-    "strands": ("strands", int, lambda x: x >= 2, "must be >= 2"),
-    "hbar": ("hbar", complex,
+    "max_degree": (int, lambda x: x >= 1, "must be >= 1"),
+    "depth": (int, lambda x: x >= 1, "must be >= 1"),
+    "wordlen": (int, lambda x: x >= 1, "must be >= 1"),
+    "strands": (int, lambda x: x >= 2, "must be >= 2"),
+    "hbar": (complex,
              lambda h: cmath.isfinite(h) and abs(h.real) >= _HBAR_FLOOR,
              f"must be finite with |Re hbar| >= {_HBAR_FLOOR:.1e}: when "
              "|q| = 1, q = e^(hbar/2) is a root of unity or cannot be told "
              "apart from one, and below this floor (the square root of the "
              "double-precision epsilon) q - 1/q keeps fewer than half of its "
              "digits"),
-    "tol": ("tol", float, lambda x: _TOL_FLOOR <= x < math.inf,
+    "tol": (float, lambda x: _TOL_FLOOR <= x < math.inf,
             f"must be finite and >= {_TOL_FLOOR:.0e}: in double precision "
             "the integrator cannot honour a finer relative error"),
-    "deviation_tol": ("deviation_tol", float, _positive,
+    "deviation_tol": (float, lambda x: 0 < x < math.inf,
                       "must be finite and > 0"),
 }
+_CONFIG_KEYS = ("matrix", "d", "hw", *_VALUE_KEYS)
 
 
 def _parse_fraction(token: str, where: str, col: int) -> Fraction:
@@ -134,7 +130,7 @@ def _parse_vector(text: str, where: str) -> tuple:
 
 
 def _with_value(cfg: SessionConfig, key: str, text: str, name: str):
-    attr, parse, test, rule = _VALUE_KEYS[key]
+    parse, test, rule = _VALUE_KEYS[key]
     try:
         value = parse(text)
     except ValueError:
@@ -142,12 +138,19 @@ def _with_value(cfg: SessionConfig, key: str, text: str, name: str):
         raise UsageError(f"{name} must be {kind}, got {text!r}")
     if not test(value):
         raise UsageError(f"{name} {rule}")
-    return replace(cfg, **{attr: value})
+    return replace(cfg, **{key: value})
 
 
 def _parse_rows(text: str, where: str) -> tuple:
     rows = [row.strip() for row in text.split(";")]
     return tuple(_parse_vector(row, where) for row in rows if row)
+
+
+def _with_weight(cfg: SessionConfig, text: str, where: str, name: str):
+    rows = _parse_rows(text, where)
+    if len(rows) > 1:
+        raise UsageError(f"{name} takes one weight, got {len(rows)}")
+    return replace(cfg, weights=rows)
 
 
 def parse_config(text: str) -> SessionConfig:
@@ -171,6 +174,8 @@ def parse_config(text: str) -> SessionConfig:
         raise UsageError("config must set 'matrix'")
     text_m, line_m = values["matrix"]
     matrix = _parse_rows(text_m, line_m)
+    if not matrix:
+        raise UsageError(f"{line_m}, column 1: matrix has no rows")
     n = len(matrix)
     for row in matrix:
         if len(row) != n:
@@ -187,7 +192,8 @@ def parse_config(text: str) -> SessionConfig:
                                  f"{token!r} must be nonzero")
         cfg = replace(cfg, d=dvec)
     if "hw" in values:
-        cfg = replace(cfg, weights=_parse_rows(*values["hw"]))
+        text_w, line_w = values["hw"]
+        cfg = _with_weight(cfg, text_w, line_w, f"{line_w}, column 1: hw")
     for key in _VALUE_KEYS:
         if key in values:
             val, line = values[key]
@@ -201,7 +207,7 @@ def emit_config(cfg: SessionConfig) -> str:
                                      for row in cfg.matrix)]
     if cfg.d is not None:
         lines.append("d = " + " ".join(map(str, cfg.d)))
-    lines.append(f"max_degree = {cfg.degree_cap}")
+    lines.append(f"max_degree = {cfg.max_degree}")
     lines.append(f"depth = {cfg.depth}")
     if cfg.weights:
         lines.append("hw = " + "; ".join(" ".join(map(str, row))
@@ -249,35 +255,46 @@ class Report:
         return EXIT_PASS if passed else EXIT_FAIL
 
 
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
+
+
 def _effective_config(args) -> SessionConfig:
-    if args.config:
-        try:
-            with open(args.config) as fh:
-                cfg = parse_config(fh.read())
-        except OSError as exc:
-            raise UsageError(f"cannot read config: {exc}")
-    else:
+    if not args.config:
         raise UsageError("--config is required (it supplies the matrix)")
+    try:
+        with open(args.config) as fh:
+            cfg = parse_config(fh.read())
+    except OSError as exc:
+        raise UsageError(f"cannot read config: {exc}")
     for key in _VALUE_KEYS:
         if getattr(args, key, None) is not None:
-            cfg = _with_value(cfg, key, getattr(args, key),
-                              "--" + key.replace("_", "-"))
+            cfg = _with_value(cfg, key, getattr(args, key), _flag(key))
     if getattr(args, "hw", None) is not None:
-        cfg = replace(cfg, weights=_parse_rows(args.hw, "--hw"))
+        cfg = _with_weight(cfg, args.hw, "--hw", "--hw")
     return cfg
 
 
-def _build_datum(cfg: SessionConfig):
-    return build_realization(cfg.matrix, cfg.d)
-
-
-def _require_weight(cfg, cd) -> Weight:
+def _session(cfg: SessionConfig, report: Report):
+    """The datum and highest weight of a module command; writes `# D`."""
+    cd = build_realization(cfg.matrix, cfg.d)
     if not cfg.weights:
         raise UsageError("this command needs a highest weight (--hw)")
     try:
-        return highest_weight(cfg.weights[0], cd)
+        lam = highest_weight(cfg.weights[0], cd)
     except ValueError as exc:
         raise UsageError(str(exc))
+    report.meta("D", session_denominator(cd, [lam]))
+    return cd, lam
+
+
+def _kind_module(cfg: SessionConfig, report: Report, args):
+    """The kind (--verma or, by default, --irr) and its quantum module;
+    writes `# D` and `# kind`."""
+    cd, lam = _session(cfg, report)
+    kind = "verma" if args.verma else "irreducible"
+    report.meta("kind", kind)
+    return kind, (verma if args.verma else irreducible)(lam, cfg.depth, cd)
 
 
 def _degree_label(m) -> str:
@@ -287,21 +304,21 @@ def _degree_label(m) -> str:
 # -- commands ------------------------------------------------------------------
 
 
-def cmd_symmetrize(cfg: SessionConfig, report: Report) -> None:
+def cmd_symmetrize(cfg: SessionConfig, report: Report, args) -> None:
     d = symmetrize(cfg.matrix)
     report.table("symmetrizers", ("i", "d_i"),
                  [(i + 1, d[i]) for i in range(len(d))])
     report.verdict("symmetrizable", True)
 
 
-def cmd_relations(cfg: SessionConfig, report: Report) -> None:
-    cd = _build_datum(cfg)
-    check_degree_budget(cd.n, cfg.degree_cap)
+def cmd_relations(cfg: SessionConfig, report: Report, args) -> None:
+    cd = build_realization(cfg.matrix, cfg.d)
+    check_degree_budget(cd.n, cfg.max_degree)
     D = session_denominator(cd)
     bp = DrinfeldPairing(cd, D=D)
     report.meta("D", D)
     rows = []
-    for m in degrees_upto(cd.n, cfg.degree_cap):
+    for m in degrees_upto(cd.n, cfg.max_degree):
         kb = bp.kernel_block(m)
         vectors = " | ".join(str(v) for v in kb.vectors) or "-"
         dim = len(bp.gram_block(m).basis)
@@ -312,20 +329,20 @@ def cmd_relations(cfg: SessionConfig, report: Report) -> None:
     report.verdict("computed", True)
 
 
-def cmd_dims(cfg: SessionConfig, report: Report) -> None:
-    cd = _build_datum(cfg)
-    check_degree_budget(cd.n, cfg.degree_cap)
+def cmd_dims(cfg: SessionConfig, report: Report, args) -> None:
+    cd = build_realization(cfg.matrix, cfg.d)
+    check_degree_budget(cd.n, cfg.max_degree)
     form = ShapovalovForm(cd)
-    dims = form.quotient_dims(cfg.degree_cap)
+    dims = form.quotient_dims(cfg.max_degree)
     report.table("quotient_dims", ("degree", "dim"),
                  [(_degree_label(m), dims[m]) for m in sorted(
                      dims, key=lambda t: (total_degree(t), t))])
-    mults = root_multiplicities(cd, cfg.degree_cap, form=form)
+    mults = root_multiplicities(cd, cfg.max_degree, form=form)
     report.table("root_multiplicities", ("root", "mult"),
                  [(_degree_label(m), mults[m]) for m in sorted(
                      mults, key=lambda t: (total_degree(t), t))])
     if cd.is_gcm():
-        oracle = weyl_kac_multiplicities(cd, cfg.degree_cap)
+        oracle = weyl_kac_multiplicities(cd, cfg.max_degree)
         ok = oracle == mults
         detail = "" if ok else next(
             f"first mismatch at {_degree_label(m)}" for m in sorted(
@@ -334,32 +351,17 @@ def cmd_dims(cfg: SessionConfig, report: Report) -> None:
         report.verdict("weyl_kac_denominator", ok, detail)
 
 
-def cmd_character(cfg: SessionConfig, report: Report, kind: str) -> None:
-    cd = _build_datum(cfg)
-    lam = _require_weight(cfg, cd)
-    report.meta("D", session_denominator(cd, [lam]))
-    report.meta("kind", kind)
-    if kind == "verma":
-        mod = verma(lam, cfg.depth, cd)
-    else:
-        mod = irreducible(lam, cfg.depth, cd)
+def cmd_character(cfg: SessionConfig, report: Report, args) -> None:
+    _, mod = _kind_module(cfg, report, args)
     ch = character(mod)
     report.table("character", ("offset", "dim"),
                  [(_degree_label(m), ch[m]) for m in mod.offsets()])
     report.verdict("computed", True)
 
 
-def cmd_compare_characters(cfg: SessionConfig, report: Report, kind: str) -> None:
-    cd = _build_datum(cfg)
-    lam = _require_weight(cfg, cd)
-    report.meta("D", session_denominator(cd, [lam]))
-    report.meta("kind", kind)
-    if kind == "verma":
-        left = verma(lam, cfg.depth, cd)
-        right = classical_module(lam, "verma", cfg.depth, cd)
-    else:
-        left = irreducible(lam, cfg.depth, cd)
-        right = classical_module(lam, "irreducible", cfg.depth, cd)
+def cmd_compare_characters(cfg: SessionConfig, report: Report, args) -> None:
+    kind, left = _kind_module(cfg, report, args)
+    right = classical_module(left.highest, kind, cfg.depth, left.cd)
     rep = compare_characters(left, right)
     detail = "" if rep.equal else (
         f"offset {_degree_label(rep.first_discrepancy)}: "
@@ -378,10 +380,8 @@ def _require_finite(V) -> None:
                 f"{V.dim(m)}; increase --depth")
 
 
-def cmd_ybe(cfg: SessionConfig, report: Report) -> None:
-    cd = _build_datum(cfg)
-    lam = _require_weight(cfg, cd)
-    report.meta("D", session_denominator(cd, [lam]))
+def cmd_ybe(cfg: SessionConfig, report: Report, args) -> None:
+    cd, lam = _session(cfg, report)
     V = irreducible(lam, cfg.depth, cd)
     _require_finite(V)
     result = check_ybe(V)
@@ -391,10 +391,8 @@ def cmd_ybe(cfg: SessionConfig, report: Report) -> None:
     report.verdict("braid_relation", result.holds)
 
 
-def cmd_dk(cfg: SessionConfig, report: Report) -> None:
-    cd = _build_datum(cfg)
-    lam = _require_weight(cfg, cd)
-    report.meta("D", session_denominator(cd, [lam]))
+def cmd_dk(cfg: SessionConfig, report: Report, args) -> None:
+    cd, lam = _session(cfg, report)
     report.meta("hbar", cfg.hbar)
     report.meta("strands", cfg.strands)
     report.meta("wordlen", cfg.wordlen)
@@ -414,46 +412,41 @@ def cmd_dk(cfg: SessionConfig, report: Report) -> None:
                    f"tolerance {cfg.deviation_tol:.1e}")
 
 
+# command -> (handler, help, config keys offered as flags); the key "kind"
+# offers the module kind as --verma or --irr (the default)
+COMMANDS = {
+    "symmetrize": (cmd_symmetrize, "compute symmetrizers", ()),
+    "relations": (cmd_relations, "pairing kernels per degree",
+                  ("max_degree",)),
+    "dims": (cmd_dims, "graded dimensions and root multiplicities",
+             ("max_degree",)),
+    "character": (cmd_character, "weight space dimensions",
+                  ("depth", "hw", "kind")),
+    "compare-characters": (cmd_compare_characters,
+                           "quantum vs classical characters",
+                           ("depth", "hw", "kind")),
+    "ybe": (cmd_ybe, "exact Yang-Baxter check", ("depth", "hw")),
+    "dk": (cmd_dk, "KZ monodromy vs sigma R",
+           ("depth", "hw", "hbar", "tol", "wordlen", "strands")),
+}
+_FLAG_HELP = {"config": "config file path",
+              "hw": "highest weight, space-separated rationals"}
+
+
 def _make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qkm",
         description="exact quantized Kac-Moody computations")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, degree=False, depth=False, hw=False, numeric=False):
-        p.add_argument("--config", required=False, help="config file path")
-        if degree:
-            p.add_argument("--max-degree", dest="max_degree")
-        if depth:
-            p.add_argument("--depth")
-        if hw:
-            p.add_argument("--hw", help="highest weight, space-separated rationals")
-        if numeric:
-            p.add_argument("--hbar")
-            p.add_argument("--tol")
-            p.add_argument("--wordlen")
-            p.add_argument("--strands")
-
-    common(sub.add_parser("symmetrize", help="compute symmetrizers"))
-    common(sub.add_parser("relations", help="pairing kernels per degree"),
-           degree=True)
-    common(sub.add_parser("dims", help="graded dimensions and root "
-                                       "multiplicities"), degree=True)
-    p_char = sub.add_parser("character", help="weight space dimensions")
-    common(p_char, depth=True, hw=True)
-    kind = p_char.add_mutually_exclusive_group()
-    kind.add_argument("--verma", action="store_true")
-    kind.add_argument("--irr", action="store_true")
-    p_cmp = sub.add_parser("compare-characters",
-                           help="quantum vs classical characters")
-    common(p_cmp, depth=True, hw=True)
-    kind = p_cmp.add_mutually_exclusive_group()
-    kind.add_argument("--verma", action="store_true")
-    kind.add_argument("--irr", action="store_true")
-    p_ybe = sub.add_parser("ybe", help="exact Yang-Baxter check")
-    common(p_ybe, depth=True, hw=True)
-    p_dk = sub.add_parser("dk", help="KZ monodromy vs sigma R")
-    common(p_dk, depth=True, hw=True, numeric=True)
+    for name, (_, text, keys) in COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        for key in ("config", *keys):
+            if key == "kind":
+                kind = p.add_mutually_exclusive_group()
+                kind.add_argument("--verma", action="store_true")
+                kind.add_argument("--irr", action="store_true")
+            else:
+                p.add_argument(_flag(key), help=_FLAG_HELP.get(key))
     return parser
 
 
@@ -469,23 +462,7 @@ def run(argv, out=None, err=None) -> int:
     try:
         cfg = _effective_config(args)
         report = Report(args.command, cfg)
-        if args.command == "symmetrize":
-            cmd_symmetrize(cfg, report)
-        elif args.command == "relations":
-            cmd_relations(cfg, report)
-        elif args.command == "dims":
-            cmd_dims(cfg, report)
-        elif args.command == "character":
-            cmd_character(cfg, report, "verma" if args.verma else "irreducible")
-        elif args.command == "compare-characters":
-            cmd_compare_characters(cfg, report,
-                                   "verma" if args.verma else "irreducible")
-        elif args.command == "ybe":
-            cmd_ybe(cfg, report)
-        elif args.command == "dk":
-            cmd_dk(cfg, report)
-        else:  # pragma: no cover
-            raise UsageError(f"unknown command {args.command!r}")
+        COMMANDS[args.command][0](cfg, report, args)
         code = report.finish(out)
     except UsageError as exc:
         print(f"qkm: usage error: {exc}", file=err)

@@ -6,8 +6,8 @@ The connection is d F = (hbar / 2 pi i) sum_{i<j} Omega_ij d log(z_i - z_j) F
 on configurations of k distinct points.  Transport matrices are integrated
 with an adaptive Dormand-Prince 5(4) stepper whose step ceiling shrinks
 with the distance to the nearest diagonal.  The matrices Omega_ij are lifts
-onto sites (i, j) of one two-site operator, `freealg.PairOperator`, the
-type that also carries R: each basis pair of the Casimir tensor is
+onto sites (i, j) of one two-site operator, `classical.CasimirTensor`, a
+`freealg.PairOperator` as R is: each basis pair of the Casimir tensor is
 computed once per comparison.  Monodromy is compared with the
 sigma R representation only through conjugation-invariant data (traces of
 braid words and generator eigenvalue multisets): the two representations
@@ -20,13 +20,12 @@ import cmath
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import partial
 from itertools import product
 
 import numpy as np
 
-from .classical import CasimirEngine
-from .freealg import PairOperator, tensor_block_basis
+from .classical import CasimirTensor
+from .freealg import tensor_block_basis
 from .qmodules import WeightModule, compare_characters
 from .rmatrix import BraidOperator, TruncatedR, total_offsets
 from .scalars import evaluate_numeric
@@ -57,14 +56,13 @@ class KZSystem:
 
 
 def build_kz_system(V: WeightModule, k: int, total_offset, hbar,
-                    omega: PairOperator | None = None) -> KZSystem:
+                    omega: CasimirTensor | None = None) -> KZSystem:
     """Assemble the pairwise Casimir matrices on a block of V^(x k); omega
     is the Casimir tensor on V (x) V (by default from the module's form)."""
     if V.kind != "classical":
         raise ValueError("the KZ connection uses classical modules")
     if omega is None:
-        engine = CasimirEngine(V.cd, form=V.engine)
-        omega = PairOperator(V, V, partial(engine.pair_action, V, V))
+        omega = CasimirTensor(V, V)
     total_offset = tuple(total_offset)
     basis = tuple(tensor_block_basis((V,) * k, total_offset))
     dim = len(basis)
@@ -296,9 +294,7 @@ def drinfeld_kohno_compare(V_classical: WeightModule, V_quantum: WeightModule,
         raise ValueError("classical and quantum modules must have equal "
                          "characters")
     hbar = complex(hbar)
-    engine = CasimirEngine(V_classical.cd, form=V_classical.engine)
-    omega = PairOperator(V_classical, V_classical,
-                         partial(engine.pair_action, V_classical, V_classical))
+    omega = CasimirTensor(V_classical, V_classical)
     if totals is None:
         totals = total_offsets(V_classical, k)
     r = TruncatedR(V_quantum, V_quantum, V_quantum.engine)

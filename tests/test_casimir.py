@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from qkm.cartan import Weight, build_realization
-from qkm.classical import CasimirEngine, casimir_omega
+from qkm.classical import CasimirEngine, CasimirTensor
 from qkm.qmodules import classical_module
 from qkm.qpairing import degrees_upto
 
@@ -28,32 +28,32 @@ def test_sl2_module_shape(sl2_v):
 
 
 def test_highest_pair_coefficient(sl2_v):
-    blk = casimir_omega(sl2_v, sl2_v, (0,))
-    assert blk.matrix == [[Fraction(1, 2)]]
+    _, matrix = CasimirTensor(sl2_v, sl2_v).block((0,))
+    assert matrix == [[Fraction(1, 2)]]
 
 
 def test_sl2_middle_block(sl2_v):
-    blk = casimir_omega(sl2_v, sl2_v, (1,))
-    assert blk.basis == (((0,), 0, (1,), 0), ((1,), 0, (0,), 0))
-    assert blk.matrix == [[Fraction(-1, 2), Fraction(1)],
-                          [Fraction(1), Fraction(-1, 2)]]
+    basis, matrix = CasimirTensor(sl2_v, sl2_v).block((1,))
+    assert basis == [((0,), 0, (1,), 0), ((1,), 0, (0,), 0)]
+    assert matrix == [[Fraction(-1, 2), Fraction(1)],
+                      [Fraction(1), Fraction(-1, 2)]]
     # eigenvalues 1/2 and -3/2
-    tr = blk.matrix[0][0] + blk.matrix[1][1]
-    det = blk.matrix[0][0] * blk.matrix[1][1] - blk.matrix[0][1] * blk.matrix[1][0]
+    tr = matrix[0][0] + matrix[1][1]
+    det = matrix[0][0] * matrix[1][1] - matrix[0][1] * matrix[1][0]
     assert tr == Fraction(-1) and det == Fraction(-3, 4)
 
 
 def test_lowest_block(sl2_v):
-    blk = casimir_omega(sl2_v, sl2_v, (2,))
-    assert blk.matrix == [[Fraction(1, 2)]]
+    _, matrix = CasimirTensor(sl2_v, sl2_v).block((2,))
+    assert matrix == [[Fraction(1, 2)]]
 
 
 def _diagonal_action_matrix(V, W, total, gen, raising):
     """Matrix of x (x) 1 + 1 (x) x between total-weight blocks."""
-    src = casimir_omega(V, W, total).basis
+    src, _ = CasimirTensor(V, W).block(total)
     step = -1 if raising else 1
     target_total = tuple(t + step * int(k == gen) for k, t in enumerate(total))
-    dst = casimir_omega(V, W, target_total).basis
+    dst, _ = CasimirTensor(V, W).block(target_total)
     index = {key: r for r, key in enumerate(dst)}
     mat = [[Fraction(0)] * len(src) for _ in range(len(dst))]
     for c, (mV, a, mW, b) in enumerate(src):
@@ -85,8 +85,8 @@ def test_casimir_commutes_with_diagonal_action(sl2_v):
         total = (1,)
         target = (0,) if raising else (2,)
         D = _diagonal_action_matrix(V, V, total, 0, raising)
-        om_src = casimir_omega(V, V, total).matrix
-        om_dst = casimir_omega(V, V, target).matrix
+        _, om_src = CasimirTensor(V, V).block(total)
+        _, om_dst = CasimirTensor(V, V).block(target)
         lhs = _matmul(om_dst, D)
         rhs = _matmul(D, om_src)
         assert lhs == rhs
@@ -125,4 +125,4 @@ def test_mixed_depths_agree_within_the_shallower_depth():
     V2, V3 = (classical_module(lam, "irreducible", d, SL3) for d in (2, 3))
     W3 = classical_module(lam, "irreducible", 3, SL3)
     for t in degrees_upto(2, 2, include_zero=True):
-        assert casimir_omega(V2, W3, t) == casimir_omega(V3, W3, t)
+        assert CasimirTensor(V2, W3).block(t) == CasimirTensor(V3, W3).block(t)

@@ -48,7 +48,7 @@ RAT_CFG = "matrix = 2 -1/2; -1/2 2\nmax_degree = 2\n"
 def test_parse_defaults_and_examples():
     cfg = parse_config(SL3_CFG)
     assert cfg.matrix == ((2, -1), (-1, 2))
-    assert cfg.degree_cap == 3
+    assert cfg.max_degree == 3
     assert cfg.d is None
     cfg2 = parse_config(RAT_CFG)
     assert cfg2.matrix[0][1] == Fraction(-1, 2)
@@ -69,7 +69,7 @@ def test_config_round_trip():
     cfg = SessionConfig(
         matrix=((Fraction(2), Fraction(-1, 2)), (Fraction(-1, 2), Fraction(2))),
         d=(Fraction(1), Fraction(1)),
-        degree_cap=5, depth=3,
+        max_degree=5, depth=3,
         weights=((Fraction(1), Fraction(0)),),
         hbar=complex(0.1, 0.2), tol=1e-10, deviation_tol=1e-5,
         wordlen=3, strands=4)
@@ -326,6 +326,57 @@ def test_braiding_refuses_an_infinite_truncation(tmp_path, command):
     assert _error_lines(err) == [
         "qkm: TruncationError: the irreducible module is not finite within "
         "depth 2: offset 1,1 has dimension 2; increase --depth"]
+
+
+# each command's options, as its --help lists them (--help aside)
+COMMAND_FLAGS = {
+    "symmetrize": {"--config"},
+    "relations": {"--config", "--max-degree"},
+    "dims": {"--config", "--max-degree"},
+    "character": {"--config", "--depth", "--hw", "--irr", "--verma"},
+    "compare-characters": {"--config", "--depth", "--hw", "--irr", "--verma"},
+    "ybe": {"--config", "--depth", "--hw"},
+    "dk": {"--config", "--depth", "--hbar", "--hw", "--strands", "--tol",
+           "--wordlen"},
+}
+
+
+def test_each_command_keeps_its_flags(capsys):
+    assert invoke(["--help"])[0] == EXIT_PASS
+    commands = re.search(r"\{([a-z,-]+)\}", capsys.readouterr().out)
+    assert commands.group(1).split(",") == list(COMMAND_FLAGS)
+    for command, flags in COMMAND_FLAGS.items():
+        assert invoke([command, "--help"])[0] == EXIT_PASS
+        listed = set(re.findall(r"--[a-z-]+", capsys.readouterr().out))
+        assert listed - {"--help"} == flags, command
+
+
+@pytest.mark.parametrize("command", ["character", "compare-characters", "ybe",
+                                     "dk"])
+def test_hw_takes_one_weight(tmp_path, command):
+    # every command reads one weight, so a second row is refused, not dropped
+    text = "matrix = 2 -1; -1 2\ndepth = 2\n"
+    path = write_config(tmp_path, text)
+    code, out, err = invoke([command, "--config", path, "--hw", "1 0; 0 1"])
+    assert code == EXIT_USAGE and out == ""
+    assert _error_lines(err) == [
+        "qkm: usage error: --hw takes one weight, got 2"]
+    path = write_config(tmp_path, text + "hw = 1 0; 0 1\n")
+    code, out, err = invoke([command, "--config", path])
+    assert code == EXIT_USAGE and out == ""
+    assert _error_lines(err) == [
+        "qkm: usage error: line 3, column 1: hw takes one weight, got 2"]
+
+
+@pytest.mark.parametrize("command", ["symmetrize", "relations", "dims"])
+@pytest.mark.parametrize("matrix", ["", ";"])
+def test_empty_matrix_is_usage_error(tmp_path, command, matrix):
+    # the engines' recursions need n >= 1; refused before they start
+    path = write_config(tmp_path, f"matrix = {matrix}\n")
+    code, out, err = invoke([command, "--config", path])
+    assert code == EXIT_USAGE and out == ""
+    assert _error_lines(err) == [
+        "qkm: usage error: line 1, column 1: matrix has no rows"]
 
 
 def test_max_degree_flag_only_where_it_applies(tmp_path):

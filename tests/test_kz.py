@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qkm.cartan import Weight, build_realization, session_denominator
-from qkm.classical import casimir_omega
+from qkm.classical import CasimirTensor
 from qkm.kz import (
     DiagonalApproachError,
     _eig_multiset_deviation,
@@ -66,8 +66,8 @@ def test_two_point_transport_matches_matrix_exponential(sl2_classical):
         return z, zdot
 
     T = kz_transport(system, [stretch], rtol=1e-11)
-    om = casimir_omega(sl2_classical, sl2_classical, (1,))
-    om_mat = np.array([[float(x) for x in row] for row in om.matrix])
+    _, om = CasimirTensor(sl2_classical, sl2_classical).block((1,))
+    om_mat = np.array([[float(x) for x in row] for row in om])
     delta = cmath.log(1 - 3) - cmath.log(1 - 2)
     # the reference exponential from an eigendecomposition of Omega
     lam, vecs = np.linalg.eig(om_mat)
