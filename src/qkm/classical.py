@@ -17,7 +17,9 @@ below, the ideal generated by the kernels one letter down bounds it from
 above, and a kernel is computed only where the two differ.  The two forms
 share the recursion, not its factor: the classical values never pass
 through Q(v), which is what gives the flat-deformation comparison its
-content.
+content.  The Casimir engine reads root-space bases and their duals off the
+same Gram blocks, certifying no kernel: x y v = (x | y)(lambda, beta) v for
+x, y in n+-_beta, and (x | y) pairs n+_beta with n-_beta nondegenerately.
 """
 
 from __future__ import annotations
@@ -32,8 +34,9 @@ from .freealg import (
     add_tensor_terms,
     enumerate_words,
     total_degree,
+    unit_degree,
 )
-from .linalg import certified_rational_nullspace, invert, matrix_rank
+from .linalg import certified_rational_nullspace, invert, rref
 from .qpairing import GradedForm, degrees_upto
 from .scalars import rational_residue
 
@@ -245,110 +248,86 @@ class CasimirEngine:
     """Dual bases of the positive and negative root spaces under the
     invariant form, and the resulting two-site Casimir action.
 
-    Root space bases are built from left-normed brackets of the generators,
-    reduced modulo the relation ideal; the form is evaluated through the
-    invariance recursion ([z, e_i], y) = (z, [e_i, y]) down to
-    (e_i, f_j) = delta_ij / d_i.
+    Only the form's Gram blocks are read, by two facts: x y v = [x, y] v =
+    (x | y)(lambda, beta) v on the highest weight vector for x in n+_beta,
+    y in n-_beta, with (lambda, beta) = sum_i beta_i d_i x_i; and (x | y)
+    pairs n+_beta with n-_beta nondegenerately (Kac, Thm 2.2).  So a
+    bracket vanishes exactly when its pairings with all brackets do.
     """
 
     def __init__(self, cd: CartanDatum, form: ShapovalovForm | None = None):
         self.cd = cd
         self.form = form or ShapovalovForm(cd)
-        self._basis: dict = {}
-        self._duals: dict = {}
+        self._spaces: dict = {}
 
-    # root space elements are stored as (word -> Fraction) dicts plus the
-    # bracket provenance (parent basis index at degree beta - 1_i, i)
-
-    def root_basis(self, beta):
-        beta = tuple(beta)
-        if beta in self._basis:
-            return self._basis[beta]
+    def _pairings(self, beta, e_combos, f_combos):
+        """(x | y) for x over e_combos and y over f_combos, combos of words
+        of degree beta: their Gram entry over (lambda, beta).  The form's
+        row word acts first letter first, so x's words are read reversed."""
         n = self.cd.n
-        if total_degree(beta) == 1:
-            i = beta.index(1)
-            out = [({(i,): Fraction(1)}, None)]
-            self._basis[beta] = out
-            return out
-        rows = []
+        words, mat = self.form.block(beta)
+        index = {w: c for c, w in enumerate(words)}
+        line = PolyN(n, {unit_degree(n, i): b * d
+                         for i, (b, d) in enumerate(zip(beta, self.cd.d))})
+        unit, scale = next(iter(line.terms.items()))
         out = []
-        for i in range(n):
-            prev = tuple(b - int(k == i) for k, b in enumerate(beta))
-            if any(x < 0 for x in prev):
-                continue
-            for parent_idx, (combo, _) in enumerate(self.root_basis(prev)):
-                cand = {}
-                for w, c in combo.items():
-                    cand[w + (i,)] = cand.get(w + (i,), 0) + c
-                    cand[(i,) + w] = cand.get((i,) + w, 0) - c
-                newrows = rows + [self.form.reduce(beta, cand.items())]
-                if matrix_rank(newrows) == len(newrows):
-                    rows = newrows
-                    out.append((cand, (prev, parent_idx, i)))
-        self._basis[beta] = out
+        for x in e_combos:
+            rows = [(mat[index[w[::-1]]], c) for w, c in x.items()]
+            out.append([])
+            for y in f_combos:
+                entry = sum((row[index[z]] * (c * c2) for row, c in rows
+                             for z, c2 in y.items()), PolyN(n))
+                ratio = Fraction(entry.terms.get(unit, 0)) / scale
+                if entry != line * ratio:
+                    raise AssertionError(f"the pairing at {beta} is not a "
+                                         "multiple of (lambda, beta)")
+                out[-1].append(ratio)
         return out
 
-    def _bracket_e_with_fside(self, i: int, combo):
-        """[e_i, y] for y a Lie element written in f-words; the h_i terms
-        must cancel, which is asserted."""
-        A = self.cd.A
-        pure = {}
-        hview = {}
-        for w, c in combo.items():
-            for t, letter in enumerate(w):
-                if letter != i:
-                    continue
-                rest = w[:t] + w[t + 1:]
-                drop = -sum(Fraction(A[i][w[u]]) for u in range(t + 1, len(w)))
-                if drop:
-                    pure[rest] = pure.get(rest, 0) + c * drop
-                hview[rest] = hview.get(rest, 0) + c
-        if any(v for v in hview.values()):
-            raise AssertionError("bracket left the negative nilpotent part")
-        return {w: c for w, c in pure.items() if c}
+    def _root_space(self, beta):
+        """(basis, dual pairs) at beta; see `root_basis`.  A degree without
+        candidates builds no Gram block."""
+        if beta not in self._spaces:
+            cands = [{(beta.index(1),): Fraction(1)}] if sum(beta) == 1 else []
+            for i, prev in self.form._predecessors(beta):
+                for combo in (self.root_basis(prev) if any(prev) else ()):
+                    cand = {}
+                    for w, c in combo.items():
+                        cand[w + (i,)] = cand.get(w + (i,), 0) + c
+                        cand[(i,) + w] = cand.get((i,) + w, 0) - c
+                    cands.append(cand)
+            gram = self._pairings(beta, cands, cands) if cands else []
+            keep = rref(list(zip(*gram)))[1]
+            basis = [cands[a] for a in keep]
+            inv = invert([[gram[a][b] for b in keep] for a in keep])
+            pairs = []
+            for b, x in enumerate(basis):
+                fdual = {}
+                for a, y in enumerate(basis):
+                    if inv[a][b]:
+                        for w, c in y.items():
+                            fdual[w] = fdual.get(w, 0) + c * inv[a][b]
+                pairs.append((x, {w: c for w, c in fdual.items() if c}))
+            self._spaces[beta] = basis, pairs
+        return self._spaces[beta]
+
+    def root_basis(self, beta):
+        """A basis of n+_beta: the left-normed brackets [x, e_i], x over the
+        basis at beta - 1_i (e_i itself at a simple root), whose rows of
+        pairings against all of them are independent, in order."""
+        return self._root_space(tuple(beta))[0]
 
     def invariant_form(self, beta, pos_index: int, f_combo) -> Fraction:
         """(x, y) for x the pos_index-th root basis element of degree beta
         and y a combo of f-words of the same degree."""
-        beta = tuple(beta)
-        combo, prov = self.root_basis(beta)[pos_index]
-        if prov is None:
-            i = beta.index(1)
-            return (Fraction(combo.get((i,), 0)) * Fraction(f_combo.get((i,), 0))
-                    / self.cd.d[i])
-        prev, parent_idx, i = prov
-        bracketed = self._bracket_e_with_fside(i, f_combo)
-        if not bracketed:
-            return Fraction(0)
-        return self.invariant_form(prev, parent_idx, bracketed)
+        x = self.root_basis(beta)[pos_index]
+        return self._pairings(beta, [x], [f_combo])[0][0]
 
     def dual_root_pairs(self, beta):
-        """Pairs (e-combo, f-combo) with (e_a, f-dual_b) = delta_ab.
-
-        The f-side candidates mirror the bracket combos letterwise; the dual
-        basis comes from inverting the invariant-form Gram matrix.
-        """
-        beta = tuple(beta)
-        if beta in self._duals:
-            return self._duals[beta]
-        basis = self.root_basis(beta)
-        if not basis:
-            self._duals[beta] = []
-            return []
-        size = len(basis)
-        gram = [[self.invariant_form(beta, a, basis[b][0]) for b in range(size)]
-                for a in range(size)]
-        inv = invert(gram)
-        pairs = []
-        for b in range(size):
-            fdual = {}
-            for a in range(size):
-                if inv[a][b]:
-                    for w, c in basis[a][0].items():
-                        fdual[w] = fdual.get(w, 0) + c * inv[a][b]
-            pairs.append((basis[b][0], {w: c for w, c in fdual.items() if c}))
-        self._duals[beta] = pairs
-        return pairs
+        """Pairs (e-combo, f-combo) with (e_a, f-dual_b) = delta_ab; the
+        f-side mirrors the brackets letterwise, and the duals come from
+        inverting the pairing on the basis."""
+        return self._root_space(tuple(beta))[1]
 
     def pair_action(self, V, W, mV: tuple, a: int, mW: tuple, b: int):
         """Casimir action on a single product basis vector v_a (x) w_b.

@@ -464,7 +464,7 @@ def run(argv, out=None, err=None) -> int:
         report = Report(args.command, cfg)
         COMMANDS[args.command][0](cfg, report, args)
         code = report.finish(out)
-    except UsageError as exc:
+    except (UsageError, FloatingPointError) as exc:
         print(f"qkm: usage error: {exc}", file=err)
         return EXIT_USAGE
     except ResourceLimitError as exc:

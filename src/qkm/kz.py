@@ -25,7 +25,7 @@ from itertools import product
 import numpy as np
 
 from .classical import CasimirTensor
-from .freealg import tensor_block_basis
+from .freealg import MAX_COMPONENT_DIM, ResourceLimitError, tensor_block_basis
 from .qmodules import WeightModule, compare_characters
 from .rmatrix import BraidOperator, TruncatedR, total_offsets
 from .scalars import evaluate_numeric
@@ -247,8 +247,10 @@ def _eig_multiset_deviation(A, B) -> float:
     least t such that some perfect matching pairs every eigenvalue a of A
     with one b of B at relative distance |a - b| / max(1, |b|) <= t.
     Exact, so no rounding can split a pair."""
-    eig_b = np.linalg.eigvals(B)
-    dist = (np.abs(np.linalg.eigvals(A)[:, None] - eig_b[None, :])
+    eig_a, eig_b = np.linalg.eigvals(A), np.linalg.eigvals(B)
+    if not (np.isfinite(eig_a).all() and np.isfinite(eig_b).all()):
+        raise FloatingPointError
+    dist = (np.abs(eig_a[:, None] - eig_b[None, :])
             / np.maximum(1.0, np.abs(eig_b))[None, :])
     if not dist.size:
         return 0.0
@@ -288,11 +290,17 @@ def drinfeld_kohno_compare(V_classical: WeightModule, V_quantum: WeightModule,
     max(1, |sigma R eigenvalue|).  One R, from the quantum module's pairing,
     and one Casimir operator serve every block and generator, so each basis
     pair is computed once on either side; the Casimir engine uses the
-    classical module's form.
+    classical module's form.  Too many braid words or too large a block
+    raise ResourceLimitError, an overflow at hbar FloatingPointError.
     """
     if not compare_characters(V_classical, V_quantum).equal:
         raise ValueError("classical and quantum modules must have equal "
                          "characters")
+    words = sum((k - 1) ** length for length in range(1, word_length + 1))
+    if words > MAX_COMPONENT_DIM:
+        raise ResourceLimitError(f"{words} braid words up to length "
+                                 f"{word_length} on {k} strands "
+                                 f"(cap {MAX_COMPONENT_DIM})")
     hbar = complex(hbar)
     omega = CasimirTensor(V_classical, V_classical)
     if totals is None:
@@ -303,34 +311,44 @@ def drinfeld_kohno_compare(V_classical: WeightModule, V_quantum: WeightModule,
     worst_trace = 0.0
     worst_eig = 0.0
     ngen = k - 1
-    for total in totals:
-        system = build_kz_system(V_classical, k, total, hbar, omega)
-        if system.dim == 0:
-            continue
-        kz_gens = [braid_monodromy(system, i, rtol) for i in range(ngen)]
-        qr_gens = []
-        for braid in braids:
-            _, mat = braid.block(total)
-            num = np.array([[evaluate_numeric(x, hbar, V_quantum.D) for x in row]
-                            for row in mat], dtype=complex)
-            qr_gens.append(num)
-        norms = [np.linalg.norm(g) for g in qr_gens]
-        trace_dev = 0.0
-        for word in braid_words(ngen, word_length):
-            tk = np.eye(system.dim, dtype=complex)
-            tq = np.eye(system.dim, dtype=complex)
-            scale = 1.0
-            for g in word:
-                tk = tk @ kz_gens[g]
-                tq = tq @ qr_gens[g]
-                scale *= norms[g]
-            trace_dev = max(trace_dev, abs(np.trace(tk) - np.trace(tq))
-                            / max(1.0, scale))
-        eig_dev = max(_eig_multiset_deviation(a, b)
-                      for a, b in zip(kz_gens, qr_gens))
-        blocks.append(BlockComparison(total, system.dim, trace_dev, eig_dev))
-        worst_trace = max(worst_trace, trace_dev)
-        worst_eig = max(worst_eig, eig_dev)
+    try:
+        # an overflow raises instead of warning, and sigma R, whose entries
+        # overflow first, is evaluated before any transport
+        with np.errstate(over="raise", invalid="raise"):
+            sigma = {total: np.array(
+                [[[evaluate_numeric(x, hbar, V_quantum.D) for x in row]
+                  for row in braid.block(total)[1]] for braid in braids],
+                dtype=complex) for total in totals}
+            if not all(np.isfinite(g).all() for g in sigma.values()):
+                raise FloatingPointError
+            for total in totals:
+                system = build_kz_system(V_classical, k, total, hbar, omega)
+                if system.dim == 0:
+                    continue
+                kz_gens = [braid_monodromy(system, i, rtol)
+                           for i in range(ngen)]
+                qr_gens = sigma[total]
+                norms = [np.linalg.norm(g) for g in qr_gens]
+                trace_dev = 0.0
+                for word in braid_words(ngen, word_length):
+                    tk = np.eye(system.dim, dtype=complex)
+                    tq = np.eye(system.dim, dtype=complex)
+                    scale = 1.0
+                    for g in word:
+                        tk = tk @ kz_gens[g]
+                        tq = tq @ qr_gens[g]
+                        scale *= norms[g]
+                    trace_dev = max(trace_dev, abs(np.trace(tk) - np.trace(tq))
+                                    / max(1.0, scale))
+                eig_dev = max(_eig_multiset_deviation(a, b)
+                              for a, b in zip(kz_gens, qr_gens))
+                blocks.append(BlockComparison(total, system.dim, trace_dev,
+                                              eig_dev))
+                worst_trace = max(worst_trace, trace_dev)
+                worst_eig = max(worst_eig, eig_dev)
+    except (FloatingPointError, OverflowError, ZeroDivisionError):
+        raise FloatingPointError(f"double precision overflowed at hbar = "
+                                 f"{hbar}; take a smaller |Re hbar|") from None
     return MonodromyReport(strands=k, hbar=hbar, word_length=word_length,
                            rtol=rtol, blocks=tuple(blocks),
                            max_trace_deviation=worst_trace,

@@ -15,13 +15,16 @@ V^(x k) are lifts of that one operator (the latter with the sites flipped).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import product
 
 from .cartan import session_denominator, weight_form
 from .freealg import (
+    MAX_COMPONENT_DIM,
     FreeElement,
     PairOperator,
+    ResourceLimitError,
     add_tensor_terms,
     tensor_block_basis,
     total_degree,
@@ -125,17 +128,21 @@ class TruncatedR(PairOperator):
 
 
 def total_offsets(V: WeightModule, k: int):
-    """All total offsets of V^(x k) with a nonzero block, graded order."""
-    sums = {(0,) * V.cd.n: 1}
-    occupied = [m for m in V.offsets() if V.dim(m)]
+    """All total offsets of V^(x k) with a nonzero block, graded order.  The
+    block dimensions (V's character convolved k times) never shrink as
+    factors are added, so the first one over the component cap is refused."""
+    dims = {(0,) * V.cd.n: 1}
+    occupied = {m: V.dim(m) for m in V.offsets() if V.dim(m)}
     for _ in range(k):
-        new = {}
-        for t in sums:
-            for m in occupied:
-                s = tuple(a + b for a, b in zip(t, m))
-                new[s] = 1
-        sums = new
-    return sorted(sums, key=lambda t: (total_degree(t), t))
+        new = Counter()
+        for (t, a), (m, b) in product(dims.items(), occupied.items()):
+            new[tuple(x + y for x, y in zip(t, m))] += a * b
+        dims = new
+        if max(dims.values()) > MAX_COMPONENT_DIM:
+            raise ResourceLimitError(
+                f"V^(x {k}) has a block of dimension at least "
+                f"{max(dims.values())} (cap {MAX_COMPONENT_DIM})")
+    return sorted(dims, key=lambda t: (total_degree(t), t))
 
 
 class BraidOperator:

@@ -170,6 +170,41 @@ def test_dk_passes_at_large_hbar(tmp_path, hbar):
     assert "verdict\tmonodromy_match\tpass" in out
 
 
+SL2_DK_CFG = "matrix = 2\nhw = 1\ndepth = 2\n"
+
+
+# the first two ran without bound: 2^31 - 2 braid words, and blocks of
+# V^(x 40) up to C(40, 20) basis tuples
+@pytest.mark.parametrize("flags, message", [
+    (["--wordlen", "30"],
+     "2147483646 braid words up to length 30 on 3 strands (cap 20000)"),
+    (["--strands", "40"],
+     "2374320 braid words up to length 4 on 40 strands (cap 20000)"),
+    (["--strands", "40", "--wordlen", "1"],
+     "V^(x 40) has a block of dimension at least 24310 (cap 20000)"),
+])
+def test_dk_refuses_words_and_blocks_over_the_cap(tmp_path, flags, message):
+    path = write_config(tmp_path, SL2_DK_CFG)
+    code, out, err = invoke(["dk", "--config", path] + flags)
+    assert code == EXIT_RESOURCE and out == ""
+    assert _error_lines(err) == [f"qkm: resource limit: {message}"]
+
+
+# hbar 1400 ended in a NumPy LinAlgError traceback (the sigma R entries
+# overflow), hbar -700 in overflow warnings and a failed verdict computed
+# from the overflowed transport, and hbar -1000 in v ** -k on v = 0.0
+@pytest.mark.parametrize("hbar, flags", [
+    ("1400", []), ("-700", ["--strands", "2", "--wordlen", "1"]),
+    ("-1000", ["--strands", "2", "--wordlen", "1"])])
+def test_dk_refuses_an_hbar_that_overflows(tmp_path, hbar, flags):
+    path = write_config(tmp_path, SL2_DK_CFG + f"hbar = {hbar}\n")
+    code, out, err = invoke(["dk", "--config", path] + flags)
+    assert code == EXIT_USAGE and out == ""
+    assert _error_lines(err) == [
+        f"qkm: usage error: double precision overflowed at hbar = "
+        f"({hbar}+0j); take a smaller |Re hbar|"]
+
+
 # Cartan data with some d_i != 1: B2, a rescaled sl2 and sl3, and
 # d = (1, 1/2), which puts q^(1/2) into the session (D = 2)
 SYMMETRIZED_CFGS = {
