@@ -450,12 +450,28 @@ def _make_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_values(argv) -> list:
+    """Join each value-taking flag to its next token as --flag=value, so that
+    a value starting with '-' (--hbar -1e6, --hbar -0.5+1j, --hw -1/2) is not
+    read as an option; a flag with no token after it is left to the parser."""
+    flags = {_flag(key) for _, _, keys in COMMANDS.values()
+             for key in ("config", *keys) if key != "kind"}
+    argv = list(argv)
+    out = []
+    while argv:
+        token = argv.pop(0)
+        if token in flags and argv:
+            token = f"{token}={argv.pop(0)}"
+        out.append(token)
+    return out
+
+
 def run(argv, out=None, err=None) -> int:
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
     parser = _make_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_values(argv))
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_PASS
     started = time.perf_counter()

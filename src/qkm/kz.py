@@ -113,7 +113,9 @@ def loop_segment(base, i: int, radius: float, turns: int = 1):
     return seg
 
 
-# Dormand-Prince 5(4) tableau
+# Dormand-Prince 5(4) tableau; the last stage is taken at the 5th-order
+# solution (its row of _DP_A is the 5th-order weights), so it is the first
+# stage of the next step ("first same as last")
 _DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
 _DP_A = (
     (),
@@ -124,7 +126,6 @@ _DP_A = (
     (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
     (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
 )
-_DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
 _DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
           187 / 2100, 1 / 40)
 
@@ -151,37 +152,36 @@ def transport_segment(system: KZSystem, seg, Y, rtol: float):
     if system.hbar == 0:
         return Y
     t = 0.0
-    A0, ceil0 = _rhs(system, seg, 0.0)
-    h = min(0.05, ceil0, 1.0)
+    A, ceiling = _rhs(system, seg, 0.0)
+    k1 = A @ Y
+    h = min(0.05, ceiling, 1.0)
     while t < 1.0:
         h = min(h, 1.0 - t)
-        ks = []
-        ceiling = None
-        for stage in range(7):
-            ts = t + _DP_C[stage] * h
+        ks = [k1]
+        for stage in range(1, 7):
             Ys = Y
             for coef, kmat in zip(_DP_A[stage], ks):
                 if coef:
                     Ys = Ys + (h * coef) * kmat
-            A, ceil = _rhs(system, seg, ts)
-            if stage == 0:
-                ceiling = ceil
+            A, ceil = _rhs(system, seg, t + _DP_C[stage] * h)
             ks.append(A @ Ys)
-        Y5 = Y
+        Y5 = Ys
         Y4 = Y
-        for b5, b4, kmat in zip(_DP_B5, _DP_B4, ks):
-            if b5:
-                Y5 = Y5 + (h * b5) * kmat
+        for b4, kmat in zip(_DP_B4, ks):
             if b4:
                 Y4 = Y4 + (h * b4) * kmat
         err = np.max(np.abs(Y5 - Y4))
         tol = rtol * max(1.0, float(np.max(np.abs(Y5))))
-        if err <= tol:
+        accepted = err <= tol
+        if accepted:
             t += h
             Y = Y5
         factor = 0.9 * (tol / err) ** 0.2 if err > 0 else 5.0
         h = h * min(5.0, max(0.2, factor))
+        # the step ceiling is the one taken at the start of this step
         h = min(h, ceiling if ceiling else h)
+        if accepted:
+            k1, ceiling = ks[6], ceil
         if h <= 1e-14:
             raise DiagonalApproachError("step size underflow near a diagonal")
     return Y
@@ -263,10 +263,11 @@ def _eig_multiset_deviation(A, B) -> float:
 
 def _has_perfect_matching(adj) -> bool:
     """Perfect matching in a square bipartite graph, by augmenting paths."""
+    neighbours = [np.flatnonzero(row).tolist() for row in adj]
     match = [-1] * len(adj)          # column -> matched row
 
     def augment(r, seen):
-        for c in np.flatnonzero(adj[r]):
+        for c in neighbours[r]:
             if not seen[c]:
                 seen[c] = True
                 if match[c] < 0 or augment(match[c], seen):
@@ -316,7 +317,8 @@ def drinfeld_kohno_compare(V_classical: WeightModule, V_quantum: WeightModule,
         # overflow first, is evaluated before any transport
         with np.errstate(over="raise", invalid="raise"):
             sigma = {total: np.array(
-                [[[evaluate_numeric(x, hbar, V_quantum.D) for x in row]
+                [[[evaluate_numeric(x, hbar, V_quantum.D) if x else 0j
+                   for x in row]
                   for row in braid.block(total)[1]] for braid in braids],
                 dtype=complex) for total in totals}
             if not all(np.isfinite(g).all() for g in sigma.values()):

@@ -264,6 +264,18 @@ class LaurentPoly:
             acc = (acc * x + c) % p
         return acc * pow(x, self.offset, p) % p
 
+    def kronecker(self, bits: int, lo: int, step: int) -> int:
+        """The integer value of v^(-lo) * self at v^step = 2^bits, by Horner's
+        rule over Z (Kronecker substitution).  Needs integer coefficients,
+        lo <= min_exp, and every exponent with a nonzero coefficient in
+        lo + step Z.  The map is multiplicative (with lo adding up), and it
+        is injective on polynomials whose coefficients all lie below
+        2^(bits - 1) in absolute value."""
+        acc = 0
+        for c in reversed(self.coeffs[::step]):
+            acc = (acc << bits) + c
+        return acc << bits * ((self.offset - lo) // step)
+
     def magnitude_at(self, v: complex) -> float:
         """Sum of |coeff| * |v|^exp; a scale reference for pole detection."""
         av = abs(v)
@@ -314,6 +326,12 @@ def poly_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     if lc != 1:
         a = LaurentPoly(a.offset, [_coeff(Fraction(c) / Fraction(lc)) for c in a.coeffs])
     return a
+
+
+def poly_lcm(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
+    """Least common multiple of two ordinary polynomials with nonzero
+    constant terms; monic when both are."""
+    return a * b.exact_div(poly_gcd(a, b))
 
 
 class QScalar:

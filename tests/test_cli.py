@@ -205,6 +205,18 @@ def test_dk_refuses_an_hbar_that_overflows(tmp_path, hbar, flags):
         f"({hbar}+0j); take a smaller |Re hbar|"]
 
 
+# argparse read a value that starts with '-' and is not a plain decimal (an
+# exponent, an imaginary part) as an option: exit 2, "expected one argument"
+@pytest.mark.parametrize("hbar", ["-1e-1", "-0.05+0.01j"])
+def test_a_negative_hbar_flag_takes_its_value(tmp_path, hbar):
+    path = write_config(tmp_path, SL2_DK_CFG)
+    joined = invoke(["dk", "--config", path, f"--hbar={hbar}"])
+    code, out, _ = invoke(["dk", "--config", path, "--hbar", hbar])
+    assert (code, out) == joined[:2]
+    assert code == EXIT_PASS and f"hbar\t{complex(hbar)}" in out
+    assert invoke(["dk", "--config", path, "--hbar"])[0] == EXIT_USAGE
+
+
 # Cartan data with some d_i != 1: B2, a rescaled sl2 and sl3, and
 # d = (1, 1/2), which puts q^(1/2) into the session (D = 2)
 SYMMETRIZED_CFGS = {

@@ -198,3 +198,110 @@ def test_check_ybe_builds_one_r(sl2_setup, monkeypatch):
     bp, V = sl2_setup
     assert check_ybe(V).holds
     assert built == [bp]
+
+
+@pytest.fixture(scope="module")
+def sl3_fundamental():
+    lam = hw(SL3, 1, 0)
+    bp = DrinfeldPairing(SL3, D=session_denominator(SL3, [lam]))
+    return irreducible(lam, 3, SL3, pairing=bp)
+
+
+def _edit_generators(monkeypatch, edit):
+    # edit(i, matrix) rewrites the block of the generator sigma_{i+1} R
+    import qkm.rmatrix as rm
+    block = rm.BraidOperator.block
+
+    def edited(self, total):
+        basis, mat = block(self, total)
+        return basis, edit(self.i, [list(row) for row in mat])
+
+    monkeypatch.setattr(rm.BraidOperator, "block", edited)
+
+
+def _one_coefficient_changes(mat):
+    """(row, column, entry with one numerator coefficient moved by +-1) for
+    every coefficient of every nonzero entry."""
+    for r, row in enumerate(mat):
+        for c, x in enumerate(row):
+            for e in range(x.num.min_exp, x.num.max_exp + 1) if x else ():
+                for sign in (1, -1):
+                    num = x.num + LaurentPoly.monomial(e, sign)
+                    yield r, c, QScalar(num, x.den)
+
+
+def test_a_corrupted_block_fails_ybe(sl3_fundamental, monkeypatch):
+    # one coefficient of one entry of sigma_1 R, moved by +-1, breaks the
+    # braid relation on the regular block of the cube
+    V = sl3_fundamental
+    m1 = BraidOperator(TruncatedR(V, V, V.engine), 3, 0).block((2, 1))[1]
+    changes = list(_one_coefficient_changes(m1))
+    assert len(changes) >= 20
+    for r, c, x in changes:
+        def corrupt(i, mat):
+            if i == 0:
+                mat[r][c] = x
+            return mat
+        with monkeypatch.context() as m:
+            _edit_generators(m, corrupt)
+            report = check_ybe(V, totals=[(2, 1)])
+        assert [ok for _, _, ok in report.blocks] == [False], (r, c, x)
+
+
+# a common scale leaves the braid relation as it is, and with it the
+# cleared coefficients reach hundreds of bits
+BIG = Fraction(3 ** 60 + 1, 2 ** 70 + 3)
+
+
+def test_ybe_survives_large_coefficients(sl3_fundamental, monkeypatch):
+    V = sl3_fundamental
+    big = QScalar(BIG) * QScalar(LaurentPoly.from_dict({0: 1, 3: -7}),
+                                 LaurentPoly.from_dict({0: 2, 1: 5}))
+    for scale in (QScalar(BIG), big):
+        with monkeypatch.context() as m:
+            _edit_generators(m, lambda i, mat: [[x * scale for x in row]
+                                                     for row in mat])
+            report = check_ybe(V)
+        assert report.holds and len(report.blocks) == 10
+
+
+def test_a_corrupted_block_fails_ybe_under_large_coefficients(
+        sl3_fundamental, monkeypatch):
+    V = sl3_fundamental
+    m1 = BraidOperator(TruncatedR(V, V, V.engine), 3, 0).block((2, 1))[1]
+    for r, c, x in list(_one_coefficient_changes(m1))[::5]:
+        def corrupt(i, mat):
+            if i == 0:
+                mat[r][c] = x
+            return [[y * QScalar(BIG) for y in row] for row in mat]
+        with monkeypatch.context() as m:
+            _edit_generators(m, corrupt)
+            report = check_ybe(V, totals=[(2, 1)])
+        assert not report.holds, (r, c, x)
+
+
+def test_flipped_exponent_sign_fails_ybe():
+    # negative control: the bar-conjugate pairing (exponent_sign=+1) gives
+    # an R that breaks the braid relation on sl3 multi-letter blocks
+    lam = hw(SL3, 1, 0)
+    D = session_denominator(SL3, [lam])
+    bp = DrinfeldPairing(SL3, D=D, exponent_sign=1)
+    V = irreducible(lam, 3, SL3, pairing=bp)
+    report = check_ybe(V)
+    assert not report.holds
+    assert {t for t, _, ok in report.blocks if not ok} == {(1, 1), (2, 1),
+                                                           (2, 2)}
+
+
+def test_ybe_sees_a_difference_with_a_root_at_a_power_of_two(sl2_setup,
+                                                             monkeypatch):
+    # on the blocks (v) and (2^k) the two sides differ by 2^k v (v - 2^k),
+    # which a packing at v = 2^k would not see
+    bp, V = sl2_setup
+    for k in range(1, 40):
+        blocks = {0: [[QScalar(LaurentPoly.monomial(1))]],
+                  1: [[QScalar(2 ** k)]]}
+        with monkeypatch.context() as m:
+            _edit_generators(m, lambda i, mat: blocks[i])
+            report = check_ybe(V, totals=[(0,)])
+        assert not report.holds, k

@@ -171,3 +171,43 @@ def test_values_are_immutable_and_hashable():
     x = q_integer(2)
     d = {x: "two"}
     assert d[qs(V + VINV)] == "two"
+
+
+def random_integer_laurent(rng, step=1, residue=0):
+    """A nonzero integer Laurent polynomial with negative exponents and
+    negative coefficients, every exponent in residue + step Z."""
+    return LaurentPoly.from_dict(
+        {residue + step * rng.randrange(-4, 5): rng.choice((-1, 1))
+         * rng.randrange(1, 10) for _ in range(rng.randrange(1, 6))})
+
+
+def test_kronecker_packing_is_a_ring_map():
+    # the value of v^(-lo) p at v^step = 2^bits: additive, multiplicative
+    # (the lows add up), and injective while coefficients stay below
+    # 2^(bits - 1) in absolute value
+    rng = random.Random(20261019)
+    for _ in range(300):
+        step = rng.choice((1, 2, 3))
+        a = random_integer_laurent(rng, step, rng.randrange(step))
+        b = random_integer_laurent(rng, step, rng.randrange(step))
+        bits = rng.randrange(1, 12)
+        la = a.min_exp - step * rng.randrange(3)
+        lb = b.min_exp - step * rng.randrange(3)
+        ka, kb = a.kronecker(bits, la, step), b.kronecker(bits, lb, step)
+        assert (a * b).kronecker(bits, la + lb, step) == ka * kb
+        c = random_integer_laurent(rng, step, a.min_exp % step)
+        lc = min(la, c.min_exp)
+        if a + c:
+            assert ((a + c).kronecker(bits, lc, step)
+                    == a.kronecker(bits, lc, step) + c.kronecker(bits, lc, step))
+        wide = max(map(abs, (a - c).coeffs), default=0).bit_length() + 1
+        assert ((a.kronecker(wide, lc, step) == c.kronecker(wide, lc, step))
+                == (a == c))
+
+
+def test_kronecker_packing_small_cases():
+    p = LaurentPoly.from_dict({-1: 3, 1: -2})      # 3 v^-1 - 2 v
+    assert p.kronecker(4, -1, 1) == 3 - 2 * 16 ** 2
+    assert p.kronecker(4, -1, 2) == 3 - 2 * 16
+    assert p.kronecker(4, -3, 2) == (3 - 2 * 16) * 16
+    assert LaurentPoly.monomial(-5, -7).kronecker(3, -5, 1) == -7
