@@ -9,6 +9,7 @@ highest weight), so the bases of total-weight blocks of their tensor
 products and the one two-site operator type (`PairOperator`: the R-matrix,
 sigma R and the Casimir tensor, lifted onto those blocks) live here too:
 every layer that acts on tensor products, exact or numeric, uses them.
+A lifted block is a list of sparse rows {column: nonzero value}.
 """
 
 from __future__ import annotations
@@ -225,11 +226,11 @@ class PairOperator:
         return out
 
     def lift(self, basis, i: int, j: int, flip: bool = False):
-        """Dense matrix on a tensor block basis of the operator on sites
-        (i, j); with `flip` the two sites are exchanged afterwards (sigma
-        after R in a braid generator)."""
+        """Sparse rows {column: value} on a tensor block basis of the
+        operator on sites (i, j); with `flip` the two sites are exchanged
+        afterwards (sigma after R in a braid generator)."""
         index = {key: r for r, key in enumerate(basis)}
-        mat = [[self.V.scalar_zero] * len(basis) for _ in basis]
+        rows = [{} for _ in basis]
         for c, key in enumerate(basis):
             for (t, r, t2, s), val in self.pair_terms(*key[i], *key[j]):
                 new = list(key)
@@ -238,11 +239,11 @@ class PairOperator:
                 if row is None:
                     raise AssertionError(f"two-site image left the block: {new}")
                 # distinct terms land on distinct rows of a column
-                mat[row][c] = val
-        return mat
+                rows[row][c] = val
+        return rows
 
     def block(self, total):
-        """(basis, matrix) on the total-weight block of V (x) W; basis
+        """(basis, sparse rows) on the total-weight block of V (x) W; basis
         entries are (offset_V, index_V, offset_W, index_W)."""
         pairs = tensor_block_basis((self.V, self.W), total)
         return ([(mV, a, mW, b) for (mV, a), (mW, b) in pairs],

@@ -8,10 +8,11 @@ with an adaptive Dormand-Prince 5(4) stepper whose step ceiling shrinks
 with the distance to the nearest diagonal.  The matrices Omega_ij are lifts
 onto sites (i, j) of one two-site operator, `classical.CasimirTensor`, a
 `freealg.PairOperator` as R is: each basis pair of the Casimir tensor is
-computed once per comparison.  Monodromy is compared with the
-sigma R representation only through conjugation-invariant data (traces of
-braid words and generator eigenvalue multisets): the two representations
-are isomorphic, not equal.
+computed once per comparison.  The Omega_ij and the sigma R generators both
+arrive as sparse rows, and `_array` turns either into a complex array.
+Monodromy is compared with the sigma R representation only through
+conjugation-invariant data (traces of braid words and generator eigenvalue
+multisets): the two representations are isomorphic, not equal.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ class KZSystem:
     """The KZ connection data on one total-weight block of V^(x k)."""
 
     k: int
-    total_offset: tuple
     basis: tuple
     omegas: dict               # (i, j), i < j -> numpy matrix
     hbar: complex
@@ -63,14 +63,19 @@ def build_kz_system(V: WeightModule, k: int, total_offset, hbar,
         raise ValueError("the KZ connection uses classical modules")
     if omega is None:
         omega = CasimirTensor(V, V)
-    total_offset = tuple(total_offset)
-    basis = tuple(tensor_block_basis((V,) * k, total_offset))
-    dim = len(basis)
-    omegas = {(i, j): np.array(omega.lift(basis, i, j),
-                               dtype=complex).reshape(dim, dim)
+    basis = tuple(tensor_block_basis((V,) * k, tuple(total_offset)))
+    omegas = {(i, j): _array(omega.lift(basis, i, j), complex)
               for i in range(k) for j in range(i + 1, k)}
-    return KZSystem(k=k, total_offset=total_offset, basis=basis,
-                    omegas=omegas, hbar=complex(hbar))
+    return KZSystem(k=k, basis=basis, omegas=omegas, hbar=complex(hbar))
+
+
+def _array(rows, value):
+    """A block's sparse rows {column: x} as the complex array of value(x)."""
+    out = np.zeros((len(rows), len(rows)), dtype=complex)
+    for r, row in enumerate(rows):
+        for c, x in row.items():
+            out[r, c] = value(x)
+    return out
 
 
 def base_configuration(k: int):
@@ -307,7 +312,7 @@ def drinfeld_kohno_compare(V_classical: WeightModule, V_quantum: WeightModule,
     if totals is None:
         totals = total_offsets(V_classical, k)
     r = TruncatedR(V_quantum, V_quantum, V_quantum.engine)
-    braids = [BraidOperator(r, k, i) for i in range(k - 1)]
+    braid = BraidOperator(r, k)
     blocks = []
     worst_trace = 0.0
     worst_eig = 0.0
@@ -317,10 +322,8 @@ def drinfeld_kohno_compare(V_classical: WeightModule, V_quantum: WeightModule,
         # overflow first, is evaluated before any transport
         with np.errstate(over="raise", invalid="raise"):
             sigma = {total: np.array(
-                [[[evaluate_numeric(x, hbar, V_quantum.D) if x else 0j
-                   for x in row]
-                  for row in braid.block(total)[1]] for braid in braids],
-                dtype=complex) for total in totals}
+                [_array(g, lambda x: evaluate_numeric(x, hbar, V_quantum.D))
+                 for g in braid.block(total)[1]]) for total in totals}
             if not all(np.isfinite(g).all() for g in sigma.values()):
                 raise FloatingPointError
             for total in totals:

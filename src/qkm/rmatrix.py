@@ -9,8 +9,9 @@ highest weight vectors only the scalar q^{(mu, nu)} survives.  Truncation
 is exact on category-O blocks because raising out of the cone vanishes.
 
 R is a `freealg.PairOperator`: its image of each basis pair is computed
-once, and its blocks on V (x) W and the braid generators sigma R on
-V^(x k) are lifts of that one operator (the latter with the sites flipped).
+once, and its blocks on V (x) W and the braid generators sigma R on V^(x k)
+are sparse lifts of that one operator (the latter with the sites flipped);
+a `BraidOperator` lifts every generator of a block onto one basis.
 
 The braid relation is decided without field arithmetic.  On each block the
 two generators m1, m2 are scaled by one common c in Q[v] (the lcm of their
@@ -165,19 +166,19 @@ def total_offsets(V: WeightModule, k: int):
 
 
 class BraidOperator:
-    """sigma_i composed with R_{i,i+1} on a total-weight block of V^(x k),
-    for an R on V (x) V shared by every generator and block."""
+    """The generators sigma_i R_{i,i+1} (i < k) on total-weight blocks of
+    V^(x k), for an R on V (x) V shared by every generator and block."""
 
-    def __init__(self, r: TruncatedR, k: int, i: int):
-        if not (0 <= i < k - 1):
-            raise ValueError("strand index out of range")
+    def __init__(self, r: TruncatedR, k: int):
         self.r = r
         self.k = k
-        self.i = i
 
     def block(self, total):
+        """(basis, [sigma_1 R, ..., sigma_{k-1} R]) on one block, each
+        generator as sparse rows over that one basis."""
         basis = tensor_block_basis((self.r.V,) * self.k, total)
-        return basis, self.r.lift(basis, self.i, self.i + 1, flip=True)
+        return basis, [self.r.lift(basis, i, i + 1, flip=True)
+                       for i in range(self.k - 1)]
 
 
 def _mat_mul(A, B):
@@ -200,19 +201,16 @@ class YangBaxterReport:
 
 
 def _cleared(m1, m2):
-    """c m1 and c m2 as lists of sparse rows {column: entry} with entries in
-    Z[v^+-1], for one nonzero c in Q[v]: the lcm of the entries'
-    denominators times the lcm of the denominators of the rational
-    coefficients that remain."""
-    rows = [[{c: x for c, x in enumerate(row) if x} for row in m]
-            for m in (m1, m2)]
-    dens = {x.den for m in rows for row in m for x in row.values()}
+    """c m1 and c m2 for sparse rows m1, m2, with entries in Z[v^+-1], for
+    one nonzero c in Q[v]: the lcm of the entries' denominators times the
+    lcm of the denominators of the rational coefficients that remain."""
+    dens = {x.den for m in (m1, m2) for row in m for x in row.values()}
     lcm = LaurentPoly.one()
     for den in dens:
         lcm = poly_lcm(lcm, den)
     cofactor = {den: lcm.exact_div(den) for den in dens}
     nums = [[{c: x.num * cofactor[x.den] for c, x in row.items()}
-             for row in m] for m in rows]
+             for row in m] for m in (m1, m2)]
     k = math.lcm(*(c.denominator for m in nums for row in m
                    for p in row.values() for c in p.coeffs
                    if type(c) is not int))
@@ -223,7 +221,7 @@ def _cleared(m1, m2):
 
 def _braid_relation_holds(m1, m2) -> bool:
     """m1 m2 m1 == m2 m1 m2 over Q(v), decided on the Kronecker images of the
-    cleared matrices (the module docstring gives the bound)."""
+    cleared sparse rows (the module docstring gives the bound)."""
     n1, n2 = _cleared(m1, m2)
     polys = [p for n in (n1, n2) for row in n for p in row.values()]
     lo = min(p.offset for p in polys)
@@ -245,16 +243,13 @@ def check_ybe(V: WeightModule, totals=None) -> YangBaxterReport:
     cleared of denominators by one common scalar and compared as products
     of Kronecker-packed integer matrices, with the packing width chosen so
     that equal integers prove equal Laurent polynomials."""
-    r = TruncatedR(V, V, V.engine)
-    b1 = BraidOperator(r, 3, 0)
-    b2 = BraidOperator(r, 3, 1)
+    braid = BraidOperator(TruncatedR(V, V, V.engine), 3)
     if totals is None:
         totals = total_offsets(V, 3)
     results = []
     all_ok = True
     for total in totals:
-        basis, m1 = b1.block(total)
-        _, m2 = b2.block(total)
+        basis, (m1, m2) = braid.block(total)
         if not basis:
             continue
         ok = _braid_relation_holds(m1, m2)

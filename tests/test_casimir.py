@@ -29,14 +29,14 @@ def test_sl2_module_shape(sl2_v):
 
 def test_highest_pair_coefficient(sl2_v):
     _, matrix = CasimirTensor(sl2_v, sl2_v).block((0,))
-    assert matrix == [[Fraction(1, 2)]]
+    assert matrix == [{0: Fraction(1, 2)}]
 
 
 def test_sl2_middle_block(sl2_v):
     basis, matrix = CasimirTensor(sl2_v, sl2_v).block((1,))
     assert basis == [((0,), 0, (1,), 0), ((1,), 0, (0,), 0)]
-    assert matrix == [[Fraction(-1, 2), Fraction(1)],
-                      [Fraction(1), Fraction(-1, 2)]]
+    assert matrix == [{0: Fraction(-1, 2), 1: Fraction(1)},
+                      {0: Fraction(1), 1: Fraction(-1, 2)}]
     # eigenvalues 1/2 and -3/2
     tr = matrix[0][0] + matrix[1][1]
     det = matrix[0][0] * matrix[1][1] - matrix[0][1] * matrix[1][0]
@@ -45,7 +45,7 @@ def test_sl2_middle_block(sl2_v):
 
 def test_lowest_block(sl2_v):
     _, matrix = CasimirTensor(sl2_v, sl2_v).block((2,))
-    assert matrix == [[Fraction(1, 2)]]
+    assert matrix == [{0: Fraction(1, 2)}]
 
 
 def _diagonal_action_matrix(V, W, total, gen, raising):

@@ -67,7 +67,8 @@ def test_two_point_transport_matches_matrix_exponential(sl2_classical):
 
     T = kz_transport(system, [stretch], rtol=1e-11)
     _, om = CasimirTensor(sl2_classical, sl2_classical).block((1,))
-    om_mat = np.array([[float(x) for x in row] for row in om])
+    om_mat = np.array([[float(row.get(c, 0)) for c in range(len(om))]
+                       for row in om])
     delta = cmath.log(1 - 3) - cmath.log(1 - 2)
     # the reference exponential from an eigendecomposition of Omega
     lam, vecs = np.linalg.eig(om_mat)
@@ -140,6 +141,21 @@ def test_drinfeld_kohno_rejects_flipped_sign_at_large_hbar():
         deviations.append(drinfeld_kohno_compare(
             Vc, Vq, 2, -12, word_length=2, rtol=1e-9).max_deviation)
     assert deviations[0] < 1e-6 < 0.1 < deviations[1], deviations
+
+
+def test_drinfeld_kohno_four_strands(sl2_classical, sl2_quantum):
+    # three generators per block: the far pair sigma_1, sigma_3 enters the
+    # braid words on both sides
+    sl3 = build_realization([[2, -1], [-1, 2]])
+    lam = Weight.highest((Fraction(1), Fraction(0)), 2)
+    bp = DrinfeldPairing(sl3, D=session_denominator(sl3, [lam]))
+    cases = [(sl2_classical, sl2_quantum[1]),
+             (classical_module(lam, "irreducible", 3, sl3),
+              irreducible(lam, 3, sl3, pairing=bp))]
+    for Vc, Vq in cases:
+        report = drinfeld_kohno_compare(Vc, Vq, 4, 0.1, word_length=2)
+        assert report.strands == 4 and report.blocks
+        assert report.max_deviation < 1e-6, report.max_deviation
 
 
 def test_drinfeld_kohno_hbar_zero(sl2_classical, sl2_quantum):

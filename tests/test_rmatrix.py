@@ -3,11 +3,14 @@ from fractions import Fraction
 import pytest
 
 from qkm.cartan import Weight, build_realization, session_denominator
-from qkm.qmodules import check_module_relations, irreducible
+from qkm.kz import drinfeld_kohno_compare
+from qkm.qmodules import check_module_relations, classical_module, irreducible
 from qkm.qpairing import DrinfeldPairing
 from qkm.rmatrix import (
     BraidOperator,
     TruncatedR,
+    _braid_relation_holds,
+    _mat_mul,
     check_ybe,
     dual_bases,
     tensor_block_basis,
@@ -77,7 +80,7 @@ def test_r_middle_block_frozen(sl2_setup):
     qmh = mono(-1)                        # q^{-1/2}
     qq = QScalar(LaurentPoly.monomial(2) - LaurentPoly.monomial(-2))
     assert mat[0][0] == qmh
-    assert mat[0][1] == QScalar.zero()
+    assert mat[0].get(1, QScalar.zero()) == QScalar.zero()
     assert mat[1][0] == qmh * qq
     assert mat[1][1] == qmh
 
@@ -90,23 +93,25 @@ def test_r_invertible_blockwise(sl2_setup):
         if len(basis) == 1:
             assert mat[0][0]
         else:
-            det = mat[0][0] * mat[1][1] - mat[0][1] * mat[1][0]
+            zero = QScalar.zero()
+            det = (mat[0].get(0, zero) * mat[1].get(1, zero)
+                   - mat[0].get(1, zero) * mat[1].get(0, zero))
             assert det
 
 
 def test_braid_operator_eigen_relation(sl2_setup):
     bp, V = sl2_setup
-    op = BraidOperator(TruncatedR(V, V, bp), 2, 0)
-    basis, mat = op.block((1,))
+    op = BraidOperator(TruncatedR(V, V, bp), 2)
+    basis, (mat,) = op.block((1,))
     # (sigma R - q^{1/2})(sigma R + q^{-3/2}) = 0 on the middle block
     one = QScalar.one()
     zero = QScalar.zero()
     t1 = mono(1)    # q^{1/2}
     t2 = mono(-3)   # q^{-3/2}
-    m_minus = [[mat[r][c] - (t1 if r == c else zero) for c in range(2)]
-               for r in range(2)]
-    m_plus = [[mat[r][c] + (t2 if r == c else zero) for c in range(2)]
-              for r in range(2)]
+    m_minus = [[mat[r].get(c, zero) - (t1 if r == c else zero)
+                for c in range(2)] for r in range(2)]
+    m_plus = [[mat[r].get(c, zero) + (t2 if r == c else zero)
+               for c in range(2)] for r in range(2)]
     prod = [[sum((m_minus[r][k] * m_plus[k][c] for k in range(2)), start=zero)
              for c in range(2)] for r in range(2)]
     assert prod == [[zero, zero], [zero, zero]]
@@ -178,10 +183,11 @@ def test_tensor_block_enumeration(sl2_setup):
 
 def test_weight_preservation(sl2_setup):
     bp, V = sl2_setup
-    op = BraidOperator(TruncatedR(V, V, bp), 3, 0)
+    op = BraidOperator(TruncatedR(V, V, bp), 3)
     for total in total_offsets(V, 3):
-        basis, mat = op.block(total)
-        assert len(mat) == len(basis)
+        basis, gens = op.block(total)
+        assert len(gens) == 2
+        assert all(len(mat) == len(basis) for mat in gens)
 
 
 def test_check_ybe_builds_one_r(sl2_setup, monkeypatch):
@@ -207,14 +213,66 @@ def sl3_fundamental():
     return irreducible(lam, 3, SL3, pairing=bp)
 
 
+def _count_block_bases(monkeypatch):
+    """The totals of every tensor_block_basis call on the R side, in order."""
+    import qkm.rmatrix as rm
+    calls = []
+    build = rm.tensor_block_basis
+
+    def counting(factors, total):
+        calls.append(tuple(total))
+        return build(factors, total)
+
+    monkeypatch.setattr(rm, "tensor_block_basis", counting)
+    return calls
+
+
+def test_check_ybe_builds_each_block_basis_once(sl3_fundamental, monkeypatch):
+    # both generators of a block are lifted onto one basis
+    calls = _count_block_bases(monkeypatch)
+    V = sl3_fundamental
+    assert check_ybe(V).holds
+    assert calls == total_offsets(V, 3)
+
+
+def test_dk_builds_each_r_block_basis_once(sl2_setup, monkeypatch):
+    calls = _count_block_bases(monkeypatch)
+    _, Vq = sl2_setup
+    Vc = classical_module(hw(SL2, 1), "irreducible", 2, SL2)
+    report = drinfeld_kohno_compare(Vc, Vq, 3, 0.1, word_length=2)
+    assert report.max_deviation < 1e-6
+    assert calls == total_offsets(Vc, 3)
+
+
+def test_three_generators_on_four_strands(sl2_setup, sl3_fundamental):
+    # sigma_1 R, sigma_2 R, sigma_3 R on every block of V^(x 4): neighbours
+    # satisfy the braid relation and the far pair commutes, exactly; as a
+    # control, neighbours do not commute on some block
+    for V in (sl2_setup[1], sl3_fundamental):
+        braid = BraidOperator(TruncatedR(V, V, V.engine), 4)
+        neighbours_commute = True
+        for total in total_offsets(V, 4):
+            basis, g = braid.block(total)
+            assert len(g) == 3
+            assert _braid_relation_holds(g[0], g[1]), total
+            assert _braid_relation_holds(g[1], g[2]), total
+            assert _mat_mul(g[0], g[2]) == _mat_mul(g[2], g[0]), total
+            if len(basis) > 1:
+                neighbours_commute &= (_mat_mul(g[0], g[1])
+                                       == _mat_mul(g[1], g[0]))
+        assert not neighbours_commute
+
+
 def _edit_generators(monkeypatch, edit):
-    # edit(i, matrix) rewrites the block of the generator sigma_{i+1} R
+    # edit(i, rows) rewrites the sparse rows {column: value} of the
+    # generator sigma_{i+1} R on a block
     import qkm.rmatrix as rm
     block = rm.BraidOperator.block
 
     def edited(self, total):
-        basis, mat = block(self, total)
-        return basis, edit(self.i, [list(row) for row in mat])
+        basis, gens = block(self, total)
+        return basis, [edit(i, [dict(row) for row in mat])
+                       for i, mat in enumerate(gens)]
 
     monkeypatch.setattr(rm.BraidOperator, "block", edited)
 
@@ -223,8 +281,8 @@ def _one_coefficient_changes(mat):
     """(row, column, entry with one numerator coefficient moved by +-1) for
     every coefficient of every nonzero entry."""
     for r, row in enumerate(mat):
-        for c, x in enumerate(row):
-            for e in range(x.num.min_exp, x.num.max_exp + 1) if x else ():
+        for c, x in row.items():
+            for e in range(x.num.min_exp, x.num.max_exp + 1):
                 for sign in (1, -1):
                     num = x.num + LaurentPoly.monomial(e, sign)
                     yield r, c, QScalar(num, x.den)
@@ -234,7 +292,7 @@ def test_a_corrupted_block_fails_ybe(sl3_fundamental, monkeypatch):
     # one coefficient of one entry of sigma_1 R, moved by +-1, breaks the
     # braid relation on the regular block of the cube
     V = sl3_fundamental
-    m1 = BraidOperator(TruncatedR(V, V, V.engine), 3, 0).block((2, 1))[1]
+    m1 = BraidOperator(TruncatedR(V, V, V.engine), 3).block((2, 1))[1][0]
     changes = list(_one_coefficient_changes(m1))
     assert len(changes) >= 20
     for r, c, x in changes:
@@ -259,8 +317,8 @@ def test_ybe_survives_large_coefficients(sl3_fundamental, monkeypatch):
                                  LaurentPoly.from_dict({0: 2, 1: 5}))
     for scale in (QScalar(BIG), big):
         with monkeypatch.context() as m:
-            _edit_generators(m, lambda i, mat: [[x * scale for x in row]
-                                                     for row in mat])
+            _edit_generators(m, lambda i, mat: [
+                {c: x * scale for c, x in row.items()} for row in mat])
             report = check_ybe(V)
         assert report.holds and len(report.blocks) == 10
 
@@ -268,12 +326,13 @@ def test_ybe_survives_large_coefficients(sl3_fundamental, monkeypatch):
 def test_a_corrupted_block_fails_ybe_under_large_coefficients(
         sl3_fundamental, monkeypatch):
     V = sl3_fundamental
-    m1 = BraidOperator(TruncatedR(V, V, V.engine), 3, 0).block((2, 1))[1]
+    m1 = BraidOperator(TruncatedR(V, V, V.engine), 3).block((2, 1))[1][0]
     for r, c, x in list(_one_coefficient_changes(m1))[::5]:
         def corrupt(i, mat):
             if i == 0:
                 mat[r][c] = x
-            return [[y * QScalar(BIG) for y in row] for row in mat]
+            return [{c: y * QScalar(BIG) for c, y in row.items()}
+                    for row in mat]
         with monkeypatch.context() as m:
             _edit_generators(m, corrupt)
             report = check_ybe(V, totals=[(2, 1)])
@@ -299,8 +358,8 @@ def test_ybe_sees_a_difference_with_a_root_at_a_power_of_two(sl2_setup,
     # which a packing at v = 2^k would not see
     bp, V = sl2_setup
     for k in range(1, 40):
-        blocks = {0: [[QScalar(LaurentPoly.monomial(1))]],
-                  1: [[QScalar(2 ** k)]]}
+        blocks = {0: [{0: QScalar(LaurentPoly.monomial(1))}],
+                  1: [{0: QScalar(2 ** k)}]}
         with monkeypatch.context() as m:
             _edit_generators(m, lambda i, mat: blocks[i])
             report = check_ybe(V, totals=[(0,)])
