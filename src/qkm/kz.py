@@ -10,6 +10,9 @@ onto sites (i, j) of one two-site operator, `classical.CasimirTensor`, a
 `freealg.PairOperator` as R is: each basis pair of the Casimir tensor is
 computed once per comparison.  The Omega_ij and the sigma R generators both
 arrive as sparse rows, and `_array` turns either into a complex array.
+Blocks of one dimension are transported together: their Omega_ij are
+stacked (B, d, d) and share one adaptive step sequence, in which a step is
+accepted only when every block meets its own error tolerance.
 Monodromy is compared with the sigma R representation only through
 conjugation-invariant data (traces of braid words and generator eigenvalue
 multisets): the two representations are isomorphic, not equal.
@@ -21,7 +24,6 @@ import cmath
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
@@ -43,11 +45,12 @@ EXCHANGE_ORIENTATION = +1
 
 @dataclass
 class KZSystem:
-    """The KZ connection data on one total-weight block of V^(x k)."""
+    """The KZ connection data on one total-weight block of V^(x k), or on a
+    stack of blocks of one dimension (`stack_systems`, basis None)."""
 
     k: int
-    basis: tuple
-    omegas: dict               # (i, j), i < j -> numpy matrix
+    basis: tuple | None
+    omegas: dict               # (i, j), i < j -> (d, d) or (B, d, d) array
     hbar: complex
 
     @property
@@ -67,6 +70,16 @@ def build_kz_system(V: WeightModule, k: int, total_offset, hbar,
     omegas = {(i, j): _array(omega.lift(basis, i, j), complex)
               for i in range(k) for j in range(i + 1, k)}
     return KZSystem(k=k, basis=basis, omegas=omegas, hbar=complex(hbar))
+
+
+def stack_systems(systems) -> KZSystem:
+    """Systems on blocks of one dimension as one system whose Omega_ij are
+    stacked (B, d, d): its transports are theirs, stacked alike."""
+    first = systems[0]
+    return KZSystem(k=first.k, basis=None,
+                    omegas={pair: np.stack([s.omegas[pair] for s in systems])
+                            for pair in first.omegas},
+                    hbar=first.hbar)
 
 
 def _array(rows, value):
@@ -135,7 +148,8 @@ _DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
           187 / 2100, 1 / 40)
 
 
-def _rhs(system: KZSystem, seg, t: float):
+def _rhs(system: KZSystem, seg, t: float, Y):
+    """The right-hand side A(t) Y of the KZ system, and the step ceiling."""
     z, zdot = seg(t)
     k = system.k
     dmin = min(abs(z[i] - z[j]) for i in range(k) for j in range(i + 1, k))
@@ -143,45 +157,52 @@ def _rhs(system: KZSystem, seg, t: float):
     if dmin < 1e-8 * scale:
         raise DiagonalApproachError(
             f"closest approach |z_i - z_j| = {dmin:.3e} at t = {t:.6f}")
-    A = np.zeros((system.dim, system.dim), dtype=complex)
     coeff = system.hbar / (2j * math.pi)
-    for (i, j), om in system.omegas.items():
-        A = A + om * (coeff * (zdot[i] - zdot[j]) / (z[i] - z[j]))
+    A = sum(om * (coeff * (zdot[i] - zdot[j]) / (z[i] - z[j]))
+            for (i, j), om in system.omegas.items())
     speed = max(abs(x) for x in zdot) or 1.0
     h_ceiling = 0.5 * dmin / speed
-    return A, h_ceiling
+    return A @ Y, h_ceiling
 
 
 def transport_segment(system: KZSystem, seg, Y, rtol: float):
-    """Advance the fundamental solution along one smooth segment."""
+    """Advance the fundamental solution along one smooth segment.  On a
+    stack, Y is (B, d, d) and every block is held to its own tolerance
+    rtol * max(1, max |Y_b|): a step is accepted only when all of them meet
+    it, and the step size follows the block that needs the smallest."""
     if system.hbar == 0:
         return Y
     t = 0.0
-    A, ceiling = _rhs(system, seg, 0.0)
-    k1 = A @ Y
+    k1, ceiling = _rhs(system, seg, 0.0, Y)
     h = min(0.05, ceiling, 1.0)
     while t < 1.0:
         h = min(h, 1.0 - t)
+        # stage sums accumulate in place and the error estimate is dropped
+        # once read, so a stack holds few (B, d, d) arrays at once
         ks = [k1]
         for stage in range(1, 7):
-            Ys = Y
+            Ys = Y.copy()
             for coef, kmat in zip(_DP_A[stage], ks):
                 if coef:
-                    Ys = Ys + (h * coef) * kmat
-            A, ceil = _rhs(system, seg, t + _DP_C[stage] * h)
-            ks.append(A @ Ys)
-        Y5 = Ys
-        Y4 = Y
+                    Ys += (h * coef) * kmat
+            kmat, ceil = _rhs(system, seg, t + _DP_C[stage] * h, Ys)
+            ks.append(kmat)
+        # Ys is now the 5th-order solution; diff the 4th-order one less Ys
+        diff = Y.copy()
         for b4, kmat in zip(_DP_B4, ks):
             if b4:
-                Y4 = Y4 + (h * b4) * kmat
-        err = np.max(np.abs(Y5 - Y4))
-        tol = rtol * max(1.0, float(np.max(np.abs(Y5))))
-        accepted = err <= tol
+                diff += (h * b4) * kmat
+        diff -= Ys
+        err = np.max(np.abs(diff), axis=(-2, -1))
+        del diff
+        tol = rtol * np.maximum(1.0, np.max(np.abs(Ys), axis=(-2, -1)))
+        accepted = bool(np.all(err <= tol))
         if accepted:
             t += h
-            Y = Y5
-        factor = 0.9 * (tol / err) ** 0.2 if err > 0 else 5.0
+            Y = Ys
+        # a block with err 0 asks for no limit (inf), and the clamp gives 5
+        with np.errstate(divide="ignore"):
+            factor = 0.9 * float(np.min(tol / err)) ** 0.2
         h = h * min(5.0, max(0.2, factor))
         # the step ceiling is the one taken at the start of this step
         h = min(h, ceiling if ceiling else h)
@@ -193,8 +214,10 @@ def transport_segment(system: KZSystem, seg, Y, rtol: float):
 
 
 def kz_transport(system: KZSystem, segments, rtol: float = 1e-9):
-    """Transport matrix of the fundamental solution along a piecewise path."""
-    Y = np.eye(system.dim, dtype=complex)
+    """Transport matrix of the fundamental solution along a piecewise path;
+    on a stack, the (B, d, d) stack of the blocks' transport matrices."""
+    shape = next(iter(system.omegas.values())).shape
+    Y = np.broadcast_to(np.eye(shape[-1], dtype=complex), shape).copy()
     for seg in segments:
         Y = transport_segment(system, seg, Y, rtol)
     return Y
@@ -217,11 +240,6 @@ def braid_monodromy(system: KZSystem, i: int, rtol: float = 1e-9):
     base = base_configuration(system.k)
     T = kz_transport(system, [exchange_segment(base, i)], rtol)
     return permutation_matrix(system, i) @ T
-
-
-def braid_words(num_generators: int, max_length: int):
-    for length in range(1, max_length + 1):
-        yield from product(range(num_generators), repeat=length)
 
 
 @dataclass(frozen=True)
@@ -270,17 +288,71 @@ def _has_perfect_matching(adj) -> bool:
     """Perfect matching in a square bipartite graph, by augmenting paths."""
     neighbours = [np.flatnonzero(row).tolist() for row in adj]
     match = [-1] * len(adj)          # column -> matched row
+    return all(_augment(r, neighbours, match) for r in range(len(adj)))
 
-    def augment(r, seen):
-        for c in neighbours[r]:
+
+def _augment(root, neighbours, match) -> bool:
+    """Match row root along an augmenting path, found depth first with an
+    explicit stack, since a path may be as long as the graph: path holds
+    each row on it with its untried columns, cols the column taken from
+    each row but the last."""
+    seen = [False] * len(match)
+    path = [(root, iter(neighbours[root]))]
+    cols = []
+    while path:
+        for c in path[-1][1]:
             if not seen[c]:
-                seen[c] = True
-                if match[c] < 0 or augment(match[c], seen):
-                    match[c] = r
-                    return True
-        return False
+                break
+        else:                        # a dead end: back up one row
+            path.pop()
+            if cols:
+                cols.pop()
+            continue
+        seen[c] = True
+        cols.append(c)
+        if match[c] < 0:             # a free column: flip the path onto it
+            for (r, _), c in zip(path, cols):
+                match[c] = r
+            return True
+        path.append((match[c], iter(neighbours[match[c]])))
+    return False
 
-    return all(augment(r, [False] * len(adj)) for r in range(len(adj)))
+
+def _trace_deviation(kz_gens, qr_gens, word_length: int) -> float:
+    """Largest trace deviation over the positive braid words up to
+    word_length, each relative to max(1, product of the Frobenius norms of
+    the word's sigma R generators).  Each word's products are its prefix's
+    times its last generator, so a word costs one product per side; a
+    depth-first walk holds only the prefixes of the current word."""
+    norms = [np.linalg.norm(g) for g in qr_gens]
+    gens = list(zip(kz_gens, qr_gens, norms))
+    worst = 0.0
+    stack = [(a, b, n, 1) for a, b, n in reversed(gens)]
+    while stack:
+        tk, tq, scale, length = stack.pop()
+        worst = max(worst, abs(np.trace(tk) - np.trace(tq)) / max(1.0, scale))
+        if length < word_length:
+            stack.extend((tk @ a, tq @ b, scale * n, length + 1)
+                         for a, b, n in reversed(gens))
+    return worst
+
+
+def _compare_blocks(systems, sigmas, word_length: int, rtol: float):
+    """(trace deviation, eigenvalue deviation) of each block of one
+    dimension, whose monodromies come from one kz_transport per generator
+    on the stacked Omega_ij; sigmas[b] holds block b's sigma R generators."""
+    stack = stack_systems(systems)
+    base = base_configuration(stack.k)
+    transports = [kz_transport(stack, [exchange_segment(base, i)], rtol)
+                  for i in range(stack.k - 1)]
+    deviations = []
+    for b, (system, qr_gens) in enumerate(zip(systems, sigmas)):
+        kz_gens = [permutation_matrix(system, i) @ T[b]
+                   for i, T in enumerate(transports)]
+        deviations.append((_trace_deviation(kz_gens, qr_gens, word_length),
+                           max(_eig_multiset_deviation(kz, qr)
+                               for kz, qr in zip(kz_gens, qr_gens))))
+    return deviations
 
 
 def drinfeld_kohno_compare(V_classical: WeightModule, V_quantum: WeightModule,
@@ -313,10 +385,7 @@ def drinfeld_kohno_compare(V_classical: WeightModule, V_quantum: WeightModule,
         totals = total_offsets(V_classical, k)
     r = TruncatedR(V_quantum, V_quantum, V_quantum.engine)
     braid = BraidOperator(r, k)
-    blocks = []
-    worst_trace = 0.0
-    worst_eig = 0.0
-    ngen = k - 1
+    compared = {}
     try:
         # an overflow raises instead of warning, and sigma R, whose entries
         # overflow first, is evaluated before any transport
@@ -326,34 +395,27 @@ def drinfeld_kohno_compare(V_classical: WeightModule, V_quantum: WeightModule,
                  for g in braid.block(total)[1]]) for total in totals}
             if not all(np.isfinite(g).all() for g in sigma.values()):
                 raise FloatingPointError
+            # the blocks of one dimension share one transport per generator,
+            # and one dimension's Omega_ij are held at a time
+            by_dim = {}
             for total in totals:
-                system = build_kz_system(V_classical, k, total, hbar, omega)
-                if system.dim == 0:
+                by_dim.setdefault(sigma[total].shape[-1], []).append(total)
+            for dim, group in by_dim.items():
+                if dim == 0:
                     continue
-                kz_gens = [braid_monodromy(system, i, rtol)
-                           for i in range(ngen)]
-                qr_gens = sigma[total]
-                norms = [np.linalg.norm(g) for g in qr_gens]
-                trace_dev = 0.0
-                for word in braid_words(ngen, word_length):
-                    tk = np.eye(system.dim, dtype=complex)
-                    tq = np.eye(system.dim, dtype=complex)
-                    scale = 1.0
-                    for g in word:
-                        tk = tk @ kz_gens[g]
-                        tq = tq @ qr_gens[g]
-                        scale *= norms[g]
-                    trace_dev = max(trace_dev, abs(np.trace(tk) - np.trace(tq))
-                                    / max(1.0, scale))
-                eig_dev = max(_eig_multiset_deviation(a, b)
-                              for a, b in zip(kz_gens, qr_gens))
-                blocks.append(BlockComparison(total, system.dim, trace_dev,
-                                              eig_dev))
-                worst_trace = max(worst_trace, trace_dev)
-                worst_eig = max(worst_eig, eig_dev)
+                deviations = _compare_blocks(
+                    [build_kz_system(V_classical, k, total, hbar, omega)
+                     for total in group],
+                    [sigma[total] for total in group], word_length, rtol)
+                for total, (trace_dev, eig_dev) in zip(group, deviations):
+                    compared[total] = BlockComparison(total, dim, trace_dev,
+                                                      eig_dev)
     except (FloatingPointError, OverflowError, ZeroDivisionError):
         raise FloatingPointError(f"double precision overflowed at hbar = "
                                  f"{hbar}; take a smaller |Re hbar|") from None
+    blocks = [compared[total] for total in totals if total in compared]
+    worst_trace = max((b.max_trace_deviation for b in blocks), default=0.0)
+    worst_eig = max((b.max_eigenvalue_deviation for b in blocks), default=0.0)
     return MonodromyReport(strands=k, hbar=hbar, word_length=word_length,
                            rtol=rtol, blocks=tuple(blocks),
                            max_trace_deviation=worst_trace,

@@ -1,6 +1,7 @@
 import cmath
 import math
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -9,7 +10,10 @@ from qkm.cartan import Weight, build_realization, session_denominator
 from qkm.classical import CasimirTensor
 from qkm.kz import (
     DiagonalApproachError,
+    KZSystem,
     _eig_multiset_deviation,
+    _has_perfect_matching,
+    _trace_deviation,
     base_configuration,
     braid_monodromy,
     build_kz_system,
@@ -17,9 +21,11 @@ from qkm.kz import (
     kz_transport,
     loop_segment,
     permutation_matrix,
+    stack_systems,
 )
 from qkm.qmodules import classical_module, irreducible
 from qkm.qpairing import DrinfeldPairing
+from qkm.rmatrix import total_offsets
 
 SL2 = build_realization([[2]])
 LAM = Weight.highest((Fraction(1),), 1)
@@ -76,6 +82,138 @@ def test_two_point_transport_matches_matrix_exponential(sl2_classical):
     assert np.max(np.abs(vecs @ np.diag(lam) @ inv - om_mat)) < 1e-12
     expected = vecs @ np.diag(np.exp(hbar / (2j * math.pi) * lam * delta)) @ inv
     assert np.max(np.abs(T - expected)) < 1e-9
+
+
+def _stretch(t):
+    # move z_2 from 2 to 3, with z_1 = 1 fixed
+    z = base_configuration(2)
+    z[1] = 2 + t
+    zdot = np.zeros_like(z)
+    zdot[1] = 1.0
+    return z, zdot
+
+
+def _stretch_exponential(om, hbar):
+    """The two-point transport along `_stretch` in closed form, from an
+    eigendecomposition of the symmetric matrix om."""
+    lam, vecs = np.linalg.eigh(om.real)
+    delta = cmath.log(1 - 3) - cmath.log(1 - 2)
+    return (vecs * np.exp(hbar / (2j * math.pi) * lam * delta)) @ vecs.T
+
+
+def _counted(seg, calls):
+    def wrapped(t):
+        calls.append(t)
+        return seg(t)
+    return wrapped
+
+
+@pytest.fixture(scope="module")
+def sl2_spin1_systems():
+    # V (x) V for the 3-dimensional sl2 module: blocks of dimensions
+    # 1, 2, 3, 2, 1 at total offsets 0..4
+    V = classical_module(Weight.highest((Fraction(2),), 1), "irreducible", 3,
+                         SL2)
+    hbar = 0.2 + 0.1j
+    return {t: build_kz_system(V, 2, t, hbar) for t in total_offsets(V, 2)}
+
+
+def test_stack_of_one_block_equals_its_own_transport(sl2_spin1_systems):
+    system = sl2_spin1_systems[(2,)]
+    for segments in ([_stretch],
+                     [loop_segment(base_configuration(2), 0, 0.3)]):
+        T = kz_transport(system, segments, rtol=1e-9)
+        stacked = kz_transport(stack_systems([system]), segments, rtol=1e-9)
+        assert stacked.shape == (1,) + T.shape
+        assert np.array_equal(stacked[0], T)
+
+
+def test_stacked_blocks_match_their_own_transports(sl2_spin1_systems):
+    # blocks (1,), (3,) and (0,), (4,) share their dimensions; each member
+    # of a stack agrees with its own run and with the closed form
+    rtol = 1e-11
+    for pair in ([(1,), (3,)], [(0,), (4,)]):
+        systems = [sl2_spin1_systems[t] for t in pair]
+        stacked = kz_transport(stack_systems(systems), [_stretch], rtol=rtol)
+        for system, T in zip(systems, stacked):
+            alone = kz_transport(system, [_stretch], rtol=rtol)
+            exact = _stretch_exponential(system.omegas[(0, 1)], system.hbar)
+            assert np.max(np.abs(T - alone)) < 1e-9
+            assert np.max(np.abs(T - exact)) < 1e-9
+
+
+def test_stack_waits_for_its_hardest_block(sl2_spin1_systems):
+    # the same Omega scaled by 40 needs finer steps; in a stack, in either
+    # order, it keeps the accuracy of its own run, and the stack takes at
+    # least the hard block's steps
+    easy = sl2_spin1_systems[(2,)]
+    hard = KZSystem(k=2, basis=easy.basis,
+                    omegas={(0, 1): 40 * easy.omegas[(0, 1)]},
+                    hbar=easy.hbar)
+    rtol = 1e-9
+    calls = {}
+    alone = {}
+    for name, system in (("easy", easy), ("hard", hard)):
+        calls[name] = []
+        alone[name] = kz_transport(system, [_counted(_stretch, calls[name])],
+                                   rtol=rtol)
+    exact = _stretch_exponential(hard.omegas[(0, 1)], hard.hbar)
+    scale = max(1.0, np.max(np.abs(exact)))
+    own_error = np.max(np.abs(alone["hard"] - exact)) / scale
+    assert own_error < 1e-8
+    assert len(calls["easy"]) < len(calls["hard"])
+    for at in (0, 1):
+        members = [easy, easy]
+        members[at] = hard
+        stack_calls = []
+        stacked = kz_transport(stack_systems(members),
+                               [_counted(_stretch, stack_calls)], rtol=rtol)
+        T = stacked[at]
+        assert np.max(np.abs(T - exact)) / scale <= max(2 * own_error, 1e-12)
+        assert len(stack_calls) >= len(calls["hard"])
+
+
+def test_dk_transports_once_per_dimension_and_generator(sl2_quantum,
+                                                         monkeypatch):
+    # sl2 hw 1 on three strands: blocks of dimensions 1, 3, 3, 1, so two
+    # stacks, each transported once per generator
+    import qkm.kz as kz
+    shapes = []
+    transport = kz.kz_transport
+
+    def counting(system, segments, rtol):
+        T = transport(system, segments, rtol)
+        shapes.append(T.shape)
+        return T
+
+    monkeypatch.setattr(kz, "kz_transport", counting)
+    _, Vq = sl2_quantum
+    Vc = classical_module(LAM, "irreducible", 2, SL2)
+    report = drinfeld_kohno_compare(Vc, Vq, 3, 0.1, word_length=3, rtol=1e-9)
+    assert report.max_deviation < 1e-6
+    assert sorted(shapes) == [(2, 1, 1)] * 2 + [(2, 3, 3)] * 2
+    assert [b.total_offset for b in report.blocks] == total_offsets(Vc, 3)
+    assert [b.dim for b in report.blocks] == [1, 3, 3, 1]
+
+
+def test_trace_deviation_extends_prefix_products():
+    # each word's products extend its prefix's, left to right, so the
+    # deviation equals that of multiplying every word out from the identity
+    rng = np.random.default_rng(1)
+    kz_gens, qr_gens = ([rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+                         for _ in range(3)] for _ in range(2))
+    norms = [np.linalg.norm(g) for g in qr_gens]
+    expected = 0.0
+    for length in range(1, 4):
+        for word in product(range(3), repeat=length):
+            tk = tq = np.eye(4, dtype=complex)
+            scale = 1.0
+            for g in word:
+                tk, tq = tk @ kz_gens[g], tq @ qr_gens[g]
+                scale *= norms[g]
+            expected = max(expected, abs(np.trace(tk) - np.trace(tq))
+                           / max(1.0, scale))
+    assert _trace_deviation(kz_gens, qr_gens, 3) == expected
 
 
 def test_monodromy_eigenvalues_match_sigma_r(sl2_classical, sl2_quantum):
@@ -230,3 +368,17 @@ def test_eigenvalue_deviation_is_matching_free():
     B = np.diag([1.0000006 + 1j, 1.0000004 - 1j])
     assert _eig_multiset_deviation(A, B) == pytest.approx(
         2e-7 / abs(1.0000006 + 1j), rel=1e-6)
+
+
+def test_perfect_matching_on_a_long_augmenting_path():
+    # row r meets columns r and r + 1, the last row only column 0: rows
+    # 0..n-2 take their own column, and the last row's augmenting path runs
+    # through every row, deeper than Python's recursion limit
+    n = 1500
+    adj = np.zeros((n, n), dtype=bool)
+    for r in range(n - 1):
+        adj[r, r] = adj[r, r + 1] = True
+    adj[n - 1, 0] = True
+    assert _has_perfect_matching(adj)
+    adj[n - 1, 0] = False
+    assert not _has_perfect_matching(adj)
