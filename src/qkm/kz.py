@@ -12,10 +12,16 @@ computed once per comparison.  The Omega_ij and the sigma R generators both
 arrive as sparse rows, and `_array` turns either into a complex array.
 Blocks of one dimension are transported together: their Omega_ij are
 stacked (B, d, d) and share one adaptive step sequence, in which a step is
-accepted only when every block meets its own error tolerance.
+accepted only when every block meets its own error tolerance.  Only one
+generator of each mirror pair (i, k-2-i) is transported: the half-turn of
+the plane about the base point's centre, with the strand reversal, fixes
+the connection, so the mirrored monodromy is the conjugate by the reversal
+of the basis tuples.
 Monodromy is compared with the sigma R representation only through
 conjugation-invariant data (traces of braid words and generator eigenvalue
-multisets): the two representations are isomorphic, not equal.
+multisets): the two representations are isomorphic, not equal.  The
+multisets are matched at their bottleneck distance, whose search starts at
+the lower bound set by each eigenvalue's nearest partner.
 """
 
 from __future__ import annotations
@@ -223,14 +229,21 @@ def kz_transport(system: KZSystem, segments, rtol: float = 1e-9):
     return Y
 
 
+def _basis_permutation(basis, move):
+    """The index array p with basis[p[r]] = move(basis[r])."""
+    index = {tup: r for r, tup in enumerate(basis)}
+    return np.array([index[move(tup)] for tup in basis], dtype=np.intp)
+
+
+def _exchange(i: int):
+    """Swap of tensor factors i and i+1 on a basis tuple."""
+    return lambda tup: tup[:i] + (tup[i + 1], tup[i]) + tup[i + 2:]
+
+
 def permutation_matrix(system: KZSystem, i: int):
     """The operator permuting tensor factors i and i+1 on the block basis."""
-    index = {tup: r for r, tup in enumerate(system.basis)}
-    P = np.zeros((system.dim, system.dim), dtype=complex)
-    for c, tup in enumerate(system.basis):
-        new = tup[:i] + (tup[i + 1], tup[i]) + tup[i + 2:]
-        P[index[new], c] = 1.0
-    return P
+    swap = _basis_permutation(system.basis, _exchange(i))
+    return np.eye(system.dim, dtype=complex)[swap]
 
 
 def braid_monodromy(system: KZSystem, i: int, rtol: float = 1e-9):
@@ -269,7 +282,11 @@ def _eig_multiset_deviation(A, B) -> float:
     """Bottleneck distance between the eigenvalue multisets of A and B: the
     least t such that some perfect matching pairs every eigenvalue a of A
     with one b of B at relative distance |a - b| / max(1, |b|) <= t.
-    Exact, so no rounding can split a pair."""
+    Exact, so no rounding can split a pair.  Every row and every column is
+    matched at no less than its own least distance, so the largest of those
+    is a lower bound, probed first; only if it fails are the distances above
+    it bisected.  A probe reads each row's columns, sorted once by
+    distance, up to the level."""
     eig_a, eig_b = np.linalg.eigvals(A), np.linalg.eigvals(B)
     if not (np.isfinite(eig_a).all() and np.isfinite(eig_b).all()):
         raise FloatingPointError
@@ -277,18 +294,33 @@ def _eig_multiset_deviation(A, B) -> float:
             / np.maximum(1.0, np.abs(eig_b))[None, :])
     if not dist.size:
         return 0.0
+    order = np.argsort(dist, axis=1)
+    ranked = np.take_along_axis(dist, order, axis=1)
+    order = order.tolist()
+
+    def feasible(t) -> bool:
+        counts = np.count_nonzero(ranked <= t, axis=1).tolist()
+        return _matches_every_row([row[:n] for row, n in zip(order, counts)])
+
+    low = max(ranked[:, 0].max(), dist.min(axis=0).max())
+    if feasible(low):
+        return float(low)
     # feasibility is monotone in t, and the largest distance is feasible
-    levels = np.sort(dist, axis=None)
-    k = bisect_left(levels, True,
-                    key=lambda t: _has_perfect_matching(dist <= t))
-    return float(levels[k])
+    levels = np.sort(dist[dist > low])
+    return float(levels[bisect_left(levels, True, key=feasible)])
 
 
 def _has_perfect_matching(adj) -> bool:
-    """Perfect matching in a square bipartite graph, by augmenting paths."""
-    neighbours = [np.flatnonzero(row).tolist() for row in adj]
-    match = [-1] * len(adj)          # column -> matched row
-    return all(_augment(r, neighbours, match) for r in range(len(adj)))
+    """Perfect matching in a square bipartite graph given by its boolean
+    adjacency matrix, by augmenting paths."""
+    return _matches_every_row([np.flatnonzero(row).tolist() for row in adj])
+
+
+def _matches_every_row(neighbours) -> bool:
+    """Whether the rows, with neighbours[r] the columns row r meets, have a
+    perfect matching onto as many columns."""
+    match = [-1] * len(neighbours)   # column -> matched row
+    return all(_augment(r, neighbours, match) for r in range(len(neighbours)))
 
 
 def _augment(root, neighbours, match) -> bool:
@@ -337,18 +369,28 @@ def _trace_deviation(kz_gens, qr_gens, word_length: int) -> float:
     return worst
 
 
-def _compare_blocks(systems, sigmas, word_length: int, rtol: float):
+def _compare_blocks(stack: KZSystem, bases, sigmas, word_length: int,
+                    rtol: float):
     """(trace deviation, eigenvalue deviation) of each block of one
-    dimension, whose monodromies come from one kz_transport per generator
-    on the stacked Omega_ij; sigmas[b] holds block b's sigma R generators."""
-    stack = stack_systems(systems)
-    base = base_configuration(stack.k)
+    dimension, from the stack of their Omega_ij and each block's basis;
+    sigmas[b] holds block b's sigma R generators.  The half-turn
+    z -> (k + 1) - z with the strand reversal i -> k - 1 - i fixes the KZ
+    form and the base point, and carries the exchange of strands i, i+1 to
+    that of k-2-i, k-1-i; so one kz_transport per mirror pair i <= k-2-i
+    serves, and T_{k-2-i} = Pi T_i Pi^-1 with Pi the reversal of the basis
+    tuples."""
+    k = stack.k
+    base = base_configuration(k)
     transports = [kz_transport(stack, [exchange_segment(base, i)], rtol)
-                  for i in range(stack.k - 1)]
+                  for i in range(k // 2)]
     deviations = []
-    for b, (system, qr_gens) in enumerate(zip(systems, sigmas)):
-        kz_gens = [permutation_matrix(system, i) @ T[b]
-                   for i, T in enumerate(transports)]
+    for b, (basis, qr_gens) in enumerate(zip(bases, sigmas)):
+        rev = _basis_permutation(basis, lambda tup: tup[::-1])
+        block_T = [T[b] for T in transports]
+        block_T += [block_T[k - 2 - i][np.ix_(rev, rev)]
+                    for i in range(len(block_T), k - 1)]
+        kz_gens = [T[_basis_permutation(basis, _exchange(i))]
+                   for i, T in enumerate(block_T)]
         deviations.append((_trace_deviation(kz_gens, qr_gens, word_length),
                            max(_eig_multiset_deviation(kz, qr)
                                for kz, qr in zip(kz_gens, qr_gens))))
@@ -395,18 +437,25 @@ def drinfeld_kohno_compare(V_classical: WeightModule, V_quantum: WeightModule,
                  for g in braid.block(total)[1]]) for total in totals}
             if not all(np.isfinite(g).all() for g in sigma.values()):
                 raise FloatingPointError
-            # the blocks of one dimension share one transport per generator,
-            # and one dimension's Omega_ij are held at a time
+            # the blocks of one dimension share one transport per mirror
+            # pair of generators, and one dimension's Omega_ij are held at
+            # a time: each block's own go once stacked, the stack before
+            # the next dimension's are built
             by_dim = {}
             for total in totals:
                 by_dim.setdefault(sigma[total].shape[-1], []).append(total)
             for dim, group in by_dim.items():
                 if dim == 0:
                     continue
+                systems = [build_kz_system(V_classical, k, total, hbar, omega)
+                           for total in group]
+                bases = [system.basis for system in systems]
+                stack = stack_systems(systems)
+                del systems
                 deviations = _compare_blocks(
-                    [build_kz_system(V_classical, k, total, hbar, omega)
-                     for total in group],
-                    [sigma[total] for total in group], word_length, rtol)
+                    stack, bases, [sigma[total] for total in group],
+                    word_length, rtol)
+                del stack
                 for total, (trace_dev, eig_dev) in zip(group, deviations):
                     compared[total] = BlockComparison(total, dim, trace_dev,
                                                       eig_dev)

@@ -176,7 +176,10 @@ def test_stack_waits_for_its_hardest_block(sl2_spin1_systems):
 def test_dk_transports_once_per_dimension_and_generator(sl2_quantum,
                                                          monkeypatch):
     # sl2 hw 1 on three strands: blocks of dimensions 1, 3, 3, 1, so two
-    # stacks, each transported once per generator
+    # stacks, each transported once per mirror pair of generators (sigma_2
+    # is read off sigma_1); on four strands, blocks of dimensions
+    # 1, 4, 6, 4, 1 and two transports per stack (sigma_1 and sigma_3 are
+    # a mirror pair, sigma_2 is its own mirror)
     import qkm.kz as kz
     shapes = []
     transport = kz.kz_transport
@@ -191,9 +194,39 @@ def test_dk_transports_once_per_dimension_and_generator(sl2_quantum,
     Vc = classical_module(LAM, "irreducible", 2, SL2)
     report = drinfeld_kohno_compare(Vc, Vq, 3, 0.1, word_length=3, rtol=1e-9)
     assert report.max_deviation < 1e-6
-    assert sorted(shapes) == [(2, 1, 1)] * 2 + [(2, 3, 3)] * 2
+    assert sorted(shapes) == [(2, 1, 1), (2, 3, 3)]
     assert [b.total_offset for b in report.blocks] == total_offsets(Vc, 3)
     assert [b.dim for b in report.blocks] == [1, 3, 3, 1]
+
+    shapes.clear()
+    report = drinfeld_kohno_compare(Vc, Vq, 4, 0.1, word_length=3, rtol=1e-9)
+    assert report.max_deviation < 1e-6
+    assert sorted(shapes) == ([(1, 6, 6)] * 2 + [(2, 1, 1)] * 2
+                              + [(2, 4, 4)] * 2)
+    assert [b.total_offset for b in report.blocks] == total_offsets(Vc, 4)
+    assert [b.dim for b in report.blocks] == [1, 4, 6, 4, 1]
+
+
+@pytest.mark.parametrize("hbar", [0.1, 0.3 + 0.2j])
+def test_mirrored_generator_is_the_conjugate_by_basis_reversal(hbar):
+    # the half-turn z -> (k + 1) - z with the strand reversal fixes the KZ
+    # form and the base point, so M_{k-2-i} = Pi M_i Pi^-1 with Pi the
+    # reversal of the basis tuples, to rounding
+    sl3 = build_realization([[2, -1], [-1, 2]])
+    cases = [(classical_module(Weight.highest((Fraction(2),), 1),
+                               "irreducible", 3, SL2), 5),
+             (classical_module(Weight.highest((Fraction(1), Fraction(0)), 2),
+                               "irreducible", 3, sl3), 4)]
+    for V, k in cases:
+        for total in total_offsets(V, k):
+            system = build_kz_system(V, k, total, hbar)
+            index = {tup: r for r, tup in enumerate(system.basis)}
+            rev = [index[tup[::-1]] for tup in system.basis]
+            for i in range(k // 2):
+                M = braid_monodromy(system, i)[np.ix_(rev, rev)]
+                mirror = braid_monodromy(system, k - 2 - i)
+                assert (np.max(np.abs(mirror - M))
+                        <= 1e-12 * max(1.0, np.max(np.abs(M))))
 
 
 def test_trace_deviation_extends_prefix_products():
@@ -368,6 +401,50 @@ def test_eigenvalue_deviation_is_matching_free():
     B = np.diag([1.0000006 + 1j, 1.0000004 - 1j])
     assert _eig_multiset_deviation(A, B) == pytest.approx(
         2e-7 / abs(1.0000006 + 1j), rel=1e-6)
+
+
+def _bisected_deviation(A, B):
+    """The bottleneck distance by bisection over every distance level, each
+    probe building its adjacency from scratch: the reference."""
+    eig_a, eig_b = np.linalg.eigvals(A), np.linalg.eigvals(B)
+    dist = (np.abs(eig_a[:, None] - eig_b[None, :])
+            / np.maximum(1.0, np.abs(eig_b))[None, :])
+    levels = np.sort(dist, axis=None)
+    lo, hi = 0, len(levels) - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if _has_perfect_matching(dist <= levels[mid]):
+            hi = mid
+        else:
+            lo = mid + 1
+    return float(levels[lo])
+
+
+def test_eigenvalue_deviation_equals_full_bisection():
+    # the lower bound max(row minima, column minima) is infeasible here:
+    # 0 and 0.01 both sit nearest 0.005, so 0.01 must take 4 at 0.9975
+    A, B = np.diag([0.0, 0.01, 5.0]), np.diag([0.005, 4.0, 5.0])
+    assert _eig_multiset_deviation(A, B) == _bisected_deviation(A, B) == (
+        pytest.approx(0.9975, rel=1e-12))
+    rng = np.random.default_rng(7)
+    for trial in range(60):
+        d = int(rng.integers(1, 9))
+        kind = trial % 3
+        if kind == 0:        # clustered: a few centres, tiny spread
+            centres = rng.normal(size=3) + 1j * rng.normal(size=3)
+            eig_a = (rng.choice(centres, d)
+                     + 1e-3 * rng.normal(size=d) * (1 + 1j))
+            eig_b = (rng.choice(centres, d)
+                     + 1e-3 * rng.normal(size=d) * (1 + 1j))
+        elif kind == 1:      # repeated in A, repeated to 1e-9 in B
+            values = rng.integers(-2, 3, size=3) + 0.5j * rng.integers(0, 2, 3)
+            eig_a = rng.choice(values, d)
+            eig_b = rng.choice(values, d) + 1e-9 * rng.normal(size=d)
+        else:                # scattered, some beyond |b| = 1
+            eig_a = 3 * (rng.normal(size=d) + 1j * rng.normal(size=d))
+            eig_b = eig_a[rng.permutation(d)] + 0.1 * rng.normal(size=d)
+        A, B = np.diag(eig_a), np.diag(eig_b)
+        assert _eig_multiset_deviation(A, B) == _bisected_deviation(A, B)
 
 
 def test_perfect_matching_on_a_long_augmenting_path():
