@@ -18,12 +18,25 @@ the degrees below), the solve is on those vectors restricted to the free
 columns, a corank x corank system with small entries.  Otherwise, or when
 those candidates fail, it is on N[C][C].  Either way every candidate is
 det times an RREF vector, so it has an invertible block on the free
-columns.  Symbolic verification N . k = 0 then certifies every candidate;
+columns.  An exact check of N . k = 0 then certifies every candidate;
 since the candidates are independent and their number is the specialized
 corank, the specialized rank is also the generic rank, so the kernel is
 exact whether or not the point was generic and whichever source built it.
-A point whose candidates all fail verification is discarded and the next
-one is tried.
+A point whose candidates all fail the check is discarded and the next one
+is tried.
+
+Over the polynomial ring over Q the check multiplies out the symbolic
+products.  Over Z[v^+-1] it compares integers (Kronecker substitution, as
+`rmatrix` does for the braid relation).  A candidate with rational
+coefficients is first scaled by the lcm of its coefficients' denominators,
+a positive integer.  For row r every coefficient of sum_c N[r][c] k[c] is
+at most B = (sum_c |N[r][c]|_1) * max_c |k[c]|_1 in absolute value, with
+|.|_1 the sum of |coefficients|; one B is taken over all rows and the
+candidates of one set.  Each entry of N and of k is packed into its
+integer value at v^step = 2^bits, bits = B.bit_length() + 1
+(`scalars.kronecker_layout`).  Each row's integer dot product is then the
+packed image of a Laurent polynomial whose coefficients lie below
+2^(bits - 1) in absolute value, so it is 0 only if that polynomial is 0.
 
 Graded dimensions need no kernel vectors, only ranks, and `rank_mod_p`
 gives those for integer matrices reduced mod a word-size prime.  It works
@@ -37,11 +50,13 @@ combined into a certificate is described in `qpairing.GradedForm`.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from operator import mul
 
 import numpy as np
 
-from .scalars import rational_residue
+from .scalars import kronecker_layout, rational_residue
 
 
 def rref(rows):
@@ -189,14 +204,14 @@ class BadPointError(RuntimeError):
     """All specialization points were rejected; should not happen in practice."""
 
 
-def _certified_nullspace(N, points, candidates):
+def _certified_nullspace(N, points, candidates, verified):
     """The one certificate loop shared by both rings.
 
     At each point, candidates(pt) gives the pivot columns of N specialized
     there and an iterable of candidate sets, each one kernel vector of N
-    per free column.  The first set whose vectors all satisfy N . k = 0
-    symbolically gives (rank, pivot columns, vectors); a point whose sets
-    all fail is discarded.
+    per free column.  verified(vectors) decides N . k = 0 exactly for every
+    vector of a set; the first set it accepts gives (rank, pivot columns,
+    vectors), and a point whose sets all fail is discarded.
     """
     ncols = len(N[0]) if N else 0
     if ncols == 0:
@@ -204,7 +219,7 @@ def _certified_nullspace(N, points, candidates):
     for pt in points:
         pivots, sets = candidates(pt)
         for vectors in sets:
-            if all(_verify_zero(N, v) for v in vectors):
+            if verified(vectors):
                 return len(pivots), pivots, vectors
     raise BadPointError("no specialization point certified the kernel")
 
@@ -219,6 +234,45 @@ def _verify_zero(N, vec):
         if acc:
             return False
     return True
+
+
+def _integral(vec):
+    """vec times the lcm of the denominators of its coefficients, a positive
+    integer, so that N . vec = 0 is unchanged."""
+    den = math.lcm(*(c.denominator for e in vec for c in e.coeffs
+                     if type(c) is not int))
+    return vec if den == 1 else [e * den for e in vec]
+
+
+def _one_norm(e):
+    return sum(map(abs, e.coeffs))
+
+
+def _packed_verifier(N):
+    """verified(vectors) for a matrix N over Z[v^+-1]: N . k = 0 for every
+    k, decided on Kronecker images (the module docstring gives the bound).
+    A vector with rational coefficients is first cleared of denominators
+    by `_integral`."""
+    assert all(type(c) is int for row in N for e in row for c in e.coeffs), (
+        "the entries of N must lie in Z[v^+-1]")
+    entries = [e for row in N for e in row]
+    row_norm = max(sum(map(_one_norm, row)) for row in N)
+
+    def verified(vectors):
+        if not vectors:
+            return True
+        vectors = [_integral(k) for k in vectors]
+        bound = row_norm * max(_one_norm(e) for k in vectors for e in k)
+        bits, (lo_n, lo_k), step = kronecker_layout(
+            [entries, [e for k in vectors for e in k]], bound)
+        packed = [[e.kronecker(bits, lo_n, step) for e in row] for row in N]
+        for k in vectors:
+            kk = [e.kronecker(bits, lo_k, step) for e in k]
+            if any(sum(map(mul, row, kk)) for row in packed):
+                return False
+        return True
+
+    return verified
 
 
 def certified_laurent_nullspace(N, zero, one, points, p, normalize,
@@ -271,7 +325,7 @@ def certified_laurent_nullspace(N, zero, one, points, p, normalize,
         pivots = [int(np.flatnonzero(row)[0]) for row in rows]
         return pivots, lift(pivots)
 
-    return _certified_nullspace(N, points, candidates)
+    return _certified_nullspace(N, points, candidates, _packed_verifier(N))
 
 
 def certified_rational_nullspace(S, points, specialize):
@@ -287,4 +341,6 @@ def certified_rational_nullspace(S, points, specialize):
         red, pivots = rref([[specialize(e, pt) for e in row] for row in S])
         return pivots, [_free_basis(red, pivots, len(red[0]), Fraction(1))]
 
-    return _certified_nullspace(S, points, candidates)
+    return _certified_nullspace(
+        S, points, candidates,
+        lambda vectors: all(_verify_zero(S, v) for v in vectors))

@@ -23,7 +23,9 @@ the least exponent in N1 and N2 and every exponent lies in lo + s Z.  With d
 the block dimension and M the largest sum of |coefficients| of an entry,
 every coefficient of either triple product is at most d^2 M^3 in absolute
 value, so for 2^(b-1) > 2 d^2 M^3 their difference vanishes at 2^b only if
-it is zero: equal integer products prove the identity over Q(v).
+it is zero: equal integer products prove the identity over Q(v).  The
+layout (lo, s, b) comes from `scalars.kronecker_layout`, which the kernel
+certificate of `linalg` uses too, with its own bound.
 """
 
 from __future__ import annotations
@@ -50,6 +52,7 @@ from .scalars import (
     DenominatorError,
     LaurentPoly,
     QScalar,
+    kronecker_layout,
     poly_lcm,
     q_power,
 )
@@ -224,14 +227,8 @@ def _braid_relation_holds(m1, m2) -> bool:
     cleared sparse rows (the module docstring gives the bound)."""
     n1, n2 = _cleared(m1, m2)
     polys = [p for n in (n1, n2) for row in n for p in row.values()]
-    lo = min(p.offset for p in polys)
-    # all exponents lie in lo + step Z; on the v-grid of a session
-    # denominator step is often D or 2D, and packing in v^step keeps the
-    # integers that many times shorter
-    step = math.gcd(*(p.offset - lo + i for p in polys
-                      for i, c in enumerate(p.coeffs) if c)) or 1
     norm = max(sum(map(abs, p.coeffs)) for p in polys)
-    bits = (2 * len(m1) ** 2 * norm ** 3).bit_length() + 1
+    bits, (lo,), step = kronecker_layout([polys], 2 * len(m1) ** 2 * norm ** 3)
     k1, k2 = ([{c: p.kronecker(bits, lo, step) for c, p in row.items()}
                for row in n] for n in (n1, n2))
     return _mat_mul(_mat_mul(k1, k2), k1) == _mat_mul(_mat_mul(k2, k1), k2)

@@ -268,9 +268,12 @@ class LaurentPoly:
         """The integer value of v^(-lo) * self at v^step = 2^bits, by Horner's
         rule over Z (Kronecker substitution).  Needs integer coefficients,
         lo <= min_exp, and every exponent with a nonzero coefficient in
-        lo + step Z.  The map is multiplicative (with lo adding up), and it
-        is injective on polynomials whose coefficients all lie below
-        2^(bits - 1) in absolute value."""
+        lo + step Z; the zero polynomial packs to 0 at any lo.  The map is
+        multiplicative (with lo adding up), and it is injective on
+        polynomials whose coefficients all lie below 2^(bits - 1) in
+        absolute value."""
+        if not self.coeffs:
+            return 0
         acc = 0
         for c in reversed(self.coeffs[::step]):
             acc = (acc << bits) + c
@@ -332,6 +335,30 @@ def poly_lcm(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     """Least common multiple of two ordinary polynomials with nonzero
     constant terms; monic when both are."""
     return a * b.exact_div(poly_gcd(a, b))
+
+
+def kronecker_layout(groups, bound: int):
+    """One Kronecker substitution for integer Laurent polynomials that are
+    multiplied and summed: (bits, lows, step).
+
+    groups is a list of lists of polynomials.  lows[g] is the least
+    exponent in group g, and step the gcd of every exponent's distance from
+    its group's low (1 when all are 0).  A factor from group g packs as
+    `p.kronecker(bits, lows[g], step)`; a product packs at the sum of its
+    factors' lows, so products with the same lows, and their sums, compare
+    as integers.  On the v-grid of a session denominator step is often D or
+    2D, and packing in v^step keeps the integers that many times shorter.
+    bound is the caller's bound on the absolute value of every coefficient
+    of what it compares; bits = bound.bit_length() + 1 puts 2^(bits - 1)
+    above it, so such a polynomial packs to 0 only if it is 0."""
+    lows = [min((p.offset for p in g if p), default=0) for g in groups]
+    step = 0
+    for lo, g in zip(lows, groups):
+        for p in g:
+            if p:
+                step = _int_gcd(step, p.offset - lo,
+                                *(i for i, c in enumerate(p.coeffs) if c))
+    return bound.bit_length() + 1, lows, step or 1
 
 
 class QScalar:

@@ -26,7 +26,11 @@ from qkm.classical import (
     root_multiplicities,
 )
 from qkm.freealg import enumerate_words, total_degree
-from qkm.linalg import certified_laurent_nullspace
+from qkm.linalg import (
+    _packed_verifier,
+    _verify_zero,
+    certified_laurent_nullspace,
+)
 from qkm.qmodules import (
     character,
     check_module_relations,
@@ -262,6 +266,47 @@ def test_kernel_side_candidates_match_the_gram_side(cd):
         assert kb.quotient_dim == rank, (cd.A, m)
         assert bp.quotient_basis(m) == tuple(block.basis[p] for p in pivots)
         assert bp._vectors[m] == vectors, (cd.A, m)
+
+
+@st.composite
+def laurent_kernel_system(draw):
+    """An r x (r + 1) matrix N over Z[v^+-1], r = 1 or 2, every exponent in
+    one class mod step (1 to 3) and some negative, and k, the signed
+    maximal minors of N, so N . k = 0."""
+    step = draw(st.integers(1, 3))
+    residue = draw(st.integers(0, step - 1))
+    r = draw(st.integers(1, 2))
+
+    def entry():
+        terms = draw(st.dictionaries(
+            st.integers(-3, 3).map(lambda t: residue + step * t),
+            st.integers(-9, 9).filter(bool), max_size=3))
+        return LaurentPoly.from_dict(terms)
+
+    N = [[entry() for _ in range(r + 1)] for _ in range(r)]
+    if r == 1:
+        k = [N[0][1], -N[0][0]]
+    else:
+        (a, b, c), (d, e, f) = N
+        k = [b * f - c * e, c * d - a * f, a * e - b * d]
+    return N, k
+
+
+@settings(PROPERTY, max_examples=200)
+@given(laurent_kernel_system(), st.data())
+def test_packed_check_agrees_with_symbolic_products(system, data):
+    """The Kronecker-packed decision of N . k = 0 equals the symbolic one on
+    kernel vectors and on vectors moved off the kernel by one monomial,
+    alone and together in one candidate set."""
+    N, k = system
+    verified = _packed_verifier(N)
+    assert _verify_zero(N, k) and verified([k]), (N, k)
+    bad = list(k)
+    c = data.draw(st.integers(0, len(k) - 1))
+    bad[c] = bad[c] + LaurentPoly.monomial(data.draw(st.integers(-8, 8)),
+                                           data.draw(st.sampled_from((-1, 1))))
+    assert verified([bad]) == _verify_zero(N, bad), (N, bad)
+    assert verified([k, bad]) == _verify_zero(N, bad), (N, k, bad)
 
 
 def _diagonal_action(V, src, dst, i, raising):

@@ -239,6 +239,69 @@ def test_laurent_certificate_skips_a_non_generic_point():
     assert next(points, None) is None
 
 
+def test_laurent_kernels_never_reach_the_symbolic_check(monkeypatch):
+    # N . k = 0 is decided on packed integers alone, also at a point whose
+    # candidates fail and on a rational matrix (D = 2)
+    def refuse(N, vec):
+        raise AssertionError("_verify_zero on a Laurent kernel path")
+
+    monkeypatch.setattr(linalg, "_verify_zero", refuse)
+    bp = DrinfeldPairing(AFF)
+    for m in degrees_upto(2, 5):
+        bp.kernel_block(m)
+    assert bp.kernel_block((3, 1)).quotient_dim == 3
+    half = build_realization([[2, Fraction(-1, 2)], [Fraction(-1, 2), 2]])
+    bp2 = DrinfeldPairing(half, D=session_denominator(half))
+    for m in degrees_upto(2, 4):
+        bp2.kernel_block(m)
+    N = DrinfeldPairing(SL3).gram_block((1, 1)).numerators
+    assert certified_laurent_nullspace(
+        N, LaurentPoly.zero(), LaurentPoly.one(),
+        iter((Fraction(1), Fraction(2))), bp.p,
+        _normalize_poly_vector)[:2] == (2, [0, 1])
+
+
+def test_every_one_coefficient_change_of_the_serre_vector_is_rejected():
+    bp = DrinfeldPairing(AFF)
+    bp.kernel_block((3, 1))
+    (serre,) = bp._vectors[(3, 1)]
+    verified = linalg._packed_verifier(bp.gram_block((3, 1)).numerators)
+    assert verified([serre])
+    lo = min(e.min_exp for e in serre if e)
+    hi = max(e.max_exp for e in serre if e)
+    changes = 0
+    for c in range(len(serre)):
+        for e in range(lo, hi + 1):
+            for sign in (1, -1):
+                bad = list(serre)
+                bad[c] = bad[c] + LaurentPoly.monomial(e, sign)
+                assert not verified([bad]), (c, e, sign)
+                assert not verified([serre, bad]), (c, e, sign)
+                changes += 1
+    assert changes >= 4 * 2 * 4
+    # rational coefficients are cleared by the lcm of their denominators
+    third = [e * Fraction(1, 3) for e in serre]
+    assert any(type(c) is Fraction for e in third for c in e.coeffs)
+    assert verified([third])
+    assert not verified([[e * Fraction(1 + c % 2, 3)
+                          for c, e in enumerate(serre)]])
+
+
+def test_packed_check_sees_a_difference_with_a_root_at_a_power_of_two():
+    # N . k = v - 2^k vanishes at v = 2^k, so a packing k bits wide would
+    # accept it; the bound sums the 1-norms of a row of N and multiplies by
+    # the largest 1-norm of an entry of k
+    one = LaurentPoly.one()
+    for k in range(3, 40):
+        power = LaurentPoly.monomial(0, -2 ** k)
+        quarter = LaurentPoly.monomial(0, -2 ** (k - 2))
+        assert (mono(1) + power).kronecker(k, 0, 1) == 0
+        for N, vec in (([[mono(1), power]], [one, one]),
+                       ([[one, one]], [mono(1), power]),
+                       ([[one] * 5], [mono(1)] + [quarter] * 4)):
+            assert not linalg._packed_verifier(N)([vec]), (k, N, vec)
+
+
 def test_laurent_kernels_never_reach_the_field_rref(monkeypatch):
     # ranks and pivots of the Laurent blocks come from F_p alone
     def refuse(rows):

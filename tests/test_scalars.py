@@ -211,3 +211,5 @@ def test_kronecker_packing_small_cases():
     assert p.kronecker(4, -1, 2) == 3 - 2 * 16
     assert p.kronecker(4, -3, 2) == (3 - 2 * 16) * 16
     assert LaurentPoly.monomial(-5, -7).kronecker(3, -5, 1) == -7
+    # zero entries of a packed matrix, at a low above 0
+    assert LaurentPoly.zero().kronecker(3, 2, 1) == 0
