@@ -9,7 +9,11 @@ highest weight), so the bases of total-weight blocks of their tensor
 products and the one two-site operator type (`PairOperator`: the R-matrix,
 sigma R and the Casimir tensor, lifted onto those blocks) live here too:
 every layer that acts on tensor products, exact or numeric, uses them.
-A lifted block is a list of sparse rows {column: nonzero value}.
+A lifted block is a list of sparse rows {column: nonzero value}.  Each
+block basis of a tensor product is built once and kept with the product's
+other blocks, keyed by the factors' characters, so modules with equal
+characters (the quantum and classical sides of a comparison) share them;
+the blocks of the last four tensor products are kept.
 """
 
 from __future__ import annotations
@@ -174,24 +178,48 @@ def tensor_block_basis(factors, total):
     Each factor is a weight module (offsets(), dim(offset)).  The basis
     tuples ((m_1, a_1), ..., (m_k, a_k)) have offsets summing to `total` and
     are ordered lexicographically, site by site, along each factor's
-    offsets().
+    offsets().  Every call on factors of the same characters reads the
+    same `_TensorBlocks`, so the quantum and classical sides of one
+    comparison build each block once between them.
     """
-    *head, last = factors
-    out = []
+    characters = tuple(tuple((m, f.dim(m)) for m in f.offsets() if f.dim(m))
+                       for f in factors)
+    return list(_tensor_blocks(characters).block(0, tuple(total)))
 
-    def rec(prefix, remaining, site):
-        if site == len(head):
-            out.extend(prefix + ((remaining, a),)
-                       for a in range(last.dim(remaining)))
-            return
-        for m in head[site].offsets():
-            rest = tuple(r - x for r, x in zip(remaining, m))
-            if all(x >= 0 for x in rest):
-                for a in range(head[site].dim(m)):
-                    rec(prefix + ((m, a),), rest, site + 1)
 
-    rec((), tuple(total), 0)
-    return out
+class _TensorBlocks:
+    """The blocks of one tensor product, given the factors' characters
+    ((offset, dim) pairs in offsets() order), each built once when first
+    asked for.  The block of sites j, j+1, ... at total t is, in order over
+    site j's (m, a), (m, a) prepended to each tuple of the block of sites
+    j+1, ... at t - m: lexicographic, since that block is."""
+
+    def __init__(self, characters):
+        self.characters = characters
+        self._blocks: dict = {}      # (site, total) -> basis tuples
+
+    def block(self, site: int, total):
+        key = (site, total)
+        out = self._blocks.get(key)
+        if out is not None:
+            return out
+        if site == len(self.characters) - 1:
+            dim = dict(self.characters[site]).get(total, 0)
+            out = [((total, a),) for a in range(dim)]
+        else:
+            out = []
+            for m, dim in self.characters[site]:
+                rest = tuple(r - x for r, x in zip(total, m))
+                if min(rest) >= 0:
+                    tail = self.block(site + 1, rest)
+                    out.extend(((m, a),) + t for a in range(dim) for t in tail)
+        self._blocks[key] = out
+        return out
+
+
+@lru_cache(maxsize=4)
+def _tensor_blocks(characters) -> _TensorBlocks:
+    return _TensorBlocks(characters)
 
 
 def add_tensor_terms(out: dict, tV, imgV, tW, imgW) -> None:

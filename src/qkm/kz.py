@@ -9,7 +9,8 @@ with the distance to the nearest diagonal.  The matrices Omega_ij are lifts
 onto sites (i, j) of one two-site operator, `classical.CasimirTensor`, a
 `freealg.PairOperator` as R is: each basis pair of the Casimir tensor is
 computed once per comparison.  The Omega_ij and the sigma R generators both
-arrive as sparse rows, and `_array` turns either into a complex array.
+arrive as sparse rows, and `_array` turns either into a complex array;
+each distinct sigma R entry is evaluated once per comparison.
 Blocks of one dimension are transported together: their Omega_ij are
 stacked (B, d, d) and share one adaptive step sequence, in which a step is
 accepted only when every block meets its own error tolerance.  Only one
@@ -428,13 +429,21 @@ def drinfeld_kohno_compare(V_classical: WeightModule, V_quantum: WeightModule,
     r = TruncatedR(V_quantum, V_quantum, V_quantum.engine)
     braid = BraidOperator(r, k)
     compared = {}
+    values = {}       # each distinct sigma R entry is evaluated once
+
+    def value(x):
+        out = values.get(x)
+        if out is None:
+            out = values[x] = evaluate_numeric(x, hbar, V_quantum.D)
+        return out
+
     try:
         # an overflow raises instead of warning, and sigma R, whose entries
         # overflow first, is evaluated before any transport
         with np.errstate(over="raise", invalid="raise"):
-            sigma = {total: np.array(
-                [_array(g, lambda x: evaluate_numeric(x, hbar, V_quantum.D))
-                 for g in braid.block(total)[1]]) for total in totals}
+            sigma = {total: np.array([_array(g, value)
+                                      for g in braid.block(total)[1]])
+                     for total in totals}
             if not all(np.isfinite(g).all() for g in sigma.values()):
                 raise FloatingPointError
             # the blocks of one dimension share one transport per mirror

@@ -11,7 +11,10 @@ is exact on category-O blocks because raising out of the cone vanishes.
 R is a `freealg.PairOperator`: its image of each basis pair is computed
 once, and its blocks on V (x) W and the braid generators sigma R on V^(x k)
 are sparse lifts of that one operator (the latter with the sites flipped);
-a `BraidOperator` lifts every generator of a block onto one basis.
+a `BraidOperator` lifts every generator of a block onto one basis.  The
+word images that make up R's terms are computed once per R: the E-word
+image of each basis vector of W, and the dual F-combination image of each
+basis vector of V, are shared by every basis pair that reaches them.
 
 The braid relation is decided without field arithmetic.  On each block the
 two generators m1, m2 are scaled by one common c in Q[v] (the lcm of their
@@ -126,22 +129,40 @@ class TruncatedR(PairOperator):
                                    f"needs a multiple of D = {need}")
         super().__init__(V, W, self._r_terms)
         self.pairing = pairing
+        # word images shared by every basis pair that reaches them:
+        # (u, m_W, b) -> (offset, image) of E_u on w_b, None when it is 0;
+        # (beta, index, m_V, a) -> image of the index-th dual F-combination
+        # of degree beta on v_a, None when no term applies
+        self._e_images: dict = {}
+        self._f_images: dict = {}
+
+    def _e_image(self, u, mW, b):
+        key = (u, mW, b)
+        if key not in self._e_images:
+            tW, imgW = self.W.apply_e_word(u, mW, self.W.unit(mW, b))
+            self._e_images[key] = (tW, imgW) if any(imgW) else None
+        return self._e_images[key]
+
+    def _f_image(self, beta, index, v, mV, a):
+        key = (beta, index, mV, a)
+        if key not in self._f_images:
+            self._f_images[key] = self.V.apply_combo(
+                v.terms, mV, self.V.unit(mV, a), raising=False)
+        return self._f_images[key]
 
     def _r_terms(self, mV, a, mW, b):
         V, W = self.V, self.W
         out = {(mV, a, mW, b): QScalar.one()}
-        vecW = W.unit(mW, b)
-        vecV = V.unit(mV, a)
         for beta in _betas_below(mW):
             db = dual_bases(beta, self.pairing)
             tV = tuple(x + y for x, y in zip(mV, beta))
-            for u, v in zip(db.u_basis, db.v_basis):
-                tW, imgW = W.apply_e_word(u, mW, vecW)
-                if all(not c for c in imgW):
+            for index, (u, v) in enumerate(zip(db.u_basis, db.v_basis)):
+                e_image = self._e_image(u, mW, b)
+                if e_image is None:
                     continue
-                imgV = V.apply_combo(v.terms, mV, vecV, raising=False)
+                imgV = self._f_image(beta, index, v, mV, a)
                 if imgV is not None:
-                    add_tensor_terms(out, tV, imgV, tW, imgW)
+                    add_tensor_terms(out, tV, imgV, *e_image)
         cartan = q_power(weight_form(V.weight_at(mV), W.weight_at(mW), V.cd),
                          V.D)
         return [(k2, cartan * v) for k2, v in out.items() if v]

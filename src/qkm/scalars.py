@@ -435,6 +435,11 @@ class QScalar:
             other = QScalar(other)
         if not isinstance(other, QScalar):
             return NotImplemented
+        # a sum with zero is the other operand, already in normal form
+        if not other.num:
+            return self
+        if not self.num:
+            return other
         if self.den == other.den:
             return QScalar(self.num + other.num, self.den)
         return QScalar(self.num * other.den + other.num * self.den,
@@ -457,9 +462,22 @@ class QScalar:
             other = QScalar(other)
         if not isinstance(other, QScalar):
             return NotImplemented
+        # times a unit monomial v^e: the numerator shifts and the denominator
+        # stays, so the product is in normal form (v does not divide den)
+        if other.den.coeffs == (1,) and other.num.coeffs == (1,):
+            return self._shifted(other.num.offset)
+        if self.den.coeffs == (1,) and self.num.coeffs == (1,):
+            return other._shifted(self.num.offset)
         return QScalar(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
+
+    def _shifted(self, e: int) -> "QScalar":
+        """self * v^e, in normal form without a gcd."""
+        out = QScalar.__new__(QScalar)
+        out.num = self.num.shift(e)
+        out.den = self.den
+        return out
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):

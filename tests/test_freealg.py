@@ -1,18 +1,22 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
-from qkm.cartan import build_realization
+from qkm.cartan import Weight, build_realization
 from qkm.freealg import (
     FreeElement,
+    PairOperator,
     ResourceLimitError,
     enumerate_words,
     free_mul,
     multinomial,
+    tensor_block_basis,
     word_degree,
     word_string,
 )
+from qkm.qmodules import classical_module
 
 
 def test_enumerate_basic():
@@ -76,3 +80,43 @@ def test_serialization():
     el = FreeElement.from_dict((2, 1), {(0, 0, 1): Fraction(1), (0, 1, 0): Fraction(-2)})
     assert str(el) == "112:1; 121:-2"
     assert word_degree((0, 0, 1), 2) == (2, 1)
+
+
+def _brute_force_basis(factors, total):
+    """The block basis by the definition: every choice of one (offset,
+    index) per factor, in each factor's offsets() order site by site,
+    whose offsets sum to total."""
+    sites = [[(m, a) for m in f.offsets() for a in range(f.dim(m))]
+             for f in factors]
+    return [tup for tup in product(*sites)
+            if tuple(map(sum, zip(*(m for m, _ in tup)))) == tuple(total)]
+
+
+def test_block_bases_equal_brute_force_enumeration():
+    sl3 = build_realization([[2, -1], [-1, 2]])
+    lam = Weight.highest((Fraction(1), Fraction(1)), 2)
+    irr = classical_module(lam, "irreducible", 3, sl3)
+    verma = classical_module(lam, "verma", 2, sl3)
+    for V in (irr, verma):
+        for k in range(1, 5):
+            factors = (V,) * k
+            totals = {tuple(map(sum, zip(*(m for m, _ in tup))))
+                      for tup in product(*[[(m, 0) for m in V.offsets()]] * k)}
+            for total in sorted(totals):
+                assert (tensor_block_basis(factors, total)
+                        == _brute_force_basis(factors, total)), (k, total)
+            # a total no block reaches, and one below the cone
+            assert tensor_block_basis(factors, (3 * k + 1, 0)) == []
+            assert tensor_block_basis(factors, (-1, 0)) == []
+    # two different factors, through the block of a two-site operator
+    pair = PairOperator(irr, verma,
+                        lambda mV, a, mW, b: [((mV, a, mW, b), 1)])
+    seen = 0
+    for total in product(range(6), repeat=2):
+        basis, rows = pair.block(total)
+        expected = _brute_force_basis((irr, verma), total)
+        assert basis == [(mV, a, mW, b) for (mV, a), (mW, b) in expected]
+        assert rows == [{r: 1} for r in range(len(basis))]
+        seen += len(basis)
+    assert seen == (sum(irr.dim(m) for m in irr.offsets())
+                    * sum(verma.dim(m) for m in verma.offsets()))

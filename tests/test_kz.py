@@ -459,3 +459,33 @@ def test_perfect_matching_on_a_long_augmenting_path():
     assert _has_perfect_matching(adj)
     adj[n - 1, 0] = False
     assert not _has_perfect_matching(adj)
+
+
+def test_each_distinct_sigma_r_entry_is_evaluated_once(monkeypatch):
+    import qkm.kz as kz
+    from qkm.rmatrix import BraidOperator, TruncatedR
+    sl3 = build_realization([[2, -1], [-1, 2]])
+    lam = Weight.highest((Fraction(1), Fraction(0)), 2)
+    bp = DrinfeldPairing(sl3, D=session_denominator(sl3, [lam]))
+    Vq = irreducible(lam, 3, sl3, pairing=bp)
+    Vc = classical_module(lam, "irreducible", 3, sl3)
+    braid = BraidOperator(TruncatedR(Vq, Vq, bp), 3)
+    entries = [x for total in total_offsets(Vc, 3)
+               for g in braid.block(total)[1] for row in g
+               for x in row.values()]
+    calls = []
+    evaluate = kz.evaluate_numeric
+
+    def counting(x, hbar, D):
+        calls.append(x)
+        return evaluate(x, hbar, D)
+
+    monkeypatch.setattr(kz, "evaluate_numeric", counting)
+    for hbar in (0.1, 0.2):
+        calls.clear()
+        report = drinfeld_kohno_compare(Vc, Vq, 3, hbar, word_length=2)
+        assert report.max_deviation < 1e-6
+        assert len(calls) == len(set(calls)) == len(set(entries))
+        assert set(calls) == set(entries)
+    # the memo saves work only when entries repeat
+    assert len(entries) > len(set(entries))

@@ -235,6 +235,31 @@ def test_check_ybe_builds_each_block_basis_once(sl3_fundamental, monkeypatch):
     assert calls == total_offsets(V, 3)
 
 
+def test_check_ybe_computes_each_word_image_once(sl3_fundamental,
+                                                monkeypatch):
+    # R's E-word images of w_b and dual F-combination images of v_a are
+    # shared by every basis pair that reaches them
+    from qkm.qmodules import WeightModule
+    calls = {"e": [], "f": []}
+    e_word, combo = WeightModule.apply_e_word, WeightModule.apply_combo
+
+    def counting_e(self, word, offset, vec):
+        calls["e"].append((id(self), tuple(word), tuple(offset), tuple(vec)))
+        return e_word(self, word, offset, vec)
+
+    def counting_f(self, terms, offset, vec, raising):
+        calls["f"].append((id(self), tuple(terms), tuple(offset), tuple(vec),
+                           raising))
+        return combo(self, terms, offset, vec, raising)
+
+    monkeypatch.setattr(WeightModule, "apply_e_word", counting_e)
+    monkeypatch.setattr(WeightModule, "apply_combo", counting_f)
+    assert check_ybe(sl3_fundamental).holds
+    for seen in calls.values():
+        assert seen
+        assert len(seen) == len(set(seen))
+
+
 def test_dk_builds_each_r_block_basis_once(sl2_setup, monkeypatch):
     calls = _count_block_bases(monkeypatch)
     _, Vq = sl2_setup

@@ -1,9 +1,13 @@
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qkm import scalars
 from qkm.scalars import (
     DenominatorError,
     LaurentPoly,
@@ -213,3 +217,47 @@ def test_kronecker_packing_small_cases():
     assert LaurentPoly.monomial(-5, -7).kronecker(3, -5, 1) == -7
     # zero entries of a packed matrix, at a low above 0
     assert LaurentPoly.zero().kronecker(3, 2, 1) == 0
+
+
+COEFFS = st.one_of(st.integers(-4, 4),
+                   st.fractions(-3, 3, max_denominator=4))
+
+
+@st.composite
+def qscalars(draw):
+    """Normal-form scalars, zero included, with Fraction coefficients and
+    denominators of any degree."""
+    num = LaurentPoly.from_dict(draw(st.dictionaries(
+        st.integers(-4, 4), COEFFS, max_size=3)))
+    den = LaurentPoly.from_dict(draw(st.dictionaries(
+        st.integers(-2, 3), COEFFS.filter(bool), min_size=1, max_size=3)))
+    return QScalar(num, den)
+
+
+def _refuse_gcd(a, b):
+    raise AssertionError("poly_gcd called")
+
+
+def _same(x, y):
+    return x.num == y.num and x.den == y.den
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(qscalars(), st.integers(-6, 6))
+def test_shortcuts_agree_with_the_general_path(x, e):
+    # x * v^e and x + 0 skip the gcd; both must be the normal form the
+    # general constructor gives
+    unit = QScalar(LaurentPoly.monomial(e))
+    zero = QScalar.zero()
+    with mock.patch.object(scalars, "poly_gcd", _refuse_gcd):
+        products = [x * unit, unit * x]
+        sums = [x + zero, zero + x, x + 0, 0 + x, x + Fraction(0)]
+    expected = QScalar(x.num * LaurentPoly.monomial(e), x.den)
+    for y in products:
+        assert _same(y, expected)
+        assert _same(y, QScalar(x.num * unit.num, x.den * unit.den))
+    for y in sums:
+        assert y == x and _same(y, QScalar(x.num, x.den))
+    # a unit monomial times a unit monomial, and zero times one
+    assert _same(unit * unit, QScalar(LaurentPoly.monomial(2 * e)))
+    assert (zero * unit).is_zero() and (unit * zero).is_zero()
