@@ -31,7 +31,7 @@ from math import factorial, prod
 from .cartan import CartanDatum, highest_weight, weight_form
 from .freealg import (
     PairOperator,
-    add_tensor_terms,
+    add_pair_image,
     enumerate_words,
     total_degree,
     unit_degree,
@@ -333,36 +333,20 @@ class CasimirEngine:
         """Casimir action on a single product basis vector v_a (x) w_b.
 
         Returns a list of ((offset_V, r, offset_W, s), Fraction) terms,
-        including the diagonal Cartan contribution (mu, nu).  Roots run up
-        to the shallower depth: a deeper one moves a site out of its cone
-        or past its depth.
+        including the diagonal Cartan contribution (mu, nu).  Each root pair
+        adds e (x) f, raising the V site by beta, and f (x) e, lowering it
+        (`freealg.add_pair_image`).  Roots run up to the shallower depth: a
+        deeper one moves a site out of its cone or past its depth.
         """
-        cd = self.cd
+        key = (mV, a, mW, b)
         out = {}
-        muV = V.weight_at(mV)
-        muW = W.weight_at(mW)
-        cart = weight_form(muV, muW, cd)
+        cart = weight_form(V.weight_at(mV), W.weight_at(mW), self.cd)
         if cart:
-            out[(mV, a, mW, b)] = cart
-        vecV = V.unit(mV, a)
-        vecW = W.unit(mW, b)
-        for beta in degrees_upto(cd.n, min(V.depth, W.depth)):
-            for e_combo, f_combo in self.dual_root_pairs(beta):
-                # e (x) f raises the V site by beta, f (x) e lowers it
-                for sign, on_v, on_w in ((1, e_combo, f_combo),
-                                         (-1, f_combo, e_combo)):
-                    tV = tuple(x - sign * y for x, y in zip(mV, beta))
-                    tW = tuple(x + sign * y for x, y in zip(mW, beta))
-                    if min(tV + tW) < 0:
-                        continue
-                    resV = V.apply_combo(on_v.items(), mV, vecV,
-                                         raising=sign > 0)
-                    if resV is None:
-                        continue
-                    resW = W.apply_combo(on_w.items(), mW, vecW,
-                                         raising=sign < 0)
-                    if resW is not None:
-                        add_tensor_terms(out, tV, resV, tW, resW)
+            out[key] = cart
+        for beta in degrees_upto(self.cd.n, min(V.depth, W.depth)):
+            for e, f in self.dual_root_pairs(beta):
+                add_pair_image(out, V, W, key, e.items(), f.items(), True)
+                add_pair_image(out, V, W, key, f.items(), e.items(), False)
         return [(key, val) for key, val in out.items() if val]
 
 

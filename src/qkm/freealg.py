@@ -7,13 +7,14 @@ common multidegree with exact scalar coefficients.
 Weight modules are graded by the same multidegrees (offsets below the
 highest weight), so the bases of total-weight blocks of their tensor
 products and the one two-site operator type (`PairOperator`: the R-matrix,
-sigma R and the Casimir tensor, lifted onto those blocks) live here too:
-every layer that acts on tensor products, exact or numeric, uses them.
-A lifted block is a list of sparse rows {column: nonzero value}.  Each
-block basis of a tensor product is built once and kept with the product's
-other blocks, keyed by the factors' characters, so modules with equal
-characters (the quantum and classical sides of a comparison) share them;
-the blocks of the last four tensor products are kept.
+sigma R and the Casimir tensor, lifted onto those blocks) live here too,
+with `add_pair_image`, which adds one (x v_a) (x) (y w_b) term of R or the
+Casimir tensor from the modules' word images.  A lifted block is a list of
+sparse rows {column: nonzero value}.  Each block basis of a tensor product
+is built once and kept with the product's other blocks, keyed by the
+factors' characters, so modules with equal characters (the quantum and
+classical sides of a comparison) share them; the blocks of the last four
+tensor products are kept.
 """
 
 from __future__ import annotations
@@ -222,16 +223,29 @@ def _tensor_blocks(characters) -> _TensorBlocks:
     return _TensorBlocks(characters)
 
 
-def add_tensor_terms(out: dict, tV, imgV, tW, imgW) -> None:
-    """Add imgV (x) imgW, coefficient vectors at offsets tV and tW, into a
-    dict of ((tV, r, tW, s), value) terms."""
-    for r, cv in enumerate(imgV):
+def add_pair_image(out: dict, V, W, key, x, y, raising: bool) -> None:
+    """Add (x v_a) (x) (y w_b), for key = (m_V, a, m_W, b), into a dict of
+    ((t, r, t', s), value) terms.  x and y are combinations of words (see
+    `WeightModule.image`): x acts on V by E-words when `raising` and by
+    F-words otherwise, y on W by the other kind.  The raising side's image
+    is taken first, and the other is not computed when it is zero."""
+    mV, a, mW, b = key
+    if raising:
+        imgV = V.image(x, mV, a, True)
+        imgW = imgV and W.image(y, mW, b, False)
+    else:
+        imgW = W.image(y, mW, b, True)
+        imgV = imgW and V.image(x, mV, a, False)
+    if not (imgV and imgW):
+        return
+    (tV, vecV), (tW, vecW) = imgV, imgW
+    for r, cv in enumerate(vecV):
         if not cv:
             continue
-        for s, cw in enumerate(imgW):
+        for s, cw in enumerate(vecW):
             if cw:
-                key = (tV, r, tW, s)
-                out[key] = out[key] + cv * cw if key in out else cv * cw
+                k = (tV, r, tW, s)
+                out[k] = out[k] + cv * cw if k in out else cv * cw
 
 
 class PairOperator:

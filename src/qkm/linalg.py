@@ -50,13 +50,13 @@ combined into a certificate is described in `qpairing.GradedForm`.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from operator import mul
 
 import numpy as np
 
-from .scalars import kronecker_layout, rational_residue
+from .scalars import (coefficient_lcm, kronecker_layout, one_norm,
+                      rational_residue)
 
 
 def rref(rows):
@@ -239,13 +239,8 @@ def _verify_zero(N, vec):
 def _integral(vec):
     """vec times the lcm of the denominators of its coefficients, a positive
     integer, so that N . vec = 0 is unchanged."""
-    den = math.lcm(*(c.denominator for e in vec for c in e.coeffs
-                     if type(c) is not int))
+    den = coefficient_lcm(vec)
     return vec if den == 1 else [e * den for e in vec]
-
-
-def _one_norm(e):
-    return sum(map(abs, e.coeffs))
 
 
 def _packed_verifier(N):
@@ -256,13 +251,13 @@ def _packed_verifier(N):
     assert all(type(c) is int for row in N for e in row for c in e.coeffs), (
         "the entries of N must lie in Z[v^+-1]")
     entries = [e for row in N for e in row]
-    row_norm = max(sum(map(_one_norm, row)) for row in N)
+    row_norm = max(sum(map(one_norm, row)) for row in N)
 
     def verified(vectors):
         if not vectors:
             return True
         vectors = [_integral(k) for k in vectors]
-        bound = row_norm * max(_one_norm(e) for k in vectors for e in k)
+        bound = row_norm * max(one_norm(e) for k in vectors for e in k)
         bits, (lo_n, lo_k), step = kronecker_layout(
             [entries, [e for k in vectors for e in k]], bound)
         packed = [[e.kronecker(bits, lo_n, step) for e in row] for row in N]

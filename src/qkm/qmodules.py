@@ -46,6 +46,8 @@ class WeightModule:
     module read, and fixes the kind, D and the scalars.  The module's own
     quotient comes from the form it was built with: the engine for a Verma
     module, the form at the highest weight for an irreducible one.
+    The word-combination images of basis vectors (`image`) are kept on the
+    module, for every two-site operator on it: R and the Casimir tensor.
     """
 
     cd: CartanDatum
@@ -56,6 +58,7 @@ class WeightModule:
     # (i, offset) -> matrix into offset + 1_i, resp. offset - 1_i
     f_action: dict = field(default_factory=dict)
     e_action: dict = field(default_factory=dict)
+    _images: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         quantum = isinstance(self.engine, DrinfeldPairing)
@@ -163,6 +166,21 @@ class WeightModule:
             img = [c * x for x in img]
             total = img if total is None else [p + q for p, q in zip(total, img)]
         return total
+
+    def image(self, terms, offset, k: int, raising: bool):
+        """(target offset, coefficient vector) of basis vector k at `offset`
+        under `terms`, words of one degree, as in `apply_combo`; None when
+        it is zero.  Kept per (terms, offset, k, raising)."""
+        key = (tuple(terms), offset, k, raising)
+        if key not in self._images:
+            img = self.apply_combo(key[0], offset, self.unit(offset, k), raising)
+            out = None
+            if img is not None and any(img):
+                step = -1 if raising else 1
+                degree = word_degree(key[0][0][0], self.cd.n)
+                out = tuple(x + step * y for x, y in zip(offset, degree)), img
+            self._images[key] = out
+        return self._images[key]
 
 
 def _mat_vec(mat, vec, zero):

@@ -12,9 +12,9 @@ R is a `freealg.PairOperator`: its image of each basis pair is computed
 once, and its blocks on V (x) W and the braid generators sigma R on V^(x k)
 are sparse lifts of that one operator (the latter with the sites flipped);
 a `BraidOperator` lifts every generator of a block onto one basis.  The
-word images that make up R's terms are computed once per R: the E-word
-image of each basis vector of W, and the dual F-combination image of each
-basis vector of V, are shared by every basis pair that reaches them.
+word images that make up R's terms (E-words on W, dual F-combinations on
+V) are computed once per module (`WeightModule.image`) and shared by every
+basis pair that reaches them, through `freealg.add_pair_image`.
 
 The braid relation is decided without field arithmetic.  On each block the
 two generators m1, m2 are scaled by one common c in Q[v] (the lcm of their
@@ -33,7 +33,6 @@ certificate of `linalg` uses too, with its own bound.
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import dataclass
 from itertools import product
@@ -44,7 +43,7 @@ from .freealg import (
     FreeElement,
     PairOperator,
     ResourceLimitError,
-    add_tensor_terms,
+    add_pair_image,
     tensor_block_basis,
     total_degree,
 )
@@ -55,7 +54,9 @@ from .scalars import (
     DenominatorError,
     LaurentPoly,
     QScalar,
+    coefficient_lcm,
     kronecker_layout,
+    one_norm,
     poly_lcm,
     q_power,
 )
@@ -129,40 +130,16 @@ class TruncatedR(PairOperator):
                                    f"needs a multiple of D = {need}")
         super().__init__(V, W, self._r_terms)
         self.pairing = pairing
-        # word images shared by every basis pair that reaches them:
-        # (u, m_W, b) -> (offset, image) of E_u on w_b, None when it is 0;
-        # (beta, index, m_V, a) -> image of the index-th dual F-combination
-        # of degree beta on v_a, None when no term applies
-        self._e_images: dict = {}
-        self._f_images: dict = {}
-
-    def _e_image(self, u, mW, b):
-        key = (u, mW, b)
-        if key not in self._e_images:
-            tW, imgW = self.W.apply_e_word(u, mW, self.W.unit(mW, b))
-            self._e_images[key] = (tW, imgW) if any(imgW) else None
-        return self._e_images[key]
-
-    def _f_image(self, beta, index, v, mV, a):
-        key = (beta, index, mV, a)
-        if key not in self._f_images:
-            self._f_images[key] = self.V.apply_combo(
-                v.terms, mV, self.V.unit(mV, a), raising=False)
-        return self._f_images[key]
 
     def _r_terms(self, mV, a, mW, b):
         V, W = self.V, self.W
-        out = {(mV, a, mW, b): QScalar.one()}
+        key = (mV, a, mW, b)
+        one = QScalar.one()
+        out = {key: one}
         for beta in _betas_below(mW):
             db = dual_bases(beta, self.pairing)
-            tV = tuple(x + y for x, y in zip(mV, beta))
-            for index, (u, v) in enumerate(zip(db.u_basis, db.v_basis)):
-                e_image = self._e_image(u, mW, b)
-                if e_image is None:
-                    continue
-                imgV = self._f_image(beta, index, v, mV, a)
-                if imgV is not None:
-                    add_tensor_terms(out, tV, imgV, *e_image)
+            for u, v in zip(db.u_basis, db.v_basis):
+                add_pair_image(out, V, W, key, v.terms, ((u, one),), False)
         cartan = q_power(weight_form(V.weight_at(mV), W.weight_at(mW), V.cd),
                          V.D)
         return [(k2, cartan * v) for k2, v in out.items() if v]
@@ -235,9 +212,7 @@ def _cleared(m1, m2):
     cofactor = {den: lcm.exact_div(den) for den in dens}
     nums = [[{c: x.num * cofactor[x.den] for c, x in row.items()}
              for row in m] for m in (m1, m2)]
-    k = math.lcm(*(c.denominator for m in nums for row in m
-                   for p in row.values() for c in p.coeffs
-                   if type(c) is not int))
+    k = coefficient_lcm(p for m in nums for row in m for p in row.values())
     if k == 1:
         return nums
     return [[{c: p * k for c, p in row.items()} for row in m] for m in nums]
@@ -248,7 +223,7 @@ def _braid_relation_holds(m1, m2) -> bool:
     cleared sparse rows (the module docstring gives the bound)."""
     n1, n2 = _cleared(m1, m2)
     polys = [p for n in (n1, n2) for row in n for p in row.values()]
-    norm = max(sum(map(abs, p.coeffs)) for p in polys)
+    norm = max(map(one_norm, polys))
     bits, (lo,), step = kronecker_layout([polys], 2 * len(m1) ** 2 * norm ** 3)
     k1, k2 = ([{c: p.kronecker(bits, lo, step) for c, p in row.items()}
                for row in n] for n in (n1, n2))

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import cmath
 from fractions import Fraction
-from math import gcd as _int_gcd
+from math import gcd as _int_gcd, lcm as _int_lcm
 
 
 class PoleError(ArithmeticError):
@@ -359,6 +359,18 @@ def kronecker_layout(groups, bound: int):
                 step = _int_gcd(step, p.offset - lo,
                                 *(i for i, c in enumerate(p.coeffs) if c))
     return bound.bit_length() + 1, lows, step or 1
+
+
+def coefficient_lcm(polys) -> int:
+    """The least positive integer that clears the Laurent polynomials
+    `polys` into Z[v^+-1]: the lcm of their coefficients' denominators."""
+    return _int_lcm(*(c.denominator for p in polys for c in p.coeffs
+                      if type(c) is not int))
+
+
+def one_norm(p):
+    """|p|_1, the sum of the absolute values of p's coefficients."""
+    return sum(map(abs, p.coeffs))
 
 
 class QScalar:

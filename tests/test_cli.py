@@ -328,6 +328,10 @@ MODULE_SHA256 = {
         "20dff2e9e0b81d658bdb58ed8bc219f08813af9131e14d92c03d3f11bf556c18",
     ("ybe", "2 -1; -1 2", "1 0", 3):
         "b825aa7e82304702f92adec3c93277153851090b91f8af761ad0697d39a5f081",
+    ("ybe", "2 -1; -1 2", "1 1", 5):
+        "be950750f0315fe01a2e17532ba9d6c5d7523db822f78176d12e2e7092acacc0",
+    ("ybe", "2 -2; -1 2", "1 0", 5):
+        "cdbd0e40841d0adbf8db806cdd1f1041dd08539a323bc77e1e9e376bec9fa2a0",
 }
 
 

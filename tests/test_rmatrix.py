@@ -206,11 +206,15 @@ def test_check_ybe_builds_one_r(sl2_setup, monkeypatch):
     assert built == [bp]
 
 
-@pytest.fixture(scope="module")
-def sl3_fundamental():
+def _sl3_fundamental():
     lam = hw(SL3, 1, 0)
     bp = DrinfeldPairing(SL3, D=session_denominator(SL3, [lam]))
     return irreducible(lam, 3, SL3, pairing=bp)
+
+
+@pytest.fixture(scope="module")
+def sl3_fundamental():
+    return _sl3_fundamental()
 
 
 def _count_block_bases(monkeypatch):
@@ -235,29 +239,51 @@ def test_check_ybe_builds_each_block_basis_once(sl3_fundamental, monkeypatch):
     assert calls == total_offsets(V, 3)
 
 
-def test_check_ybe_computes_each_word_image_once(sl3_fundamental,
-                                                monkeypatch):
-    # R's E-word images of w_b and dual F-combination images of v_a are
-    # shared by every basis pair that reaches them
+def _count_combos(monkeypatch):
+    """The key of every `WeightModule.apply_combo` call, in order."""
     from qkm.qmodules import WeightModule
-    calls = {"e": [], "f": []}
-    e_word, combo = WeightModule.apply_e_word, WeightModule.apply_combo
+    calls = []
+    combo = WeightModule.apply_combo
+
+    def counting(self, terms, offset, vec, raising):
+        calls.append((id(self), tuple(terms), tuple(offset), tuple(vec),
+                      raising))
+        return combo(self, terms, offset, vec, raising)
+
+    monkeypatch.setattr(WeightModule, "apply_combo", counting)
+    return calls
+
+
+def test_check_ybe_computes_each_word_image_once(monkeypatch):
+    # R's E-word images of w_b and dual F-combination images of v_a are
+    # shared by every basis pair that reaches them; the images are kept on
+    # the module, so it is built here, with no image computed yet
+    from qkm.qmodules import WeightModule
+    V = _sl3_fundamental()
+    calls = {"e": [], "f": _count_combos(monkeypatch)}
+    e_word = WeightModule.apply_e_word
 
     def counting_e(self, word, offset, vec):
         calls["e"].append((id(self), tuple(word), tuple(offset), tuple(vec)))
         return e_word(self, word, offset, vec)
 
-    def counting_f(self, terms, offset, vec, raising):
-        calls["f"].append((id(self), tuple(terms), tuple(offset), tuple(vec),
-                           raising))
-        return combo(self, terms, offset, vec, raising)
-
     monkeypatch.setattr(WeightModule, "apply_e_word", counting_e)
-    monkeypatch.setattr(WeightModule, "apply_combo", counting_f)
-    assert check_ybe(sl3_fundamental).holds
+    assert check_ybe(V).holds
     for seen in calls.values():
         assert seen
         assert len(seen) == len(set(seen))
+
+
+def test_dk_computes_each_word_image_once(monkeypatch):
+    # R and the Casimir tensor both read word images through the modules'
+    # memo, so neither side repeats a combination on a basis vector
+    Vq = _sl3_fundamental()
+    Vc = classical_module(hw(SL3, 1, 0), "irreducible", 3, SL3)
+    calls = _count_combos(monkeypatch)
+    report = drinfeld_kohno_compare(Vc, Vq, 3, 0.1, word_length=2)
+    assert report.max_deviation < 1e-6
+    assert any(key[0] == id(Vc) for key in calls)
+    assert len(calls) == len(set(calls))
 
 
 def test_dk_builds_each_r_block_basis_once(sl2_setup, monkeypatch):
