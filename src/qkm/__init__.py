@@ -34,7 +34,6 @@ from .freealg import (
     ResourceLimitError,
     TruncationError,
     enumerate_words,
-    free_mul,
     multinomial,
     word_degree,
     word_string,

@@ -220,9 +220,6 @@ class Weight:
     def highest(base, n: int) -> "Weight":
         return Weight(tuple(Fraction(x) for x in base), (0,) * n)
 
-    def lowered(self, m) -> "Weight":
-        return Weight(self.base, tuple(a + b for a, b in zip(self.offset, m)))
-
     def coords(self, cd: CartanDatum) -> tuple[Fraction, ...]:
         out = list(self.base)
         for i, mi in enumerate(self.offset):

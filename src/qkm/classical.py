@@ -317,12 +317,6 @@ class CasimirEngine:
         pairings against all of them are independent, in order."""
         return self._root_space(tuple(beta))[0]
 
-    def invariant_form(self, beta, pos_index: int, f_combo) -> Fraction:
-        """(x, y) for x the pos_index-th root basis element of degree beta
-        and y a combo of f-words of the same degree."""
-        x = self.root_basis(beta)[pos_index]
-        return self._pairings(beta, [x], [f_combo])[0][0]
-
     def dual_root_pairs(self, beta):
         """Pairs (e-combo, f-combo) with (e_a, f-dual_b) = delta_ab; the
         f-side mirrors the brackets letterwise, and the duals come from

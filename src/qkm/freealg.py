@@ -112,10 +112,6 @@ class FreeElement:
         items = tuple(sorted((w, c) for w, c in d.items() if not _is_zero(c)))
         return FreeElement(tuple(degree) if degree is not None else None, items)
 
-    @staticmethod
-    def from_word(word, n: int, coeff) -> "FreeElement":
-        return FreeElement.from_dict(word_degree(word, n), {tuple(word): coeff})
-
     def as_dict(self) -> dict:
         return dict(self.terms)
 
@@ -156,21 +152,6 @@ def _is_zero(c) -> bool:
     if hasattr(c, "is_zero"):
         return c.is_zero()
     return c == 0
-
-
-def free_mul(x: FreeElement, y: FreeElement) -> FreeElement:
-    """Concatenation product; degrees add, coefficients multiply."""
-    if x.degree is not None and y.degree is not None:
-        degree = add_degrees(x.degree, y.degree)
-    else:
-        degree = None
-    d = {}
-    for wx, cx in x.terms:
-        for wy, cy in y.terms:
-            w = wx + wy
-            c = cx * cy
-            d[w] = d.get(w, 0) + c
-    return FreeElement.from_dict(degree, d)
 
 
 def tensor_block_basis(factors, total):

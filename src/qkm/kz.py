@@ -122,22 +122,6 @@ def exchange_segment(base, i: int):
     return seg
 
 
-def loop_segment(base, i: int, radius: float, turns: int = 1):
-    """Point i travels a closed circle of the given radius; contractible as
-    long as the circle encloses no other point."""
-    base = np.asarray(base, dtype=complex)
-
-    def seg(t: float):
-        z = base.copy()
-        phase = cmath.exp(2j * math.pi * turns * t)
-        z[i] = base[i] + radius * (phase - 1)
-        zdot = np.zeros_like(base)
-        zdot[i] = radius * 2j * math.pi * turns * phase
-        return z, zdot
-
-    return seg
-
-
 # Dormand-Prince 5(4) tableau; the last stage is taken at the 5th-order
 # solution (its row of _DP_A is the 5th-order weights), so it is the first
 # stage of the next step ("first same as last")
@@ -309,12 +293,6 @@ def _eig_multiset_deviation(A, B) -> float:
     # feasibility is monotone in t, and the largest distance is feasible
     levels = np.sort(dist[dist > low])
     return float(levels[bisect_left(levels, True, key=feasible)])
-
-
-def _has_perfect_matching(adj) -> bool:
-    """Perfect matching in a square bipartite graph given by its boolean
-    adjacency matrix, by augmenting paths."""
-    return _matches_every_row([np.flatnonzero(row).tolist() for row in adj])
 
 
 def _matches_every_row(neighbours) -> bool:

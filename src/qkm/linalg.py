@@ -27,9 +27,8 @@ is tried.
 
 Over the polynomial ring over Q the check multiplies out the symbolic
 products.  Over Z[v^+-1] it compares integers (Kronecker substitution, as
-`rmatrix` does for the braid relation).  A candidate with rational
-coefficients is first scaled by the lcm of its coefficients' denominators,
-a positive integer.  For row r every coefficient of sum_c N[r][c] k[c] is
+`rmatrix` does for the braid relation); N and every candidate lie in
+Z[v^+-1].  For row r every coefficient of sum_c N[r][c] k[c] is
 at most B = (sum_c |N[r][c]|_1) * max_c |k[c]|_1 in absolute value, with
 |.|_1 the sum of |coefficients|; one B is taken over all rows and the
 candidates of one set.  Each entry of N and of k is packed into its
@@ -55,8 +54,7 @@ from operator import mul
 
 import numpy as np
 
-from .scalars import (coefficient_lcm, kronecker_layout, one_norm,
-                      rational_residue)
+from .scalars import kronecker_layout, one_norm, rational_residue
 
 
 def rref(rows):
@@ -236,27 +234,15 @@ def _verify_zero(N, vec):
     return True
 
 
-def _integral(vec):
-    """vec times the lcm of the denominators of its coefficients, a positive
-    integer, so that N . vec = 0 is unchanged."""
-    den = coefficient_lcm(vec)
-    return vec if den == 1 else [e * den for e in vec]
-
-
 def _packed_verifier(N):
     """verified(vectors) for a matrix N over Z[v^+-1]: N . k = 0 for every
-    k, decided on Kronecker images (the module docstring gives the bound).
-    A vector with rational coefficients is first cleared of denominators
-    by `_integral`."""
-    assert all(type(c) is int for row in N for e in row for c in e.coeffs), (
-        "the entries of N must lie in Z[v^+-1]")
+    k, decided on Kronecker images (the module docstring gives the bound)."""
     entries = [e for row in N for e in row]
     row_norm = max(sum(map(one_norm, row)) for row in N)
 
     def verified(vectors):
         if not vectors:
             return True
-        vectors = [_integral(k) for k in vectors]
         bound = row_norm * max(one_norm(e) for k in vectors for e in k)
         bits, (lo_n, lo_k), step = kronecker_layout(
             [entries, [e for k in vectors for e in k]], bound)

@@ -50,8 +50,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd as _int_gcd
-from math import lcm as _int_lcm
 
 import numpy as np
 
@@ -124,28 +122,23 @@ class KernelBasis:
 
 
 def _normalize_poly_vector(vec):
-    """Canonical form of a polynomial vector: divide out the monic gcd of the
-    entries and the rational content, shift the lowest exponent to zero, and
-    make the first nonzero entry's lowest coefficient positive."""
+    """Canonical form of a vector over Z[v^+-1]: divide out the gcd of the
+    entries in Z[v], shift the lowest exponent to zero, and make the first
+    nonzero entry's lowest coefficient positive."""
     nonzero = [e for e in vec if e]
     if not nonzero:
         return vec
     g = nonzero[0]
     for e in nonzero[1:]:
         g = poly_gcd(g, e)
-        if g.max_exp == 0 and g.min_exp == 0:
+        if g.coeffs == (1,):
             break
-    if g.max_exp > 0:
+    if g.coeffs != (1,):
         vec = [e.exact_div(g) if e else e for e in vec]
         nonzero = [e for e in vec if e]
     shift = min(e.min_exp for e in nonzero)
-    contents = [e.content() for e in nonzero]
-    cont = Fraction(_int_gcd(*(c.numerator for c in contents)),
-                    _int_lcm(*(c.denominator for c in contents)))
-    first = next(e for e in vec if e)
-    sign = 1 if first.coeffs[0] > 0 else -1
-    scale = Fraction(sign, 1) / cont
-    return [LaurentPoly(e.offset - shift, [c * scale for c in e.coeffs])
+    sign = 1 if nonzero[0].coeffs[0] > 0 else -1
+    return [LaurentPoly(e.offset - shift, [c * sign for c in e.coeffs])
             if e else e for e in vec]
 
 

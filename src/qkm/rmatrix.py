@@ -17,18 +17,18 @@ V) are computed once per module (`WeightModule.image`) and shared by every
 basis pair that reaches them, through `freealg.add_pair_image`.
 
 The braid relation is decided without field arithmetic.  On each block the
-two generators m1, m2 are scaled by one common c in Q[v] (the lcm of their
-entries' denominators times the lcm of the rational coefficients' left-over
-denominators), so N = c m has entries in Z[v^+-1] and m1 m2 m1 = m2 m1 m2
-exactly when N1 N2 N1 = N2 N1 N2.  Each entry of N is then replaced by its
-Kronecker image, the integer value of v^(-lo) N at v^s = 2^b, where lo is
-the least exponent in N1 and N2 and every exponent lies in lo + s Z.  With d
-the block dimension and M the largest sum of |coefficients| of an entry,
-every coefficient of either triple product is at most d^2 M^3 in absolute
-value, so for 2^(b-1) > 2 d^2 M^3 their difference vanishes at 2^b only if
-it is zero: equal integer products prove the identity over Q(v).  The
-layout (lo, s, b) comes from `scalars.kronecker_layout`, which the kernel
-certificate of `linalg` uses too, with its own bound.
+two generators m1, m2 are scaled by one common c in Z[v], the lcm of their
+entries' denominators, so N = c m has entries in Z[v^+-1] and
+m1 m2 m1 = m2 m1 m2 exactly when N1 N2 N1 = N2 N1 N2.  Each entry of N is
+then replaced by its Kronecker image, the integer value of v^(-lo) N at
+v^s = 2^b, where lo is the least exponent in N1 and N2 and every exponent
+lies in lo + s Z.  With d the block dimension and M the largest sum of
+|coefficients| of an entry, every coefficient of either triple product is
+at most d^2 M^3 in absolute value, so for 2^(b-1) > 2 d^2 M^3 their
+difference vanishes at 2^b only if it is zero: equal integer products prove
+the identity over Q(v).  The layout (lo, s, b) comes from
+`scalars.kronecker_layout`, which the kernel certificate of `linalg` uses
+too, with its own bound.
 """
 
 from __future__ import annotations
@@ -54,7 +54,6 @@ from .scalars import (
     DenominatorError,
     LaurentPoly,
     QScalar,
-    coefficient_lcm,
     kronecker_layout,
     one_norm,
     poly_lcm,
@@ -203,19 +202,14 @@ class YangBaxterReport:
 
 def _cleared(m1, m2):
     """c m1 and c m2 for sparse rows m1, m2, with entries in Z[v^+-1], for
-    one nonzero c in Q[v]: the lcm of the entries' denominators times the
-    lcm of the denominators of the rational coefficients that remain."""
+    c the lcm in Z[v] of the entries' denominators."""
     dens = {x.den for m in (m1, m2) for row in m for x in row.values()}
     lcm = LaurentPoly.one()
     for den in dens:
         lcm = poly_lcm(lcm, den)
     cofactor = {den: lcm.exact_div(den) for den in dens}
-    nums = [[{c: x.num * cofactor[x.den] for c, x in row.items()}
+    return [[{c: x.num * cofactor[x.den] for c, x in row.items()}
              for row in m] for m in (m1, m2)]
-    k = coefficient_lcm(p for m in nums for row in m for p in row.values())
-    if k == 1:
-        return nums
-    return [[{c: p * k for c, p in row.items()} for row in m] for m in nums]
 
 
 def _braid_relation_holds(m1, m2) -> bool:

@@ -6,13 +6,18 @@ stands for a D-th root of q = e^(hbar/2), where D is a session-wide
 positive integer chosen so that every exponent of q that can occur (form
 values between roots and weights, times D) is an integer.  Numeric
 evaluation substitutes v = exp(hbar / (2 D)).
+
+Q(v) is the fraction field of Z[v^+-1], and Z is the only coefficient
+ring: a `LaurentPoly` has int coefficients, and a `QScalar` is a quotient
+of two of them, so a rational number a/b is QScalar(a, b).  Greatest
+common divisors are taken in Z[v], content included (`poly_gcd`).
 """
 
 from __future__ import annotations
 
 import cmath
 from fractions import Fraction
-from math import gcd as _int_gcd, lcm as _int_lcm
+from math import gcd as _int_gcd
 
 
 class PoleError(ArithmeticError):
@@ -21,19 +26,6 @@ class PoleError(ArithmeticError):
 
 class DenominatorError(ValueError):
     """An exponent is not representable over the session denominator D."""
-
-
-def _coeff(c):
-    """Normalize a rational coefficient, preferring int over Fraction."""
-    if type(c) is int:
-        return c
-    if isinstance(c, Fraction):
-        if c.denominator == 1:
-            return int(c)
-        return c
-    if isinstance(c, int):
-        return c
-    raise TypeError(f"coefficient must be int or Fraction, got {type(c)!r}")
 
 
 def rational_residue(c, p: int) -> int:
@@ -54,10 +46,10 @@ def _mul_lists(a, b):
 
 
 class LaurentPoly:
-    """A Laurent polynomial sum(coeffs[k] * v^(offset+k)) with rational coefficients.
+    """A Laurent polynomial sum(coeffs[k] * v^(offset+k)) with integer coefficients.
 
-    Invariant: coeffs is a tuple with nonzero first and last entries;
-    the zero polynomial is stored as offset 0, coeffs ().
+    Invariant: coeffs is a tuple of ints with nonzero first and last
+    entries; the zero polynomial is stored as offset 0, coeffs ().
     """
 
     __slots__ = ("offset", "coeffs")
@@ -66,7 +58,7 @@ class LaurentPoly:
         if not isinstance(coeffs, (list, tuple)):
             coeffs = list(coeffs)
         if not all(type(c) is int for c in coeffs):
-            coeffs = [_coeff(c) for c in coeffs]
+            raise TypeError("LaurentPoly coefficients must be ints")
         lo = 0
         hi = len(coeffs)
         while lo < hi and coeffs[lo] == 0:
@@ -154,7 +146,7 @@ class LaurentPoly:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             if other == 0:
                 return LaurentPoly.zero()
             return LaurentPoly(self.offset, [c * other for c in self.coeffs])
@@ -190,9 +182,12 @@ class LaurentPoly:
         return (nz, len(self.coeffs))
 
     def divmod_poly(self, other: "LaurentPoly"):
-        """Quotient and remainder, treating both as polynomials in v.
+        """Quotient and remainder in Z[v], treating both as polynomials in v.
 
-        Offsets must be nonnegative (ordinary polynomials).
+        Offsets must be nonnegative (ordinary polynomials).  The divisor's
+        leading coefficient must divide every leading coefficient met, as
+        it does for a monic divisor or a quotient in Z[v]; ArithmeticError
+        otherwise.
         """
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
@@ -211,11 +206,9 @@ class LaurentPoly:
             c = rem[k]
             if c == 0:
                 continue
-            if type(c) is int and type(dl) is int:
-                q, r = divmod(c, dl)
-                f = q if r == 0 else Fraction(c, dl)
-            else:
-                f = _coeff(Fraction(c) / Fraction(dl))
+            f, r = divmod(c, dl)
+            if r:
+                raise ArithmeticError("polynomial quotient leaves Z[v]")
             quot[k - dd] = f
             for j in range(dd + 1):
                 if dcoef[j]:
@@ -236,18 +229,6 @@ class LaurentPoly:
             raise ArithmeticError("inexact polynomial division")
         return q.shift(shift)
 
-    def content(self) -> Fraction:
-        """Positive rational c with self/c integer-primitive, 0 for the zero poly."""
-        if self.is_zero():
-            return Fraction(0)
-        num = 0
-        den = 1
-        for c in self.coeffs:
-            f = Fraction(c)
-            num = _int_gcd(num, abs(f.numerator))
-            den = den * f.denominator // _int_gcd(den, f.denominator)
-        return Fraction(num, den)
-
     def evaluate(self, v: complex) -> complex:
         if self.is_zero():
             return 0j
@@ -260,15 +241,13 @@ class LaurentPoly:
         """The value at v = x in F_p, by Horner's rule; x is a unit mod p."""
         acc = 0
         for c in reversed(self.coeffs):
-            c = c if type(c) is int else rational_residue(c, p)
             acc = (acc * x + c) % p
         return acc * pow(x, self.offset, p) % p
 
     def kronecker(self, bits: int, lo: int, step: int) -> int:
         """The integer value of v^(-lo) * self at v^step = 2^bits, by Horner's
-        rule over Z (Kronecker substitution).  Needs integer coefficients,
-        lo <= min_exp, and every exponent with a nonzero coefficient in
-        lo + step Z; the zero polynomial packs to 0 at any lo.  The map is
+        rule over Z (Kronecker substitution).  Needs lo <= min_exp, and every
+        exponent with a nonzero coefficient in lo + step Z; the zero polynomial packs to 0 at any lo.  The map is
         multiplicative (with lo adding up), and it is injective on
         polynomials whose coefficients all lie below 2^(bits - 1) in
         absolute value."""
@@ -282,7 +261,7 @@ class LaurentPoly:
     def magnitude_at(self, v: complex) -> float:
         """Sum of |coeff| * |v|^exp; a scale reference for pole detection."""
         av = abs(v)
-        return sum(abs(float(Fraction(c))) * av ** (self.offset + i)
+        return sum(abs(c) * av ** (self.offset + i)
                    for i, c in enumerate(self.coeffs))
 
     def __str__(self):
@@ -294,7 +273,7 @@ class LaurentPoly:
                 continue
             e = self.offset + i
             if e == 0:
-                body = str(abs(c) if not isinstance(c, Fraction) else abs(c))
+                body = str(abs(c))
             else:
                 vpow = "v" if e == 1 else f"v^{e}"
                 a = abs(c)
@@ -309,31 +288,72 @@ class LaurentPoly:
         return f"LaurentPoly({self})"
 
 
+def _divided(coeffs, c):
+    """The coefficients divided by the integer c, which divides each."""
+    return coeffs if c == 1 else [x // c for x in coeffs]
+
+
+def _pseudo_remainder(x, y):
+    """A nonzero integer multiple of the remainder of x by y in Q[v], with
+    the powers of v that divide it removed; [] when y divides x.  x and y
+    are coefficient sequences, lowest degree first, with len(x) >= len(y)
+    >= 2, and each step scales only by the cofactor of gcd(leading terms)."""
+    r = list(x)
+    m = len(y) - 1
+    lc = y[-1]
+    terms = [(j, yj) for j, yj in enumerate(y[:m]) if yj]
+    for k in range(len(r) - 1, m - 1, -1):
+        c = r[k]
+        if not c:
+            continue
+        g = _int_gcd(c, lc)
+        s, t = lc // g, c // g
+        if s != 1:
+            r[:k] = [s * e for e in r[:k]]
+        for j, yj in terms:
+            r[k - m + j] -= t * yj
+    r = r[:m]
+    lo, hi = 0, m
+    while hi > lo and not r[hi - 1]:
+        hi -= 1
+    while lo < hi and not r[lo]:
+        lo += 1
+    return r[lo:hi]
+
+
 def poly_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    """Monic gcd of the polynomial parts (offsets discarded)."""
-    a = a.shift(-a.offset) if not a.is_zero() else a
-    b = b.shift(-b.offset) if not b.is_zero() else b
-    while not b.is_zero():
-        _, r = a.divmod_poly(b)
-        if not r.is_zero():
-            r = r.shift(-r.offset)
-            lc = r.leading_coeff()
-            if lc != 1:
-                # keep remainders monic so Euclid's coefficients stay tame
-                r = LaurentPoly(r.offset, [_coeff(Fraction(c) / Fraction(lc))
-                                           for c in r.coeffs])
-        a, b = b, r
-    if a.is_zero():
-        return a
-    lc = a.leading_coeff()
-    if lc != 1:
-        a = LaurentPoly(a.offset, [_coeff(Fraction(c) / Fraction(lc)) for c in a.coeffs])
-    return a
+    """The gcd in Z[v] of the polynomial parts (offsets discarded), content
+    included, with a positive leading coefficient; 0 when both are 0.
+
+    By Gauss's lemma it is the gcd of the contents times the gcd of the
+    primitive parts.  The latter is the last nonzero term of Euclid's
+    remainder sequence on primitive pseudo-remainders: each remainder is
+    made primitive at once, so the loop stays in Z[v] and its coefficients
+    stay small (von zur Gathen & Gerhard, Modern Computer Algebra, ch. 6).
+    Every polynomial in the loop has a nonzero constant term, so the powers
+    of v a remainder picks up are no part of the gcd and are dropped."""
+    x, y = a.coeffs, b.coeffs
+    if not x or not y:
+        g = x or y
+        return LaurentPoly(0, g if not g or g[-1] > 0 else [-c for c in g])
+    cx, cy = _int_gcd(*x), _int_gcd(*y)
+    c = _int_gcd(cx, cy)
+    if len(x) < len(y):
+        x, y, cx, cy = y, x, cy, cx
+    if len(y) > 1:
+        x, y = _divided(x, cx), _divided(y, cy)
+        while len(y) > 1:
+            r = _pseudo_remainder(x, y)
+            x, y = y, _divided(r, _int_gcd(*r))
+        if not y:
+            sign = c if x[-1] > 0 else -c
+            return LaurentPoly(0, [sign * e for e in x])
+    return LaurentPoly(0, (c,))
 
 
 def poly_lcm(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    """Least common multiple of two ordinary polynomials with nonzero
-    constant terms; monic when both are."""
+    """Least common multiple in Z[v] of two ordinary polynomials with
+    nonzero constant terms and positive leading coefficients."""
     return a * b.exact_div(poly_gcd(a, b))
 
 
@@ -361,54 +381,60 @@ def kronecker_layout(groups, bound: int):
     return bound.bit_length() + 1, lows, step or 1
 
 
-def coefficient_lcm(polys) -> int:
-    """The least positive integer that clears the Laurent polynomials
-    `polys` into Z[v^+-1]: the lcm of their coefficients' denominators."""
-    return _int_lcm(*(c.denominator for p in polys for c in p.coeffs
-                      if type(c) is not int))
-
-
 def one_norm(p):
     """|p|_1, the sum of the absolute values of p's coefficients."""
     return sum(map(abs, p.coeffs))
 
 
+_ONE = LaurentPoly.one()
+
+
+def _over_z(x):
+    """(numerator in Z[v^+-1], positive integer denominator) of an int, a
+    Fraction or a LaurentPoly."""
+    if isinstance(x, LaurentPoly):
+        return x, 1
+    if isinstance(x, Fraction):
+        return LaurentPoly(0, (x.numerator,)), x.denominator
+    return LaurentPoly(0, (x,)), 1
+
+
 class QScalar:
     """An exact rational function num/den in v.
 
-    Normal form: den is an ordinary polynomial in v, monic, with nonzero
-    constant term, and gcd(num-part, den) = 1.  Equality is structural and
-    agrees with cross-multiplication.
+    Normal form: num lies in Z[v^+-1]; den is an ordinary polynomial in
+    Z[v] with nonzero constant term and positive leading coefficient; and
+    gcd(num-part, den) = 1 in Z[v], content included.  The units of
+    Z[v^+-1] are +-v^k, so the form is unique: equality is structural and
+    agrees with cross-multiplication.  Either argument may be an int, a
+    Fraction or a LaurentPoly; a rational a/b enters as QScalar(a, b).
     """
 
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=None):
-        if isinstance(num, (int, Fraction)):
-            num = LaurentPoly(0, (num,))
         if den is None:
-            den = LaurentPoly.one()
-        elif isinstance(den, (int, Fraction)):
-            den = LaurentPoly(0, (den,))
+            den = _ONE
+        if not (isinstance(num, LaurentPoly) and isinstance(den, LaurentPoly)):
+            (num, a), (den, b) = _over_z(num), _over_z(den)
+            num, den = num * b, den * a
         if den.is_zero():
             raise ZeroDivisionError("QScalar with zero denominator")
-        # shift so den is an ordinary polynomial with nonzero constant term
-        k = den.offset
-        num = num.shift(-k)
-        den = den.shift(-k)
         if num.is_zero():
             self.num = LaurentPoly.zero()
             self.den = LaurentPoly.one()
             return
-        g = poly_gcd(num, den)
-        if g.max_exp > 0:
-            num = num.exact_div(g)
-            den = den.exact_div(g)
-        lc = den.leading_coeff()
-        if lc != 1:
-            inv = Fraction(1) / lc
-            num = num * inv
-            den = den * inv
+        # shift so den is an ordinary polynomial with nonzero constant term
+        k = den.offset
+        num = num.shift(-k)
+        den = den.shift(-k)
+        if den.coeffs != (1,):
+            g = poly_gcd(num, den)
+            if g.coeffs != (1,):
+                num = num.exact_div(g)
+                den = den.exact_div(g)
+            if den.coeffs[-1] < 0:
+                num, den = -num, -den
         self.num = num
         self.den = den
 

@@ -4,7 +4,9 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines; every tolerance is pinned here, nothing is deferred.
 """
 
+import cmath
 import io
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -25,7 +27,6 @@ from qkm.kz import (
     build_kz_system,
     drinfeld_kohno_compare,
     kz_transport,
-    loop_segment,
     permutation_matrix,
 )
 from qkm.qmodules import (
@@ -54,6 +55,22 @@ def _pass(num, text):
 def hw(cd, *vals):
     coords = list(map(Fraction, vals)) + [Fraction(0)] * (cd.h_dim - len(vals))
     return Weight.highest(coords, cd.n)
+
+
+def loop_segment(base, i, radius, turns=1):
+    """Point i travels a closed circle of the given radius; contractible as
+    long as the circle encloses no other point."""
+    base = np.asarray(base, dtype=complex)
+
+    def seg(t):
+        z = base.copy()
+        phase = cmath.exp(2j * math.pi * turns * t)
+        z[i] = base[i] + radius * (phase - 1)
+        zdot = np.zeros_like(base)
+        zdot[i] = radius * 2j * math.pi * turns * phase
+        return z, zdot
+
+    return seg
 
 
 def test_criterion_1_symmetrizability_gate():

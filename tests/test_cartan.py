@@ -114,7 +114,7 @@ def _coords_for(cd: CartanDatum, coroot_values):
 def test_weight_offsets():
     cd = build_realization(SL3)
     lam = Weight.highest(_coords_for(cd, [1, 0]), 2)
-    mu = lam.lowered((1, 1))
+    mu = Weight(lam.base, (1, 1))
     assert mu.value_on_coroot(cd, 0) == 1 - cd.A[0][0] - cd.A[1][0]
 
 

