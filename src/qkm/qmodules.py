@@ -170,17 +170,32 @@ class WeightModule:
     def image(self, terms, offset, k: int, raising: bool):
         """(target offset, coefficient vector) of basis vector k at `offset`
         under `terms`, words of one degree, as in `apply_combo`; None when
-        it is zero.  Kept per (terms, offset, k, raising)."""
-        key = (tuple(terms), offset, k, raising)
-        if key not in self._images:
-            img = self.apply_combo(key[0], offset, self.unit(offset, k), raising)
-            out = None
-            if img is not None and any(img):
-                step = -1 if raising else 1
-                degree = word_degree(key[0][0][0], self.cd.n)
-                out = tuple(x + step * y for x, y in zip(offset, degree)), img
-            self._images[key] = out
-        return self._images[key]
+        it is zero.  Kept per (terms, offset, k, raising).  A combination
+        of several words is summed from the kept images of its words, so a
+        word that several combinations share acts once."""
+        terms = tuple(terms)
+        key = (terms, offset, k, raising)
+        if key in self._images:
+            return self._images[key]
+        one = self.scalar_one
+        if len(terms) == 1 and terms[0][1] == one:
+            img = self.apply_combo(terms, offset, self.unit(offset, k),
+                                   raising)
+        else:
+            img = None
+            for word, c in terms:
+                hit = self.image(((word, one),), offset, k, raising)
+                if hit is not None:
+                    vec = hit[1] if c == one else [c * x for x in hit[1]]
+                    img = vec if img is None else [
+                        p + q for p, q in zip(img, vec)]
+        out = None
+        if img is not None and any(img):
+            step = -1 if raising else 1
+            degree = word_degree(terms[0][0], self.cd.n)
+            out = tuple(x + step * y for x, y in zip(offset, degree)), img
+        self._images[key] = out
+        return out
 
 
 def _mat_vec(mat, vec, zero):

@@ -20,9 +20,12 @@ yields the closed recursion
 Values of fixed multidegree m share the denominator
 prod_i (q_i - q_i^{-1})^{m_i} (`DrinfeldPairing.denominator`); the engine
 works on the Laurent-polynomial numerators, which do not depend on the
-d_i, and attaches the denominator at the boundary.  A slow oracle that
-expands the Hopf axioms with explicit group-like bookkeeping (and no
-closed recursion) is kept alongside for cross-checking.
+d_i, and attaches the denominator at the boundary.  The recursion builds
+them as Kronecker-packed integers, one per entry: each term a left shift,
+each sum an integer sum, each block unpacked once (`DrinfeldPairing` gives
+the bound that makes the packing exact).  A slow oracle that expands the
+Hopf axioms with explicit group-like bookkeeping (and no closed recursion)
+is kept alongside for cross-checking.
 
 The classical contravariant form (`classical.ShapovalovForm`) obeys the
 same recursion with the factor x_i - sum_{u > t} a_{i z_u}, and so does the
@@ -50,6 +53,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import factorial, gcd, prod
+from operator import mul
 
 import numpy as np
 
@@ -66,6 +71,7 @@ from .scalars import (
     LaurentPoly,
     QScalar,
     exponent_to_int,
+    kronecker_unpack,
     poly_gcd,
     q_factorial,
     q_power,
@@ -171,15 +177,21 @@ class GradedForm:
         B(x, z) = sum over t with z_t = i of
                       f_i(deg z[t + 1:]) * B(x minus i, z minus position t),
 
-    from B((), ()) = 1.  `_gram` builds every Gram block column by column
-    from the blocks one letter down, over the subclass's exact ring or mod
-    a prime p at the fixed point of the dimension certificate.  A subclass
-    states two facts about its ring (and its unit, `_ring_one`):
+    from B((), ()) = 1.  `_ring_gram` builds every Gram block column by
+    column from the blocks one letter down, over the subclass's exact ring
+    or mod a prime p at the fixed point of the dimension certificate, and
+    `_gram` reads the exact blocks from it.  A subclass states two facts
+    about its ring (and its unit, `_ring_one`):
 
     - `_factor(i, tail, p=None)`: the factor f_i at the tail degree, exact
       or mod p;
     - `_residue(entry, p)`: the image in F_p, at the fixed point, of an
       entry of an exact block or of an exact kernel vector.
+
+    A ring may store its blocks in another form than their entries: the
+    Drinfeld pairing's exact ring is Kronecker-packed integers, where a
+    factor acts on a column of the block one letter down as a left shift
+    (`_times`, a product by default) and `_gram` unpacks each block once.
 
     The base owns the caches and the quotient.  A subclass sets the field's
     `one` and `zero` and solves a degree in `_solve`, which records the word
@@ -339,9 +351,22 @@ class GradedForm:
     def _gram(self, m, p=None):
         """(word index, Gram block) of degree m: an object array over the
         exact ring, or an int64 array mod p at the fixed point when p is
-        given.  Each column z of the rows (i,) + w (resp. w + (i,)) sums,
-        over the positions t with z_t = i, the factor at the degree of
-        z[t + 1:] times column z minus t of the block one letter down."""
+        given."""
+        return self._ring_gram(m, p)
+
+    def _times(self, i, prev, p):
+        """How a factor acts on a column of the block of degree prev =
+        m - e_i in the recursion for degree m: (column, factor) -> term.
+        Multiplication here; a subclass whose ring stores its blocks in
+        another form (the packed integers of `DrinfeldPairing`) says how."""
+        return mul
+
+    def _ring_gram(self, m, p=None):
+        """(word index, block) of degree m in the recursion's ring: the
+        subclass's exact ring, or F_p at the fixed point when p is given.
+        Each column z of the rows (i,) + w (resp. w + (i,)) sums, over the
+        positions t with z_t = i, the factor at the degree of z[t + 1:]
+        times column z minus t of the block one letter down."""
         key = (m, p)
         if key in self._gram_cache:
             return self._gram_cache[key]
@@ -352,7 +377,8 @@ class GradedForm:
             gram[0, 0] = 1 if p else self._ring_one
         factors = self._factors
         for i, prev in self._predecessors(m):
-            pindex, pgram = self._gram(prev, p)
+            pindex, pgram = self._ring_gram(prev, p)
+            times = self._times(i, prev, p)
             rows = [index[(i,) + w if self._peels_first else w + (i,)]
                     for w in pindex]
             for c, z in enumerate(words):
@@ -364,7 +390,7 @@ class GradedForm:
                         f = factors.get(fkey)
                         if f is None:
                             f = factors[fkey] = self._factor(*fkey)
-                        term = pgram[:, pindex[z[:t] + z[t + 1:]]] * f
+                        term = times(pgram[:, pindex[z[:t] + z[t + 1:]]], f)
                         if p:
                             # a sum of unreduced products overflows int64
                             term %= p
@@ -378,18 +404,39 @@ class GradedForm:
 class DrinfeldPairing(GradedForm):
     """Pairing engine for one Cartan datum and session denominator.
 
-    Gram blocks and kernels are memoized per multidegree.  The ring of the
-    Gram recursion is Z[v^+-1] (Laurent numerators); its fixed point is
-    v = MOD_P_V.  A kernel's candidate vectors come from the kernels one
-    letter down where those fill its degree, and from its Gram block
-    otherwise (`_propagated`).  All cached values are immutable, so the
-    caches are safe for concurrent reads once populated.
+    Gram blocks and kernels are memoized per multidegree.  The Gram
+    numerators lie in Z[v^+-1]; the fixed point of the dimension
+    certificate is v = MOD_P_V.  A kernel's candidate vectors come from the
+    kernels one letter down where those fill its degree, and from its Gram
+    block otherwise (`_propagated`).  All cached values are immutable, so
+    the caches are safe for concurrent reads once populated.
+
+    The exact recursion runs on Kronecker-packed integers (von zur Gathen &
+    Gerhard, Modern Computer Algebra, ch. 8), and each block is unpacked
+    into Laurent numerators once.  Every factor of the recursion is a
+    monomial v^e with coefficient 1, and B((), ()) = 1, so every numerator
+    N of degree m has nonnegative coefficients, which sum to prod_k m_k!
+    (its value at v = 1 counts the letter-preserving bijections between
+    the two words).  Let g be the gcd of the entries of `_form`, so every
+    exponent of degree m lies in L(m) + g Z, with the least exponent
+
+        L(0) = 0,  L(m) = min_i [L(m - e_i)
+                                  + sum_j min(0, sign form[i][j]) (m - e_i)_j],
+
+    a quadratic form in m (`_low`).  Then v^(-L(m)) N packed at v^g = 2^b
+    is injective once 2^b > prod_k m_k!, with no sign to handle, for
+    either `exponent_sign`.  A term of the recursion is v^e times an entry
+    of degree m - e_i, a left shift by b (e + L(m - e_i) - L(m)) / g >= 0
+    of its packed value, and a sum of terms is an integer sum.  The width
+    b is one for all packed blocks, the least of 8, 16, 32, ... bits that
+    fits every degree unpacked so far; a degree that needs more doubles it
+    and builds every packed block again.
     """
 
     one = QScalar.one()
     zero = QScalar.zero()
     _peels_first = False
-    _ring_one = LaurentPoly.one()
+    _ring_one = 1   # v^0, packed
 
     def __init__(self, cd: CartanDatum, D: int | None = None,
                  exponent_sign: int = -1):
@@ -403,6 +450,10 @@ class DrinfeldPairing(GradedForm):
         n = cd.n
         self._form = tuple(tuple(exponent_to_int(cd.alpha_form(i, j), self.D)
                                  for j in range(n)) for i in range(n))
+        self._g = gcd(*(x for row in self._form for x in row)) or 1
+        self._bits = 8                 # packing width of the exact recursion
+        self._exact: dict = {}         # degree -> (index, Laurent numerators)
+        self._denominators: dict = {}  # degree -> denominator
         self._dual: dict = {}          # rmatrix.dual_bases per degree
         self._oracle_memo: dict = {}
 
@@ -414,10 +465,52 @@ class DrinfeldPairing(GradedForm):
         return self._pair(x, z, LaurentPoly.zero())
 
     def _factor(self, i, tail, p=None):
-        """v^(sign * sum of (alpha_i, alpha_u) over the letters u of the
-        tail), or its value at v = MOD_P_V mod p."""
+        """v^e, e = sign * sum of (alpha_i, alpha_u) over the letters u of
+        the tail: its value at v = MOD_P_V mod p, or e / g for the packed
+        recursion (see `_times`)."""
         e = self.sign * sum(f * k for f, k in zip(self._form[i], tail))
-        return pow(MOD_P_V, e, p) if p else LaurentPoly.monomial(e)
+        return pow(MOD_P_V, e, p) if p else e // self._g
+
+    def _times(self, i, prev, p):
+        """Mod p a product; packed, the shift of a column of degree prev by
+        b (e + L(prev) - L(m)) / g for the factor e / g (class docstring)."""
+        if p:
+            return mul
+        bits = self._bits
+        lift = -sum(min(0, self.sign * f) * k
+                    for f, k in zip(self._form[i], prev)) // self._g
+        return lambda col, e: col << bits * (e + lift)
+
+    def _low(self, m) -> int:
+        """L(m) / g, the least exponent of degree m in steps of g: the
+        recursion of the class docstring in closed form,
+        sum over a < b of c_ab m_a m_b + sum_a c_aa m_a (m_a - 1) / 2
+        with c = min(0, sign form) / g."""
+        c = [[min(0, self.sign * f) // self._g for f in row]
+             for row in self._form]
+        return sum(c[a][b] * m[a] * (m[b] - (a == b))
+                   for a in range(len(m)) for b in range(len(m))) // 2
+
+    def _gram(self, m, p=None):
+        """The Laurent numerators of degree m, unpacked once from the packed
+        recursion (class docstring), or the block mod p."""
+        if p:
+            return self._ring_gram(m, p)
+        m = tuple(m)
+        if m not in self._exact:
+            need = prod(map(factorial, m))
+            if need >> self._bits:
+                while need >> self._bits:
+                    self._bits *= 2
+                self._gram_cache = {k: v for k, v in self._gram_cache.items()
+                                    if k[1]}
+            index, packed = self._ring_gram(m)
+            numerators = np.empty(packed.size, object)
+            numerators[:] = kronecker_unpack(
+                packed.ravel().tolist(), self._bits, self._g * self._low(m),
+                self._g)
+            self._exact[m] = index, numerators.reshape(packed.shape)
+        return self._exact[m]
 
     def _residue(self, entry: LaurentPoly, p: int) -> int:
         """The value of a Laurent polynomial at v = MOD_P_V, mod p."""
@@ -433,10 +526,14 @@ class DrinfeldPairing(GradedForm):
     def denominator(self, m) -> LaurentPoly:
         """prod_i (q_i - q_i^{-1})^{m_i}, q_i = q^{d_i}: the denominator of
         the pairing on degree m."""
-        out = LaurentPoly.one()
-        for di, k in zip(self.cd.d, m):
-            if k:
-                out = out * v_difference(exponent_to_int(di, self.D)) ** k
+        m = tuple(m)
+        out = self._denominators.get(m)
+        if out is None:
+            out = LaurentPoly.one()
+            for di, k in zip(self.cd.d, m):
+                if k:
+                    out = out * v_difference(exponent_to_int(di, self.D)) ** k
+            self._denominators[m] = out
         return out
 
     def gram_block(self, m) -> GramBlock:

@@ -84,12 +84,18 @@ def dual_bases(beta, pairing: DrinfeldPairing) -> DualBasisPair:
     if beta in pairing._dual:
         return pairing._dual[beta]
     words = pairing.quotient_basis(beta)
-    gram = [[pairing.pair_words(a, b) for b in words] for a in words]
+    # the block is N / den for the numerators N, so its inverse is den N^-1
+    block = pairing.gram_block(beta)
+    at = {w: k for k, w in enumerate(block.basis)}
+    rows = [block.numerators[at[w]] for w in words]
     try:
-        inv = invert(gram, QScalar.one())
+        inv = invert([[QScalar(row[at[w]]) for w in words] for row in rows],
+                     QScalar.one())
     except ValueError:
         raise ArithmeticError("quotient Gram block is singular; the pairing "
                               "must be nondegenerate on the quotient")
+    den = QScalar(block.denominator)
+    inv = [[x * den if x else x for x in row] for row in inv]
     v_els = []
     for b in range(len(words)):
         terms = {}

@@ -19,6 +19,8 @@ import cmath
 from fractions import Fraction
 from math import gcd as _int_gcd
 
+import numpy as np
+
 
 class PoleError(ArithmeticError):
     """Numeric evaluation hit a zero of a denominator."""
@@ -59,6 +61,9 @@ class LaurentPoly:
             coeffs = list(coeffs)
         if not all(type(c) is int for c in coeffs):
             raise TypeError("LaurentPoly coefficients must be ints")
+        self._set(offset, coeffs)
+
+    def _set(self, offset, coeffs) -> None:
         lo = 0
         hi = len(coeffs)
         while lo < hi and coeffs[lo] == 0:
@@ -73,12 +78,21 @@ class LaurentPoly:
             self.coeffs = tuple(coeffs[lo:hi])
 
     @staticmethod
+    def _trimmed(offset: int, coeffs) -> "LaurentPoly":
+        """The constructor without the type check, for coefficient lists
+        that are ints by construction (results of this class's arithmetic
+        and unpacked Kronecker images)."""
+        out = LaurentPoly.__new__(LaurentPoly)
+        out._set(offset, coeffs)
+        return out
+
+    @staticmethod
     def zero() -> "LaurentPoly":
-        return LaurentPoly(0, ())
+        return LaurentPoly._trimmed(0, ())
 
     @staticmethod
     def one() -> "LaurentPoly":
-        return LaurentPoly(0, (1,))
+        return LaurentPoly._trimmed(0, (1,))
 
     @staticmethod
     def monomial(exp: int, coeff=1) -> "LaurentPoly":
@@ -124,7 +138,7 @@ class LaurentPoly:
         return hash((self.offset, self.coeffs))
 
     def __neg__(self):
-        return LaurentPoly(self.offset, [-c for c in self.coeffs])
+        return LaurentPoly._trimmed(self.offset, [-c for c in self.coeffs])
 
     def __add__(self, other):
         if not isinstance(other, LaurentPoly):
@@ -140,7 +154,7 @@ class LaurentPoly:
             coeffs[self.offset - lo + i] += c
         for i, c in enumerate(other.coeffs):
             coeffs[other.offset - lo + i] += c
-        return LaurentPoly(lo, coeffs)
+        return LaurentPoly._trimmed(lo, coeffs)
 
     def __sub__(self, other):
         return self + (-other)
@@ -149,15 +163,16 @@ class LaurentPoly:
         if isinstance(other, int):
             if other == 0:
                 return LaurentPoly.zero()
-            return LaurentPoly(self.offset, [c * other for c in self.coeffs])
+            return LaurentPoly._trimmed(self.offset,
+                                        [c * other for c in self.coeffs])
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         if self.is_zero() or other.is_zero():
             return LaurentPoly.zero()
         if other.coeffs == (1,):
             return self.shift(other.offset)
-        return LaurentPoly(self.offset + other.offset,
-                           _mul_lists(self.coeffs, other.coeffs))
+        return LaurentPoly._trimmed(self.offset + other.offset,
+                                    _mul_lists(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 
@@ -213,7 +228,7 @@ class LaurentPoly:
             for j in range(dd + 1):
                 if dcoef[j]:
                     rem[k - dd + j] -= f * dcoef[j]
-        return LaurentPoly(0, quot), LaurentPoly(0, rem)
+        return LaurentPoly._trimmed(0, quot), LaurentPoly._trimmed(0, rem)
 
     def exact_div(self, other: "LaurentPoly") -> "LaurentPoly":
         """Exact division; raises if the division leaves a remainder."""
@@ -379,6 +394,34 @@ def kronecker_layout(groups, bound: int):
                 step = _int_gcd(step, p.offset - lo,
                                 *(i for i, c in enumerate(p.coeffs) if c))
     return bound.bit_length() + 1, lows, step or 1
+
+
+def kronecker_unpack(values, bits: int, lo: int, step: int) -> list:
+    """The Laurent polynomials whose `kronecker(bits, lo, step)` images are
+    `values`, for polynomials whose coefficients all lie in [0, 2^bits);
+    bits is a multiple of 8.  Equal values share one polynomial (a Gram
+    block is symmetric).  The distinct values are written out at one byte
+    length and read as one table of slots, as unsigned integers of 1, 2, 4
+    or 8 bytes, or one `int.from_bytes` per slot beyond 64 bits."""
+    distinct = list(dict.fromkeys(values))
+    width = bits // 8
+    slots = max(1, -(-max((x.bit_length() for x in distinct), default=0)
+                     // bits))
+    size = slots * width
+    data = b"".join(x.to_bytes(size, "little") for x in distinct)
+    if width in (1, 2, 4, 8):
+        table = np.frombuffer(data, f"<u{width}")
+    else:
+        table = np.array([int.from_bytes(data[k:k + width], "little")
+                          for k in range(0, len(data), width)], object)
+    table = table.reshape(len(distinct), slots)
+    if step > 1:
+        spread = np.zeros((len(distinct), (slots - 1) * step + 1), table.dtype)
+        spread[:, ::step] = table
+        table = spread
+    polys = {x: LaurentPoly._trimmed(lo, row)
+             for x, row in zip(distinct, table.tolist())}
+    return [polys[x] for x in values]
 
 
 def one_norm(p):

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -19,7 +20,7 @@ from qkm.linalg import (
 )
 from qkm.qpairing import DrinfeldPairing, degrees_upto
 from qkm.rmatrix import dual_bases
-from qkm.scalars import QScalar
+from qkm.scalars import LaurentPoly, QScalar
 
 SL2 = build_realization([[2]])
 SL3 = build_realization([[2, -1], [-1, 2]])
@@ -126,8 +127,13 @@ def _as_qscalar(mat):
 
 def test_dual_bases_singular_gram():
     bp = DrinfeldPairing(SL3)
-    # a rank-one Gram on the two pivot words of degree (1, 1)
-    bp.pair_words = lambda x, z: QScalar.one()
+    # a rank-one Gram on the two pivot words of degree (1, 1), given after
+    # the kernel has fixed those words
+    assert len(bp.quotient_basis((1, 1))) == 2
+    block = bp.gram_block((1, 1))
+    one = LaurentPoly.one()
+    bp.gram_block = lambda m: replace(block, numerators=((one, one),
+                                                         (one, one)))
     with pytest.raises(ArithmeticError, match="quotient Gram block is "
                        "singular; the pairing must be nondegenerate"):
         dual_bases((1, 1), bp)

@@ -23,7 +23,6 @@ from qkm.cli import (
     parse_config,
     run,
 )
-from qkm.scalars import QScalar
 
 
 def invoke(argv):
@@ -513,8 +512,7 @@ INTERNAL_FAULTS = {
         cli, "session_denominator", lambda cd, weights=(): 1, RAT_CFG,
         "relations", "DenominatorError: exponent"),
     "singular_dual_gram": (
-        qpairing.DrinfeldPairing, "pair_words",
-        lambda self, x, z: QScalar.one(),
+        rmatrix, "invert", _raise(ValueError("matrix not invertible")),
         "matrix = 2 -1; -1 2\ndepth = 3\nhw = 1 0\n", "ybe",
         "ArithmeticError: quotient Gram block is singular"),
     "gauss_jordan": (

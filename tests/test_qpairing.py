@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -66,6 +67,51 @@ def test_gram_symmetry():
                 for b in range(a + 1, s):
                     assert block.numerators[a][b] == block.numerators[b][a], \
                         (cd.A, m, a, b)
+
+
+def test_packed_gram_widths_through_degree_22():
+    # k! crosses 2^8, 2^16, 2^32 and 2^64 on the way to degree 22, so the
+    # packed recursion widens to 16, 32, 64 and then 128 bits, which are
+    # unpacked by int.from_bytes instead of a fixed-width numpy table
+    bp = DrinfeldPairing(SL2)
+    p = bp.p
+    for k in range(1, 23):
+        (num,), = bp.gram_block((k,)).numerators
+        assert min(num.coeffs) >= 0
+        assert sum(num.coeffs) == math.factorial(k)
+        assert bp._gram((k,), p)[1].tolist() == [[bp._residue(num, p)]]
+        # B(E^k, E^k) = q^(-k(k-1)/2) [k]! / (q - q^-1)^k
+        expected = QScalar(mono(-k * (k - 1) // 2)) * q_factorial(k)
+        assert QScalar(num) == expected
+    assert bp._bits == 128
+
+
+def _bar(num):
+    """v -> 1/v on a Laurent polynomial."""
+    return LaurentPoly(-num.max_exp, tuple(reversed(num.coeffs)))
+
+
+@pytest.mark.parametrize("matrix, sign", [
+    ([[2, -1], [-1, 2]], 1),
+    ([[2, -2], [-1, 2]], -1),
+    ([[2, Fraction(-1, 2)], [Fraction(-1, 2), 2]], -1),
+], ids=["sign+1", "b2", "rational"])
+def test_packed_gram_matches_the_hopf_oracle(matrix, sign):
+    # the packed recursion against the Hopf axioms through degree 4: with
+    # exponent_sign +1 (whose least exponents L(m) differ), with d_i != 1
+    # (B2, packed in steps of g = 2), and with D = 2 (2 -1/2; -1/2 2, where
+    # g = 1); the +1 numerators are the Hopf numerators with v -> 1/v
+    cd = build_realization(matrix)
+    bp = DrinfeldPairing(cd, exponent_sign=sign)
+    for m in degrees_upto(cd.n, 4):
+        den = QScalar(bp.denominator(m))
+        words = enumerate_words(m)
+        for x in words:
+            for z in words:
+                hopf = (bp.oracle_pair_words(x, z) * den).num
+                if sign == 1:
+                    hopf = _bar(hopf)
+                assert bp.pair_numerator(x, z) == hopf, (matrix, x, z)
 
 
 def test_grading_orthogonality():
