@@ -37,6 +37,20 @@ integer value at v^step = 2^bits, bits = B.bit_length() + 1
 packed image of a Laurent polynomial whose coefficients lie below
 2^(bits - 1) in absolute value, so it is 0 only if that polynomial is 0.
 
+The fraction-free solve `bareiss_solve_columns(P, B)` gives det != 0 and
+X with P X = det B, for P n x n, by the one-step Bareiss recursion
+(Bareiss 1968) on the integers that pack [P | B] at v^step = 2^bits,
+pivoting on the least |entry|.  Packing is a ring map to Z, so every
+division is exact at any width; only unpacking det and X (n-minors of
+[P | B], signed digits) needs the width.  It starts at 16 bits and
+doubles up to the cap, bound.bit_length() + 1 rounded up to a byte, with
+bound = prod_r max(1, sum_c |[P | B][r][c]|_1), which bounds the 1-norm
+of every minor: at the cap the unpacked outputs are exact and a zero
+pivot column proves P singular (ValueError).  Below it a zero pivot
+column means "widen", and (det, X) is accepted only when the packed check
+above, with the bound max_r (sum_c |[P | B][r][c]|_1) * max(|det|_1,
+|X|_1), finds P X = det B.
+
 Graded dimensions need no kernel vectors, only ranks, and `rank_mod_p`
 gives those for integer matrices reduced mod a word-size prime.  It works
 on numpy int64 rows: `rref` on boxed Fractions would spend its time in
@@ -50,11 +64,20 @@ combined into a certificate is described in `qpairing.GradedForm`.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import prod
 from operator import mul
 
 import numpy as np
 
-from .scalars import kronecker_layout, one_norm, rational_residue
+from .scalars import (
+    LaurentPoly,
+    kronecker_layout,
+    kronecker_unpack,
+    one_norm,
+    rational_residue,
+)
+
+_ZERO = LaurentPoly.zero()
 
 
 def rref(rows):
@@ -148,54 +171,75 @@ def nullspace(rows, one=Fraction(1)):
     return _free_basis(red, pivots, len(rows[0]), one)
 
 
-def bareiss_solve_columns(P, B, zero):
-    """(det, X) with P X = det * B, by one-step fraction-free Gauss-Jordan.
-
-    All intermediate divisions are exact over the ring; at termination
-    every diagonal entry of the reduced left block equals the same minor
-    (the determinant up to the row-swap sign), which is returned together
-    with the right-block columns scaled by it.
-    """
-    n = len(P)
-    t = len(B[0]) if B else 0
-    M = [list(P[r]) + list(B[r]) for r in range(n)]
-    width = n + t
-    prev = None
+def _integer_bareiss(M, n):
+    """One-step fraction-free Gauss-Jordan in place on the integer rows M,
+    pivoting in the first n columns on the smallest nonzero |entry|: the
+    determinant of the row-permuted leading block, with the columns past n
+    scaled by it, or None when a pivot column is zero.  Every division is
+    exact in Z (Bareiss 1968)."""
+    prev = 1
     for k in range(n):
         piv = min((i for i in range(k, n) if M[i][k]), default=None,
-                  key=lambda i: (M[i][k].complexity(), i))
+                  key=lambda i: abs(M[i][k]))
         if piv is None:
-            raise ValueError("singular system in bareiss_solve_columns")
-        if piv != k:
-            M[k], M[piv] = M[piv], M[k]
-        pk = M[k][k]
+            return None
+        M[k], M[piv] = M[piv], M[k]
+        prow = M[k]
+        pk = prow[k]
+        tail = prow[k + 1:]
         for i in range(n):
             if i == k:
                 continue
             row = M[i]
-            prow = M[k]
             mik = row[k]
-            for j in range(k + 1, width):
-                val = row[j] * pk
-                if mik and prow[j]:
-                    val = val - mik * prow[j]
-                if prev is not None:
-                    val = val.exact_div(prev)
-                row[j] = val
+            if mik:
+                row[k + 1:] = [(a * pk - mik * b) // prev
+                               for a, b in zip(row[k + 1:], tail)]
+            else:
+                row[k + 1:] = [a * pk // prev for a in row[k + 1:]]
             if i < k:
                 # keep the already-reduced diagonal in step with the pivot
-                val = row[i] * pk
-                if prev is not None:
-                    val = val.exact_div(prev)
-                row[i] = val
-            row[k] = zero
+                row[i] = row[i] * pk // prev
+            row[k] = 0
         prev = pk
-    det = M[n - 1][n - 1] if n else None
     for i in range(n - 1):
-        if M[i][i] != det:
+        if M[i][i] != prev:
             raise AssertionError("fraction-free Gauss-Jordan lost exactness")
-    X = [[M[r][n + c] for c in range(t)] for r in range(n)]
-    return det, X
+    return prev
+
+
+def bareiss_solve_columns(P, B):
+    """(det, X) with P X = det * B and det != 0, for P n x n and B n x t
+    over Z[v^+-1]; ValueError when P is singular.
+
+    The elimination runs on the Kronecker images of [P | B] at
+    v^step = 2^bits, widening from 16 bits; the module docstring gives the
+    cap and the exact check that accepts a width below it.
+    """
+    n = len(P)
+    t = len(B[0]) if B else 0
+    rows = [list(P[r]) + list(B[r]) for r in range(n)]
+    bound = prod(max(1, sum(map(one_norm, row))) for row in rows)
+    cap, (lo,), step = kronecker_layout([[e for row in rows for e in row]],
+                                        bound)
+    bits = 16
+    while True:
+        M = [[e.kronecker(bits, lo, step) for e in row] for row in rows]
+        det = _integer_bareiss(M, n)
+        if det is not None:
+            det, *flat = kronecker_unpack(
+                [det] + [x for row in M for x in row[n:]], bits, n * lo,
+                step, signed=True)
+            X = [flat[r * t:(r + 1) * t] for r in range(n)]
+            # column c of X over -det e_c is a kernel vector of [P | B]
+            if bits >= cap or _packed_verifier(rows)(
+                    [[x[c] for x in X] + [-det if j == c else _ZERO
+                                          for j in range(t)]
+                     for c in range(t)]):
+                return det, X
+        elif bits >= cap:
+            raise ValueError("singular system in bareiss_solve_columns")
+        bits = min(2 * bits, -(-cap // 8) * 8)
 
 
 class BadPointError(RuntimeError):
@@ -256,19 +300,19 @@ def _packed_verifier(N):
     return verified
 
 
-def certified_laurent_nullspace(N, zero, one, points, p, normalize,
-                                known=()):
+def certified_laurent_nullspace(N, normalize, p, points, known=()):
     """Certified kernel of a symmetric matrix over Z[v^+-1].
 
     N: rows of Laurent polynomials, N[a][b] == N[b][a]; the rows of the
     pivot columns C mod p are then independent too, so N[C][C] is
-    invertible at the point and over Q(v).  points: rational values of v,
-    each read in F_p.  normalize(vector) -> canonical form of a kernel
-    vector.  known: kernel vectors of N believed independent over Q(v),
-    unverified; at a point with len(known) free columns F the first
-    candidates are the rows of det K_F^-1 K, each det times the RREF vector
-    of a free column.  Returns (rank, pivot columns, kernel vectors), one
-    vector per free column in increasing column order.
+    invertible at the point and over Q(v).  normalize(vector) -> canonical
+    form of a kernel vector.  points: rational values of v, each read in
+    F_p; they stay the fourth argument, which `perfbench/spans.py` wraps
+    to count the points drawn.  known: kernel vectors of N believed independent
+    over Q(v), unverified; at a point with len(known) free columns F the
+    first candidates are the rows of det K_F^-1 K, each det times the RREF
+    vector of a free column.  Returns (rank, pivot columns, kernel
+    vectors), one vector per free column in increasing column order.
     """
     ncols = len(N[0]) if N else 0
 
@@ -277,7 +321,7 @@ def certified_laurent_nullspace(N, zero, one, points, p, normalize,
         singular.  The pivot entries of det times the RREF vector of free
         column f are minus row f of X when by_free, else minus column f."""
         try:
-            det, X = bareiss_solve_columns(P, B, zero) if P else (one, [])
+            det, X = bareiss_solve_columns(P, B)
         except ValueError:
             return
         scaled = [dict(zip(free, x)) for x in (zip(*X) if by_free else X)]

@@ -553,8 +553,8 @@ class DrinfeldPairing(GradedForm):
             return self._kernel[m]
         block = self.gram_block(m)
         rank, pivots, vectors = certified_laurent_nullspace(
-            block.numerators, LaurentPoly.zero(), LaurentPoly.one(),
-            EVAL_POINTS, self.p, _normalize_poly_vector, self._propagated(m))
+            block.numerators, _normalize_poly_vector, self.p, EVAL_POINTS,
+            self._propagated(m))
         words = block.basis
         self._set_reduction(m, words, pivots, vectors, QScalar)
         els = tuple(FreeElement.from_dict(

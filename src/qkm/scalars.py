@@ -191,11 +191,6 @@ class LaurentPoly:
     def leading_coeff(self):
         return self.coeffs[-1] if self.coeffs else 0
 
-    def complexity(self):
-        """Pivot-selection key: term count, then exponent span."""
-        nz = sum(1 for c in self.coeffs if c)
-        return (nz, len(self.coeffs))
-
     def divmod_poly(self, other: "LaurentPoly"):
         """Quotient and remainder in Z[v], treating both as polynomials in v.
 
@@ -396,19 +391,24 @@ def kronecker_layout(groups, bound: int):
     return bound.bit_length() + 1, lows, step or 1
 
 
-def kronecker_unpack(values, bits: int, lo: int, step: int) -> list:
+def kronecker_unpack(values, bits: int, lo: int, step: int,
+                     signed: bool = False) -> list:
     """The Laurent polynomials whose `kronecker(bits, lo, step)` images are
-    `values`, for polynomials whose coefficients all lie in [0, 2^bits);
-    bits is a multiple of 8.  Equal values share one polynomial (a Gram
-    block is symmetric).  The distinct values are written out at one byte
-    length and read as one table of slots, as unsigned integers of 1, 2, 4
-    or 8 bytes, or one `int.from_bytes` per slot beyond 64 bits."""
+    `values`; bits is a multiple of 8.  Unsigned, every coefficient must lie
+    in [0, 2^bits).  Signed, any integer unpacks to the polynomial with
+    digits in [-2^(bits-1), 2^(bits-1)) that packs back to it: 2^(bits-1)
+    is added to every slot of a table one slot wider than the widest value,
+    and taken off the polynomial read back.  Equal values share one
+    polynomial; the distinct values are read as one table of 1, 2, 4 or
+    8-byte slots, or one `int.from_bytes` per slot beyond 64 bits."""
     distinct = list(dict.fromkeys(values))
     width = bits // 8
     slots = max(1, -(-max((x.bit_length() for x in distinct), default=0)
-                     // bits))
+                     // bits) + signed)
+    half = 1 << (bits - 1) if signed else 0
+    bias = half * (((1 << bits * slots) - 1) // ((1 << bits) - 1))
     size = slots * width
-    data = b"".join(x.to_bytes(size, "little") for x in distinct)
+    data = b"".join((x + bias).to_bytes(size, "little") for x in distinct)
     if width in (1, 2, 4, 8):
         table = np.frombuffer(data, f"<u{width}")
     else:
@@ -421,6 +421,10 @@ def kronecker_unpack(values, bits: int, lo: int, step: int) -> list:
         table = spread
     polys = {x: LaurentPoly._trimmed(lo, row)
              for x, row in zip(distinct, table.tolist())}
+    if half:
+        bias_poly = LaurentPoly._trimmed(
+            lo, [half] + ([0] * (step - 1) + [half]) * (slots - 1))
+        polys = {x: p - bias_poly for x, p in polys.items()}
     return [polys[x] for x in values]
 
 

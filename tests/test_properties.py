@@ -8,6 +8,7 @@ derandomized and bounded, so every run checks the same matrices.
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -29,7 +30,9 @@ from qkm.freealg import enumerate_words, total_degree
 from qkm.linalg import (
     _packed_verifier,
     _verify_zero,
+    bareiss_solve_columns,
     certified_laurent_nullspace,
+    invert,
 )
 from qkm.qmodules import (
     character,
@@ -46,7 +49,7 @@ from qkm.qpairing import (
     degrees_upto,
 )
 from qkm.rmatrix import check_ybe, total_offsets
-from qkm.scalars import LaurentPoly
+from qkm.scalars import LaurentPoly, QScalar
 
 D_VALUES = (Fraction(1), Fraction(2), Fraction(1, 2), Fraction(3))
 A_DIAGONAL = (Fraction(2), Fraction(0), Fraction(-2), Fraction(4),
@@ -276,8 +279,7 @@ def test_kernel_side_candidates_match_the_gram_side(cd):
         kb = bp.kernel_block(m)
         block = bp.gram_block(m)
         rank, pivots, vectors = certified_laurent_nullspace(
-            block.numerators, LaurentPoly.zero(), LaurentPoly.one(),
-            EVAL_POINTS, bp.p, _normalize_poly_vector)
+            block.numerators, _normalize_poly_vector, bp.p, EVAL_POINTS)
         assert kb.quotient_dim == rank, (cd.A, m)
         assert bp.quotient_basis(m) == tuple(block.basis[p] for p in pivots)
         assert bp._vectors[m] == vectors, (cd.A, m)
@@ -322,6 +324,52 @@ def test_packed_check_agrees_with_symbolic_products(system, data):
                                            data.draw(st.sampled_from((-1, 1))))
     assert verified([bad]) == _verify_zero(N, bad), (N, bad)
     assert verified([k, bad]) == _verify_zero(N, bad), (N, k, bad)
+
+
+@st.composite
+def laurent_square_system(draw):
+    """P n x n (n <= 6) and B n x t over Z[v^+-1]: about a third of the
+    entries zero, the others one or two terms with exponents in one class
+    mod 2, some negative, and coefficients up to 2^40 in absolute value."""
+    n = draw(st.integers(1, 6))
+    t = draw(st.integers(1, 3))
+    residue = draw(st.integers(0, 1))
+
+    def entry():
+        if not draw(st.integers(0, 2)):
+            return LaurentPoly.zero()
+        terms = draw(st.dictionaries(
+            st.integers(-1, 1).map(lambda e: residue + 2 * e),
+            st.integers(-2 ** 40, 2 ** 40).filter(bool), min_size=1,
+            max_size=2))
+        return LaurentPoly.from_dict(terms)
+
+    return ([[entry() for _ in range(n)] for _ in range(n)],
+            [[entry() for _ in range(t)] for _ in range(n)])
+
+
+@settings(PROPERTY, max_examples=40)
+@given(laurent_square_system())
+def test_packed_bareiss_solves_over_the_field(system):
+    """bareiss_solve_columns gives P X = det B over Z[v^+-1], and X / det is
+    the solution over Q(v); a singular P raises ValueError both ways."""
+    P, B = system
+    field = [[QScalar(e) for e in row] for row in P]
+    try:
+        inverse = invert(field, one=QScalar(1))
+    except ValueError:
+        with pytest.raises(ValueError):
+            bareiss_solve_columns(P, B)
+        return
+    det, X = bareiss_solve_columns(P, B)
+    zero = LaurentPoly.zero()
+    for r, row in enumerate(P):
+        for c in range(len(B[0])):
+            assert sum((e * x[c] for e, x in zip(row, X)), zero) == (
+                det * B[r][c]), (P, B)
+            assert QScalar(X[r][c], det) == sum(
+                (inverse[r][j] * QScalar(B[j][c]) for j in range(len(B))),
+                QScalar(0)), (P, B)
 
 
 def _diagonal_action(V, src, dst, i, raising):

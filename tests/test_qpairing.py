@@ -279,8 +279,7 @@ def test_laurent_certificate_skips_a_non_generic_point():
     assert rank_mod_p(at_one, bp.p)[0] == 1
     points = iter((Fraction(1), Fraction(2)))
     rank, pivots, vectors = certified_laurent_nullspace(
-        N, LaurentPoly.zero(), LaurentPoly.one(), points, bp.p,
-        _normalize_poly_vector)
+        N, _normalize_poly_vector, bp.p, points)
     assert (rank, pivots, vectors) == (2, [0, 1], [])
     assert next(points, None) is None
 
@@ -302,9 +301,8 @@ def test_laurent_kernels_never_reach_the_symbolic_check(monkeypatch):
         bp2.kernel_block(m)
     N = DrinfeldPairing(SL3).gram_block((1, 1)).numerators
     assert certified_laurent_nullspace(
-        N, LaurentPoly.zero(), LaurentPoly.one(),
-        iter((Fraction(1), Fraction(2))), bp.p,
-        _normalize_poly_vector)[:2] == (2, [0, 1])
+        N, _normalize_poly_vector, bp.p,
+        iter((Fraction(1), Fraction(2))))[:2] == (2, [0, 1])
 
 
 def test_every_one_coefficient_change_of_the_serre_vector_is_rejected():
@@ -361,14 +359,63 @@ def test_laurent_kernels_never_reach_the_field_rref(monkeypatch):
         3, 8]
 
 
+def test_bareiss_widens_when_the_exact_check_rejects_16_bits(monkeypatch):
+    # det = v + 2^20 - 1 and X = 2^30 (1, -1) need 22 and 32 bits: at 16
+    # bits every integer pivot is nonzero, but the outputs unpack wrong and
+    # the exact check rejects them; 32 bits is below the cap (33 bits, for
+    # the product 2 (2^30 + 2^20 + 2) of the row norms), so the check
+    # accepts the second width
+    verdicts = []
+    verifier = linalg._packed_verifier
+
+    def recording(N):
+        verified = verifier(N)
+
+        def record(vectors):
+            verdicts.append(verified(vectors))
+            return verdicts[-1]
+
+        return record
+
+    monkeypatch.setattr(linalg, "_packed_verifier", recording)
+    one = LaurentPoly.one()
+    P = [[mono(1) + LaurentPoly.monomial(0, 2 ** 20), one], [one, one]]
+    B = [[LaurentPoly.monomial(0, 2 ** 30)], [LaurentPoly.zero()]]
+    det, X = linalg.bareiss_solve_columns(P, B)
+    assert verdicts == [False, True]
+    sign = 1 if det.leading_coeff() > 0 else -1
+    assert det == (mono(1) + LaurentPoly.monomial(0, 2 ** 20 - 1)) * sign
+    assert X == [[B[0][0] * sign], [-B[0][0] * sign]]
+
+
+def test_bareiss_unpacks_outputs_whose_signed_digits_need_a_spare_slot():
+    # at 16 bits (cap 18) X packs to 32767 * 2^16 + 40000 = 2147458112, 31
+    # bits; its signed digits (-25536, -32768, 1) need a third slot
+    b = mono(1) * 32767 + LaurentPoly.monomial(0, 40000)
+    assert linalg.bareiss_solve_columns([[LaurentPoly.one()]], [[b]]) == (
+        LaurentPoly.one(), [[b]])
+
+
+def test_bareiss_on_a_singular_system_raises():
+    # two equal rows: every integer image is singular, so the widths run up
+    # to the cap, where a zero pivot column proves it
+    a = LaurentPoly.from_dict({-2: 3, 0: -1, 4: 2 ** 35})
+    b = mono(-1) + mono(3)
+    c = LaurentPoly.monomial(1, -7)
+    for P in ([[a, b], [a, b]], [[a, b, c], [c, a, b], [a, b, c]]):
+        B = [[mono(r)] for r in range(len(P))]
+        with pytest.raises(ValueError, match="singular"):
+            linalg.bareiss_solve_columns(P, B)
+
+
 def _spy_bareiss(monkeypatch):
     """Record the number of rows of every fraction-free solve."""
     sizes = []
     solve = linalg.bareiss_solve_columns
 
-    def spy(P, B, zero):
+    def spy(P, B):
         sizes.append(len(P))
-        return solve(P, B, zero)
+        return solve(P, B)
 
     monkeypatch.setattr(linalg, "bareiss_solve_columns", spy)
     return sizes

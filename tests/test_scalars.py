@@ -263,6 +263,38 @@ def test_kronecker_packing_small_cases():
     assert LaurentPoly.zero().kronecker(3, 2, 1) == 0
 
 
+def test_signed_kronecker_unpack_inverts_the_packing():
+    # every digit in [-2^(bits-1), 2^(bits-1)), the extremes included, at
+    # table widths of 1, 2 and 8 bytes and past 64 bits; and any integer,
+    # in range or not, unpacks to a polynomial that packs back to it, also
+    # one near the top of its slot range, whose signed digits are one slot
+    # longer than its bit length
+    rng = random.Random(20261020)
+    for bits in (8, 16, 64, 72):
+        half = 1 << (bits - 1)
+        digits = (-half, half - 1, -1, 0, 1)
+        edges = [s * ((1 << bits * k - top) - d) for k in (1, 2, 3)
+                 for top in (0, 1) for d in (1, half, half + 1)
+                 for s in (1, -1)]
+        for _ in range(40):
+            step = rng.choice((1, 2, 3))
+            lo = rng.randrange(-6, 7)
+            polys = [LaurentPoly.from_dict(
+                {lo + step * rng.randrange(6): rng.choice(digits)
+                 for _ in range(rng.randrange(4))}) for _ in range(5)]
+            values = [p.kronecker(bits, lo, step) for p in polys]
+            assert scalars.kronecker_unpack(values, bits, lo, step,
+                                            signed=True) == polys
+            # one value per call: a wider value in the same call would
+            # size the table for it
+            for x in rng.sample(edges, 4) + [
+                    rng.randrange(-(1 << 3 * bits), 1 << 3 * bits)
+                    for _ in range(4)]:
+                (p,) = scalars.kronecker_unpack([x], bits, lo, step,
+                                                signed=True)
+                assert p.kronecker(bits, lo, step) == x
+
+
 COEFFS = st.one_of(st.integers(-4, 4),
                    st.fractions(-3, 3, max_denominator=4))
 
