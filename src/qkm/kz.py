@@ -9,20 +9,30 @@ with the distance to the nearest diagonal.  The matrices Omega_ij are lifts
 onto sites (i, j) of one two-site operator, `classical.CasimirTensor`, a
 `freealg.PairOperator` as R is: each basis pair of the Casimir tensor is
 computed once per comparison.  The Omega_ij and the sigma R generators both
-arrive as sparse rows, and `_array` turns either into a complex array;
+arrive as sparse rows, and `_array` writes either into a complex array;
 each distinct sigma R entry is evaluated once per comparison.
-Blocks of one dimension are transported together: their Omega_ij are
-stacked (B, d, d) and share one adaptive step sequence, in which a step is
-accepted only when every block meets its own error tolerance.  Only one
-generator of each mirror pair (i, k-2-i) is transported: the half-turn of
-the plane about the base point's centre, with the strand reversal, fixes
-the connection, so the mirrored monodromy is the conjugate by the reversal
-of the basis tuples.
+
+The unit of work is a stack: the blocks of one dimension, B of them.  A
+system stores its Omega_ij as one (P, B, d, d) array over the P pairs
+i < j (`omegas` are views into it), and the right-hand side forms A(t) as
+one product of the P path coefficients, computed as scalars, with that
+array.  The blocks share one adaptive step sequence, in which a step is
+accepted only when every block meets its own error tolerance.  The seven
+stages of a step share one buffer, allocated once per segment, so each
+stage's argument and the error estimate are one product of a tableau row
+with it.  Only one generator of each mirror pair (i, k-2-i) is
+transported: the half-turn of the plane about the base point's centre,
+with the strand reversal, fixes the connection, so the mirrored monodromy
+is the conjugate by the reversal of the basis tuples.
 Monodromy is compared with the sigma R representation only through
 conjugation-invariant data (traces of braid words and generator eigenvalue
 multisets): the two representations are isomorphic, not equal.  The
-multisets are matched at their bottleneck distance, whose search starts at
-the lower bound set by each eigenvalue's nearest partner.
+comparison runs on the stack too: the generators of its blocks are
+gathered into one (k-1, B, d, d) array, a word's last letter enters only
+through a trace, and the spectra come from one eigvals call per generator
+and side.  Only the multisets are matched block by block, at their
+bottleneck distance, whose search starts at the lower bound set by each
+eigenvalue's nearest partner.
 """
 
 from __future__ import annotations
@@ -31,6 +41,8 @@ import cmath
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import combinations
 
 import numpy as np
 
@@ -53,16 +65,27 @@ EXCHANGE_ORIENTATION = +1
 @dataclass
 class KZSystem:
     """The KZ connection data on one total-weight block of V^(x k), or on a
-    stack of blocks of one dimension (`stack_systems`, basis None)."""
+    stack of B blocks of one dimension (`stack_systems`)."""
 
     k: int
-    basis: tuple | None
-    omegas: dict               # (i, j), i < j -> (d, d) or (B, d, d) array
+    basis: tuple       # the block's basis tuples; a stack's, one per block
+    omega: np.ndarray  # Omega_ij, i < j in _pairs(k) order: (P, d, d), or
+                       # (P, B, d, d) on a stack
     hbar: complex
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return self.omega.shape[-1]
+
+    @property
+    def omegas(self) -> dict:
+        """(i, j), i < j -> Omega_ij, a view into `omega`."""
+        return dict(zip(_pairs(self.k), self.omega))
+
+
+@lru_cache(maxsize=None)
+def _pairs(k: int) -> tuple:
+    return tuple(combinations(range(k), 2))
 
 
 def build_kz_system(V: WeightModule, k: int, total_offset, hbar,
@@ -74,24 +97,38 @@ def build_kz_system(V: WeightModule, k: int, total_offset, hbar,
     if omega is None:
         omega = CasimirTensor(V, V)
     basis = tuple(tensor_block_basis((V,) * k, tuple(total_offset)))
-    omegas = {(i, j): _array(omega.lift(basis, i, j), complex)
-              for i in range(k) for j in range(i + 1, k)}
-    return KZSystem(k=k, basis=basis, omegas=omegas, hbar=complex(hbar))
+    pairs = _pairs(k)
+    out = np.zeros((len(pairs), len(basis), len(basis)), dtype=complex)
+    for (i, j), om in zip(pairs, out):      # the entries are rationals
+        _array(omega.lift(basis, i, j), float, om)
+    return KZSystem(k=k, basis=basis, omega=out, hbar=complex(hbar))
 
 
-def stack_systems(systems) -> KZSystem:
+def stack_systems(systems, count: int | None = None) -> KZSystem:
     """Systems on blocks of one dimension as one system whose Omega_ij are
-    stacked (B, d, d): its transports are theirs, stacked alike."""
-    first = systems[0]
-    return KZSystem(k=first.k, basis=None,
-                    omegas={pair: np.stack([s.omegas[pair] for s in systems])
-                            for pair in first.omegas},
-                    hbar=first.hbar)
+    stacked (P, B, d, d): its transports are theirs, stacked alike.  Each
+    block's Omega_ij are written into the stack once; systems may be an
+    iterator of count systems, so that each block's own are dropped as soon
+    as they are copied."""
+    if count is None:
+        systems = list(systems)
+        count = len(systems)
+    bases, omega = [], None
+    for system in systems:
+        if omega is None:
+            shape = system.omega.shape
+            omega = np.empty((shape[0], count) + shape[1:], dtype=complex)
+        omega[:, len(bases)] = system.omega
+        bases.append(system.basis)
+    return KZSystem(k=system.k, basis=tuple(bases), omega=omega,
+                    hbar=system.hbar)
 
 
-def _array(rows, value):
-    """A block's sparse rows {column: x} as the complex array of value(x)."""
-    out = np.zeros((len(rows), len(rows)), dtype=complex)
+def _array(rows, value, out=None):
+    """A block's sparse rows {column: x} as the complex array of value(x),
+    written into out (zero) when given."""
+    if out is None:
+        out = np.zeros((len(rows), len(rows)), dtype=complex)
     for r, row in enumerate(rows):
         for c, x in row.items():
             out[r, c] = value(x)
@@ -103,30 +140,35 @@ def base_configuration(k: int):
 
 
 def exchange_segment(base, i: int):
-    """Counterclockwise half-turn of points i and i+1 about their midpoint."""
-    base = np.asarray(base, dtype=complex)
+    """Counterclockwise half-turn of points i and i+1 about their midpoint;
+    z and zdot are lists of Python complex numbers."""
+    base = [complex(x) for x in base]
     mid = (base[i] + base[i + 1]) / 2
     off = base[i] - mid
+    turn = off * EXCHANGE_ORIENTATION * 1j * math.pi
+    still = [0j] * len(base)
 
     def seg(t: float):
         z = base.copy()
         phase = cmath.exp(EXCHANGE_ORIENTATION * 1j * math.pi * t)
         z[i] = mid + off * phase
         z[i + 1] = mid - off * phase
-        zdot = np.zeros_like(base)
-        vel = off * EXCHANGE_ORIENTATION * 1j * math.pi * phase
-        zdot[i] = vel
+        zdot = still.copy()
+        zdot[i] = vel = turn * phase
         zdot[i + 1] = -vel
         return z, zdot
 
     return seg
 
 
-# Dormand-Prince 5(4) tableau; the last stage is taken at the 5th-order
-# solution (its row of _DP_A is the 5th-order weights), so it is the first
-# stage of the next step ("first same as last")
+# Dormand-Prince 5(4) tableau.  Row s of _DP_A weighs the stages before s in
+# the argument of stage s; the last stage is taken at the 5th-order
+# solution (row 6 holds the 5th-order weights), so it is the first stage of
+# the next step ("first same as last").  _DP_E weighs the stages into the
+# 4th-order solution less the 5th-order one, the error estimate.  Plain
+# tuples: importing the module runs no numpy code.
 _DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
-_DP_A = (
+_DP_A = tuple(row + (0.0,) * (7 - len(row)) for row in (
     (),
     (1 / 5,),
     (3 / 40, 9 / 40),
@@ -134,63 +176,70 @@ _DP_A = (
     (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
     (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
     (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-)
-_DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
-          187 / 2100, 1 / 40)
+))
+_DP_E = tuple(b4 - b5 for b4, b5 in zip(
+    (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
+     187 / 2100, 1 / 40), _DP_A[6]))
 
 
-def _rhs(system: KZSystem, seg, t: float, Y):
-    """The right-hand side A(t) Y of the KZ system, and the step ceiling."""
-    z, zdot = seg(t)
-    k = system.k
-    dmin = min(abs(z[i] - z[j]) for i in range(k) for j in range(i + 1, k))
-    scale = max(abs(x) for x in z) or 1.0
-    if dmin < 1e-8 * scale:
-        raise DiagonalApproachError(
-            f"closest approach |z_i - z_j| = {dmin:.3e} at t = {t:.6f}")
+def _rhs(system: KZSystem, seg):
+    """The right-hand side of the KZ system along seg: rhs(t, Y, out)
+    writes A(t) Y into out and returns the step ceiling.  The path's
+    coefficients are scalars, and A(t) is one product of them with the
+    stacked Omega_ij."""
+    pairs = _pairs(system.k)
     coeff = system.hbar / (2j * math.pi)
-    A = sum(om * (coeff * (zdot[i] - zdot[j]) / (z[i] - z[j]))
-            for (i, j), om in system.omegas.items())
-    speed = max(abs(x) for x in zdot) or 1.0
-    h_ceiling = 0.5 * dmin / speed
-    return A @ Y, h_ceiling
+    omega = system.omega.reshape(len(pairs), -1)
+
+    def rhs(t: float, Y, out) -> float:
+        z, zdot = seg(t)
+        dz = [z[i] - z[j] for i, j in pairs]
+        dmin = min(map(abs, dz))
+        scale = max(map(abs, z)) or 1.0
+        if dmin < 1e-8 * scale:
+            raise DiagonalApproachError(
+                f"closest approach |z_i - z_j| = {dmin:.3e} at t = {t:.6f}")
+        A = np.dot([coeff * (zdot[i] - zdot[j]) / d
+                    for (i, j), d in zip(pairs, dz)], omega)
+        np.matmul(A.reshape(Y.shape), Y, out=out)
+        return 0.5 * dmin / (max(map(abs, zdot)) or 1.0)
+
+    return rhs
 
 
 def transport_segment(system: KZSystem, seg, Y, rtol: float):
-    """Advance the fundamental solution along one smooth segment.  On a
-    stack, Y is (B, d, d) and every block is held to its own tolerance
-    rtol * max(1, max |Y_b|): a step is accepted only when all of them meet
-    it, and the step size follows the block that needs the smallest."""
+    """Advance the fundamental solution Y, which it overwrites, along one
+    smooth segment.  On a stack, Y is (B, d, d) and every block is held to
+    its own tolerance rtol * max(1, max |Y_b|): a step is accepted only when
+    all of them meet it, and the step size follows the block that needs the
+    smallest."""
     if system.hbar == 0:
         return Y
+    # the seven stages of a step share one buffer, so each stage's argument
+    # and the error estimate are one product of a tableau row with it
+    K = np.empty((7,) + Y.shape, dtype=complex)
+    stages = K.reshape(7, -1)
+    tableau, weights = np.array(_DP_A), np.array(_DP_E)
+    Ys = np.empty_like(Y)
+    rhs = _rhs(system, seg)
     t = 0.0
-    k1, ceiling = _rhs(system, seg, 0.0, Y)
+    ceiling = rhs(0.0, Y, K[0])
     h = min(0.05, ceiling, 1.0)
     while t < 1.0:
         h = min(h, 1.0 - t)
-        # stage sums accumulate in place and the error estimate is dropped
-        # once read, so a stack holds few (B, d, d) arrays at once
-        ks = [k1]
+        rows = h * tableau
         for stage in range(1, 7):
-            Ys = Y.copy()
-            for coef, kmat in zip(_DP_A[stage], ks):
-                if coef:
-                    Ys += (h * coef) * kmat
-            kmat, ceil = _rhs(system, seg, t + _DP_C[stage] * h, Ys)
-            ks.append(kmat)
-        # Ys is now the 5th-order solution; diff the 4th-order one less Ys
-        diff = Y.copy()
-        for b4, kmat in zip(_DP_B4, ks):
-            if b4:
-                diff += (h * b4) * kmat
-        diff -= Ys
-        err = np.max(np.abs(diff), axis=(-2, -1))
-        del diff
+            np.dot(rows[stage, :stage], stages[:stage], out=Ys.reshape(-1))
+            Ys += Y
+            ceil = rhs(t + _DP_C[stage] * h, Ys, K[stage])
+        # Ys is now the 5th-order solution
+        err = np.max(np.abs(np.dot(h * weights, stages).reshape(Y.shape)),
+                     axis=(-2, -1))
         tol = rtol * np.maximum(1.0, np.max(np.abs(Ys), axis=(-2, -1)))
         accepted = bool(np.all(err <= tol))
         if accepted:
             t += h
-            Y = Ys
+            Y, Ys = Ys, Y
         # a block with err 0 asks for no limit (inf), and the clamp gives 5
         with np.errstate(divide="ignore"):
             factor = 0.9 * float(np.min(tol / err)) ** 0.2
@@ -198,7 +247,8 @@ def transport_segment(system: KZSystem, seg, Y, rtol: float):
         # the step ceiling is the one taken at the start of this step
         h = min(h, ceiling if ceiling else h)
         if accepted:
-            k1, ceiling = ks[6], ceil
+            K[0] = K[6]
+            ceiling = ceil
         if h <= 1e-14:
             raise DiagonalApproachError("step size underflow near a diagonal")
     return Y
@@ -207,17 +257,18 @@ def transport_segment(system: KZSystem, seg, Y, rtol: float):
 def kz_transport(system: KZSystem, segments, rtol: float = 1e-9):
     """Transport matrix of the fundamental solution along a piecewise path;
     on a stack, the (B, d, d) stack of the blocks' transport matrices."""
-    shape = next(iter(system.omegas.values())).shape
+    shape = system.omega.shape[1:]
     Y = np.broadcast_to(np.eye(shape[-1], dtype=complex), shape).copy()
     for seg in segments:
         Y = transport_segment(system, seg, Y, rtol)
     return Y
 
 
-def _basis_permutation(basis, move):
-    """The index array p with basis[p[r]] = move(basis[r])."""
+def _basis_permutations(basis, moves):
+    """One index array p per move, with basis[p[r]] = move(basis[r])."""
     index = {tup: r for r, tup in enumerate(basis)}
-    return np.array([index[move(tup)] for tup in basis], dtype=np.intp)
+    return np.array([[index[move(tup)] for tup in basis] for move in moves],
+                    dtype=np.intp)
 
 
 def _exchange(i: int):
@@ -227,7 +278,7 @@ def _exchange(i: int):
 
 def permutation_matrix(system: KZSystem, i: int):
     """The operator permuting tensor factors i and i+1 on the block basis."""
-    swap = _basis_permutation(system.basis, _exchange(i))
+    swap = _basis_permutations(system.basis, [_exchange(i)])[0]
     return np.eye(system.dim, dtype=complex)[swap]
 
 
@@ -264,15 +315,20 @@ class MonodromyReport:
 
 
 def _eig_multiset_deviation(A, B) -> float:
-    """Bottleneck distance between the eigenvalue multisets of A and B: the
-    least t such that some perfect matching pairs every eigenvalue a of A
-    with one b of B at relative distance |a - b| / max(1, |b|) <= t.
+    """Bottleneck distance between the eigenvalue multisets of A and B (see
+    `_spectrum_deviation`)."""
+    return _spectrum_deviation(np.linalg.eigvals(A), np.linalg.eigvals(B))
+
+
+def _spectrum_deviation(eig_a, eig_b) -> float:
+    """Bottleneck distance between two multisets of eigenvalues: the least t
+    such that some perfect matching pairs every a in eig_a with one b in
+    eig_b at relative distance |a - b| / max(1, |b|) <= t.
     Exact, so no rounding can split a pair.  Every row and every column is
     matched at no less than its own least distance, so the largest of those
     is a lower bound, probed first; only if it fails are the distances above
     it bisected.  A probe reads each row's columns, sorted once by
     distance, up to the level."""
-    eig_a, eig_b = np.linalg.eigvals(A), np.linalg.eigvals(B)
     if not (np.isfinite(eig_a).all() and np.isfinite(eig_b).all()):
         raise FloatingPointError
     dist = (np.abs(eig_a[:, None] - eig_b[None, :])
@@ -288,7 +344,8 @@ def _eig_multiset_deviation(A, B) -> float:
         return _matches_every_row([row[:n] for row, n in zip(order, counts)])
 
     low = max(ranked[:, 0].max(), dist.min(axis=0).max())
-    if feasible(low):
+    # when the rows' nearest columns are distinct they match at low
+    if len(set(row[0] for row in order)) == len(order) or feasible(low):
         return float(low)
     # feasibility is monotone in t, and the largest distance is feasible
     levels = np.sort(dist[dist > low])
@@ -329,51 +386,87 @@ def _augment(root, neighbours, match) -> bool:
     return False
 
 
-def _trace_deviation(kz_gens, qr_gens, word_length: int) -> float:
+def _trace_deviation(kz_gens, qr_gens, word_length: int):
     """Largest trace deviation over the positive braid words up to
     word_length, each relative to max(1, product of the Frobenius norms of
-    the word's sigma R generators).  Each word's products are its prefix's
-    times its last generator, so a word costs one product per side; a
-    depth-first walk holds only the prefixes of the current word."""
-    norms = [np.linalg.norm(g) for g in qr_gens]
-    gens = list(zip(kz_gens, qr_gens, norms))
-    worst = 0.0
-    stack = [(a, b, n, 1) for a, b, n in reversed(gens)]
-    while stack:
-        tk, tq, scale, length = stack.pop()
-        worst = max(worst, abs(np.trace(tk) - np.trace(tq)) / max(1.0, scale))
-        if length < word_length:
-            stack.extend((tk @ a, tq @ b, scale * n, length + 1)
-                         for a, b, n in reversed(gens))
-    return worst
+    the word's sigma R generators).  On generators (g, d, d) it is a float;
+    on stacks (g, B, d, d), the (B,) array of each block's.  The last letter
+    of a word enters only through a trace, tr(P g) = sum_ij P_ij g_ji, so a
+    product is formed only for a prefix that is extended, and a depth-first
+    walk holds only the prefixes of the current word."""
+    kz_gens, qr_gens = np.asarray(kz_gens), np.asarray(qr_gens)
+    norms = np.linalg.norm(qr_gens, axis=(-2, -1))
+    letters = range(len(norms))
+    worst = np.zeros(norms.shape[1:])
+
+    def extensions(pk, pq, scale):
+        """Fold in the words prefix + one letter, every letter at once (the
+        prefix None is the empty word)."""
+        if pk is None:
+            tk = np.trace(kz_gens, axis1=-2, axis2=-1)
+            tq = np.trace(qr_gens, axis1=-2, axis2=-1)
+        else:
+            tk = np.einsum("...ij,g...ji->g...", pk, kz_gens)
+            tq = np.einsum("...ij,g...ji->g...", pq, qr_gens)
+        deviation = np.abs(tk - tq) / np.maximum(1.0, scale * norms)
+        np.maximum(worst, deviation.max(axis=0), out=worst)
+
+    extensions(None, None, 1.0)
+    # path[m] is a prefix of length m with the letters it has still to take
+    path = [(None, None, 1.0, iter(letters))] if word_length > 1 else []
+    while path:
+        pk, pq, scale, rest = path[-1]
+        g = next(rest, None)
+        if g is None:
+            path.pop()
+            continue
+        word = (kz_gens[g] if pk is None else pk @ kz_gens[g],
+                qr_gens[g] if pq is None else pq @ qr_gens[g],
+                scale * norms[g])
+        extensions(*word)
+        if len(path) + 2 <= word_length:
+            path.append(word + (iter(letters),))
+    return worst if worst.ndim else float(worst)
 
 
-def _compare_blocks(stack: KZSystem, bases, sigmas, word_length: int,
-                    rtol: float):
-    """(trace deviation, eigenvalue deviation) of each block of one
-    dimension, from the stack of their Omega_ij and each block's basis;
-    sigmas[b] holds block b's sigma R generators.  The half-turn
-    z -> (k + 1) - z with the strand reversal i -> k - 1 - i fixes the KZ
-    form and the base point, and carries the exchange of strands i, i+1 to
-    that of k-2-i, k-1-i; so one kz_transport per mirror pair i <= k-2-i
-    serves, and T_{k-2-i} = Pi T_i Pi^-1 with Pi the reversal of the basis
-    tuples."""
-    k = stack.k
+def _compare_blocks(stack: KZSystem, sigmas, word_length: int, rtol: float):
+    """(trace deviation, eigenvalue deviation) of each block of a stack of
+    blocks of one dimension; sigmas is the (k-1, B, d, d) stack of their
+    sigma R generators.  The half-turn z -> (k + 1) - z with the strand
+    reversal i -> k - 1 - i fixes the KZ form and the base point, and
+    carries the exchange of strands i, i+1 to that of k-2-i, k-1-i; so one
+    kz_transport per mirror pair i <= k-2-i serves, and
+    T_{k-2-i} = Pi T_i Pi^-1 with Pi the reversal of the basis tuples.
+    The generators of every block are gathered into one (k-1, B, d, d)
+    stack, compared through traces and one eigvals call per generator and
+    side; only the bottleneck matching runs per block."""
+    k, bases = stack.k, stack.basis
     base = base_configuration(k)
     transports = [kz_transport(stack, [exchange_segment(base, i)], rtol)
                   for i in range(k // 2)]
-    deviations = []
-    for b, (basis, qr_gens) in enumerate(zip(bases, sigmas)):
-        rev = _basis_permutation(basis, lambda tup: tup[::-1])
-        block_T = [T[b] for T in transports]
-        block_T += [block_T[k - 2 - i][np.ix_(rev, rev)]
-                    for i in range(len(block_T), k - 1)]
-        kz_gens = [T[_basis_permutation(basis, _exchange(i))]
-                   for i, T in enumerate(block_T)]
-        deviations.append((_trace_deviation(kz_gens, qr_gens, word_length),
-                           max(_eig_multiset_deviation(kz, qr)
-                               for kz, qr in zip(kz_gens, qr_gens))))
-    return deviations
+    del stack         # its Omega_ij are not needed past the transports
+    moves = [_exchange(i) for i in range(k - 1)] + [lambda tup: tup[::-1]]
+    perms = np.array([_basis_permutations(basis, moves) for basis in bases])
+    rev = perms[:, k - 1]
+    at = np.arange(len(bases))[:, None]
+    kz_gens = np.empty_like(sigmas)
+    for i in range(k - 1):
+        swap = perms[:, i]
+        if i < len(transports):
+            kz_gens[i] = transports[i][at, swap]
+        else:                      # Pi T_{k-2-i} Pi^-1, then the exchange
+            rows = np.take_along_axis(rev, swap, axis=1)
+            kz_gens[i] = transports[k - 2 - i][at[:, :, None],
+                                               rows[:, :, None],
+                                               rev[:, None, :]]
+    del transports
+    traces = _trace_deviation(kz_gens, sigmas, word_length)
+    spectra = np.zeros(len(bases))
+    for kz, qr in zip(kz_gens, sigmas):
+        for b, pair in enumerate(zip(np.linalg.eigvals(kz),
+                                     np.linalg.eigvals(qr))):
+            spectra[b] = max(spectra[b], _spectrum_deviation(*pair))
+    return list(zip(traces.tolist(), spectra.tolist()))
 
 
 def drinfeld_kohno_compare(V_classical: WeightModule, V_quantum: WeightModule,
@@ -424,25 +517,23 @@ def drinfeld_kohno_compare(V_classical: WeightModule, V_quantum: WeightModule,
                      for total in totals}
             if not all(np.isfinite(g).all() for g in sigma.values()):
                 raise FloatingPointError
-            # the blocks of one dimension share one transport per mirror
-            # pair of generators, and one dimension's Omega_ij are held at
-            # a time: each block's own go once stacked, the stack before
-            # the next dimension's are built
+            # the blocks of one dimension are compared as one stack, and one
+            # dimension's Omega_ij are held at a time: each block's own and
+            # its sigma R only until they are copied into the stacks
             by_dim = {}
             for total in totals:
                 by_dim.setdefault(sigma[total].shape[-1], []).append(total)
             for dim, group in by_dim.items():
                 if dim == 0:
                     continue
-                systems = [build_kz_system(V_classical, k, total, hbar, omega)
-                           for total in group]
-                bases = [system.basis for system in systems]
-                stack = stack_systems(systems)
-                del systems
+                sigmas = np.empty((k - 1, len(group), dim, dim), dtype=complex)
+                for b, total in enumerate(group):
+                    sigmas[:, b] = sigma.pop(total)
+                systems = (build_kz_system(V_classical, k, total, hbar, omega)
+                           for total in group)
                 deviations = _compare_blocks(
-                    stack, bases, [sigma[total] for total in group],
-                    word_length, rtol)
-                del stack
+                    stack_systems(systems, len(group)), sigmas, word_length,
+                    rtol)
                 for total, (trace_dev, eig_dev) in zip(group, deviations):
                     compared[total] = BlockComparison(total, dim, trace_dev,
                                                       eig_dev)

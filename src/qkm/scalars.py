@@ -382,13 +382,27 @@ def kronecker_layout(groups, bound: int):
     of what it compares; bits = bound.bit_length() + 1 puts 2^(bits - 1)
     above it, so such a polynomial packs to 0 only if it is 0."""
     lows = [min((p.offset for p in g if p), default=0) for g in groups]
+    bits = bound.bit_length() + 1
     step = 0
     for lo, g in zip(lows, groups):
         for p in g:
-            if p:
-                step = _int_gcd(step, p.offset - lo,
-                                *(i for i, c in enumerate(p.coeffs) if c))
-    return bound.bit_length() + 1, lows, step or 1
+            if step == 1:
+                return bits, lows, 1
+            if not p:
+                continue
+            # the candidate divides the span; it is confirmed in C, since
+            # every coefficient off its grid is zero exactly when the zeros
+            # off the grid are as many as its places, and a failed one
+            # drops to a proper divisor at the first offending index
+            coeffs = p.coeffs
+            step = _int_gcd(step, p.offset - lo, len(coeffs) - 1)
+            while step > 1:
+                on = coeffs[::step]
+                if coeffs.count(0) - on.count(0) == len(coeffs) - len(on):
+                    break
+                step = _int_gcd(step, next(i for i, c in enumerate(coeffs)
+                                           if c and i % step))
+    return bits, lows, step or 1
 
 
 def kronecker_unpack(values, bits: int, lo: int, step: int,

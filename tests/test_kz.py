@@ -9,8 +9,13 @@ import pytest
 from qkm.cartan import Weight, build_realization, session_denominator
 from qkm.classical import CasimirTensor
 from qkm.kz import (
+    _DP_A,
+    _DP_C,
+    _DP_E,
     DiagonalApproachError,
     KZSystem,
+    _array,
+    _compare_blocks,
     _eig_multiset_deviation,
     _matches_every_row,
     _trace_deviation,
@@ -24,7 +29,8 @@ from qkm.kz import (
 )
 from qkm.qmodules import classical_module, irreducible
 from qkm.qpairing import DrinfeldPairing
-from qkm.rmatrix import total_offsets
+from qkm.rmatrix import BraidOperator, TruncatedR, total_offsets
+from qkm.scalars import evaluate_numeric
 
 SL2 = build_realization([[2]])
 LAM = Weight.highest((Fraction(1),), 1)
@@ -168,8 +174,7 @@ def test_stack_waits_for_its_hardest_block(sl2_spin1_systems):
     # order, it keeps the accuracy of its own run, and the stack takes at
     # least the hard block's steps
     easy = sl2_spin1_systems[(2,)]
-    hard = KZSystem(k=2, basis=easy.basis,
-                    omegas={(0, 1): 40 * easy.omegas[(0, 1)]},
+    hard = KZSystem(k=2, basis=easy.basis, omega=40 * easy.omega,
                     hbar=easy.hbar)
     rtol = 1e-9
     calls = {}
@@ -250,24 +255,141 @@ def test_mirrored_generator_is_the_conjugate_by_basis_reversal(hbar):
                         <= 1e-12 * max(1.0, np.max(np.abs(M))))
 
 
-def test_trace_deviation_extends_prefix_products():
-    # each word's products extend its prefix's, left to right, so the
-    # deviation equals that of multiplying every word out from the identity
-    rng = np.random.default_rng(1)
-    kz_gens, qr_gens = ([rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-                         for _ in range(3)] for _ in range(2))
+def _full_product_trace_deviation(kz_gens, qr_gens, word_length):
+    """The trace deviation with every word multiplied out from the
+    identity: the reference."""
+    d = kz_gens[0].shape[-1]
     norms = [np.linalg.norm(g) for g in qr_gens]
     expected = 0.0
-    for length in range(1, 4):
-        for word in product(range(3), repeat=length):
-            tk = tq = np.eye(4, dtype=complex)
+    for length in range(1, word_length + 1):
+        for word in product(range(len(kz_gens)), repeat=length):
+            tk = tq = np.eye(d, dtype=complex)
             scale = 1.0
             for g in word:
                 tk, tq = tk @ kz_gens[g], tq @ qr_gens[g]
                 scale *= norms[g]
             expected = max(expected, abs(np.trace(tk) - np.trace(tq))
                            / max(1.0, scale))
-    assert _trace_deviation(kz_gens, qr_gens, 3) == expected
+    return expected
+
+
+def _summation_bound(kz_gens, qr_gens, word_length):
+    """How far the deviation may move with the order in which each word's
+    trace is summed.  Both the trace of a multiplied-out word and the
+    product of its prefix with its last letter traced as sum_ij P_ij g_ji
+    sum d^2 products of entries of d x d matrices, each with at most a
+    few roundings: on either side, two orders differ by at most
+    2 d^2 eps times the product of the letters' Frobenius norms, and each
+    difference is divided by max(1, product of the sigma R norms)."""
+    d = kz_gens[0].shape[-1]
+    nk, nq = ([np.linalg.norm(g) for g in gens] for gens in (kz_gens, qr_gens))
+    worst = 0.0
+    for length in range(1, word_length + 1):
+        for word in product(range(len(nk)), repeat=length):
+            pk = math.prod(nk[g] for g in word)
+            pq = math.prod(nq[g] for g in word)
+            worst = max(worst, (pk + pq) / max(1.0, pq))
+    return 2 * d * d * np.finfo(float).eps * worst
+
+
+def test_trace_deviation_extends_prefix_products():
+    # each word's products extend its prefix's, left to right, and its last
+    # letter enters through tr(P g) = sum_ij P_ij g_ji, so the deviation
+    # equals that of multiplying every word out from the identity, up to
+    # the order of summation; on a stack of three blocks, each block's
+    # equals its own
+    rng = np.random.default_rng(1)
+    kz_gens, qr_gens = ([rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+                         for _ in range(3)] for _ in range(2))
+    expected = _full_product_trace_deviation(kz_gens, qr_gens, 3)
+    bound = _summation_bound(kz_gens, qr_gens, 3)
+    assert bound < 1e-12 * expected
+    assert abs(_trace_deviation(kz_gens, qr_gens, 3) - expected) <= bound
+    kz_stack, qr_stack = (rng.normal(size=(3, 3, 4, 4))
+                          + 1j * rng.normal(size=(3, 3, 4, 4))
+                          for _ in range(2))
+    stacked = _trace_deviation(kz_stack, qr_stack, 3)
+    assert stacked.shape == (3,)
+    for b in range(3):
+        kz_b, qr_b = kz_stack[:, b], qr_stack[:, b]
+        assert (abs(stacked[b] - _full_product_trace_deviation(kz_b, qr_b, 3))
+                <= _summation_bound(kz_b, qr_b, 3))
+
+
+@pytest.mark.parametrize("cartan, hw, k, hbar", [
+    ([[2, -1], [-1, 2]], (1, 0), 3, 0.1),
+    ([[2, -1], [-1, 2]], (1, 0), 4, 0.1),
+    ([[2]], (2,), 5, 0.3 + 0.2j)])
+def test_stack_compares_like_its_blocks_alone(cartan, hw, k, hbar):
+    # every stack of blocks of one dimension, compared at once, gives each
+    # block the deviations of its own monodromies (every generator
+    # transported, none read off its mirror), its words multiplied out and
+    # its spectra matched one generator at a time
+    A = build_realization(cartan)
+    lam = Weight.highest(tuple(Fraction(x) for x in hw), len(cartan))
+    D = session_denominator(A, [lam])
+    Vc = classical_module(lam, "irreducible", 3, A)
+    Vq = irreducible(lam, 3, A, pairing=DrinfeldPairing(A, D=D))
+    braid = BraidOperator(TruncatedR(Vq, Vq, Vq.engine), k)
+    by_dim = {}
+    for total in total_offsets(Vc, k):
+        sigma = np.array([_array(g, lambda x: evaluate_numeric(x, hbar, D))
+                          for g in braid.block(total)[1]])
+        by_dim.setdefault(sigma.shape[-1], []).append((total, sigma))
+    assert max(len(blocks) for blocks in by_dim.values()) > 1
+    for blocks in by_dim.values():
+        systems = [build_kz_system(Vc, k, total, hbar) for total, _ in blocks]
+        deviations = _compare_blocks(
+            stack_systems(systems),
+            np.stack([sigma for _, sigma in blocks], axis=1), 3, 1e-9)
+        assert len(deviations) == len(blocks)
+        for system, (_, sigma), (trace_dev, eig_dev) in zip(
+                systems, blocks, deviations):
+            gens = [braid_monodromy(system, i) for i in range(k - 1)]
+            assert abs(trace_dev - _full_product_trace_deviation(
+                gens, sigma, 3)) < 1e-12
+            assert abs(eig_dev - max(_eig_multiset_deviation(g, s)
+                                     for g, s in zip(gens, sigma))) < 1e-12
+            assert max(trace_dev, eig_dev) < 1e-6
+
+
+def test_stack_stores_omega_once():
+    # each Omega_ij of a block or a stack is a view into its one array, and
+    # building a stack allocates that array and nothing of its size besides
+    import tracemalloc
+    rng = np.random.default_rng(3)
+    systems = [KZSystem(k=4, basis=(), hbar=0.1,
+                        omega=rng.normal(size=(6, 40, 40)).astype(complex))
+               for _ in range(3)]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        stack = stack_systems(systems)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert stack.omega.shape == (6, 3, 40, 40)
+    assert peak - before < stack.omega.nbytes + 64 * 1024
+    for system in systems + [stack]:
+        views = system.omegas
+        assert list(views) == [(i, j) for i in range(4)
+                               for j in range(i + 1, 4)]
+        for n, view in enumerate(views.values()):
+            assert np.shares_memory(view, system.omega)
+            assert np.array_equal(view, system.omega[n])
+    for b, system in enumerate(systems):
+        assert np.array_equal(stack.omega[:, b], system.omega)
+
+
+def test_dormand_prince_rows():
+    # stage s is taken at t + c_s h from the stages before it only, whose
+    # weights sum to c_s; the error weights (4th order less 5th) sum to 0,
+    # and the last stage's argument is the 5th-order solution
+    tableau = np.array(_DP_A)
+    assert np.array_equal(np.triu(tableau), np.zeros((7, 7)))
+    assert np.allclose(tableau.sum(axis=1), _DP_C, rtol=0, atol=1e-15)
+    assert abs(sum(_DP_E)) < 1e-15
+    assert _DP_E[6] == 1 / 40
 
 
 def test_monodromy_eigenvalues_match_sigma_r(sl2_classical, sl2_quantum):
@@ -484,7 +606,6 @@ def test_perfect_matching_on_a_long_augmenting_path():
 
 def test_each_distinct_sigma_r_entry_is_evaluated_once(monkeypatch):
     import qkm.kz as kz
-    from qkm.rmatrix import BraidOperator, TruncatedR
     sl3 = build_realization([[2, -1], [-1, 2]])
     lam = Weight.highest((Fraction(1), Fraction(0)), 2)
     bp = DrinfeldPairing(sl3, D=session_denominator(sl3, [lam]))

@@ -263,6 +263,38 @@ def test_kronecker_packing_small_cases():
     assert LaurentPoly.zero().kronecker(3, 2, 1) == 0
 
 
+def test_kronecker_layout_step_is_the_gcd_of_every_exponent_gap():
+    # the step is the gcd of every nonzero term's distance from its group's
+    # low, here taken term by term: groups with zero polynomials, single
+    # terms and negative offsets, on grids of strides 1 to 12, where a
+    # polynomial's span is often a multiple of the stride that some inner
+    # term refutes, and some terms fall off the grid
+    rng = random.Random(20261021)
+    for _ in range(400):
+        stride = rng.randrange(1, 13)
+        groups = []
+        for _ in range(rng.randrange(1, 4)):
+            base = rng.randrange(-40, 41)
+            group = []
+            for _ in range(rng.randrange(5)):
+                kind = rng.randrange(4)
+                exps = {base + stride * rng.randrange(-6, 7)
+                        for _ in range(1 if kind == 1 else rng.randrange(2, 6))}
+                if kind == 3:
+                    exps.add(base + rng.randrange(1, 4 * stride + 1))
+                group.append(LaurentPoly.zero() if kind == 0 else
+                             LaurentPoly.from_dict(
+                                 {e: rng.choice((-1, 1)) * rng.randrange(1, 50)
+                                  for e in exps}))
+            groups.append(group)
+        bound = rng.randrange(1, 1 << 40)
+        lows = [min((p.offset for p in g if p), default=0) for g in groups]
+        gaps = [p.offset + i - lo for lo, g in zip(lows, groups) for p in g
+                for i, c in enumerate(p.coeffs) if c]
+        assert scalars.kronecker_layout(groups, bound) == (
+            bound.bit_length() + 1, lows, math.gcd(*gaps) or 1)
+
+
 def test_signed_kronecker_unpack_inverts_the_packing():
     # every digit in [-2^(bits-1), 2^(bits-1)), the extremes included, at
     # table widths of 1, 2 and 8 bytes and past 64 bits; and any integer,
