@@ -30,7 +30,6 @@ from .classical import (
     weyl_kac_multiplicities,
 )
 from .freealg import (
-    FreeElement,
     ResourceLimitError,
     TruncationError,
     enumerate_words,

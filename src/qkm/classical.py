@@ -32,6 +32,7 @@ from .cartan import CartanDatum, highest_weight, weight_form
 from .freealg import (
     PairOperator,
     add_pair_image,
+    combination,
     enumerate_words,
     total_degree,
     unit_degree,
@@ -155,9 +156,6 @@ class ShapovalovForm(GradedForm):
     def _ring_one(self) -> PolyN:
         return PolyN.constant(self.cd.n, 1)
 
-    def pair_words(self, x, z) -> PolyN:
-        return self._pair(x, z, PolyN(self.cd.n))
-
     def _factor(self, i, tail, p=None):
         """x_i - sum of a_iu over the letters u of the tail, or its value at
         the weight x_j = MOD_P_WEIGHT^(j + 1) mod p."""
@@ -261,9 +259,10 @@ class CasimirEngine:
         self._spaces: dict = {}
 
     def _pairings(self, beta, e_combos, f_combos):
-        """(x | y) for x over e_combos and y over f_combos, combos of words
-        of degree beta: their Gram entry over (lambda, beta).  The form's
-        row word acts first letter first, so x's words are read reversed."""
+        """(x | y) for x over e_combos and y over f_combos, combinations of
+        words of degree beta (`freealg.combination`): their Gram entry over
+        (lambda, beta).  The form's row word acts first letter first, so
+        x's words are read reversed."""
         n = self.cd.n
         words, mat = self.form.block(beta)
         index = {w: c for c, w in enumerate(words)}
@@ -272,11 +271,11 @@ class CasimirEngine:
         unit, scale = next(iter(line.terms.items()))
         out = []
         for x in e_combos:
-            rows = [(mat[index[w[::-1]]], c) for w, c in x.items()]
+            rows = [(mat[index[w[::-1]]], c) for w, c in x]
             out.append([])
             for y in f_combos:
                 entry = sum((row[index[z]] * (c * c2) for row, c in rows
-                             for z, c2 in y.items()), PolyN(n))
+                             for z, c2 in y), PolyN(n))
                 ratio = Fraction(entry.terms.get(unit, 0)) / scale
                 if entry != line * ratio:
                     raise AssertionError(f"the pairing at {beta} is not a "
@@ -288,14 +287,15 @@ class CasimirEngine:
         """(basis, dual pairs) at beta; see `root_basis`.  A degree without
         candidates builds no Gram block."""
         if beta not in self._spaces:
-            cands = [{(beta.index(1),): Fraction(1)}] if sum(beta) == 1 else []
+            cands = ([combination({(beta.index(1),): Fraction(1)})]
+                     if sum(beta) == 1 else [])
             for i, prev in self.form._predecessors(beta):
                 for combo in (self.root_basis(prev) if any(prev) else ()):
                     cand = {}
-                    for w, c in combo.items():
+                    for w, c in combo:
                         cand[w + (i,)] = cand.get(w + (i,), 0) + c
                         cand[(i,) + w] = cand.get((i,) + w, 0) - c
-                    cands.append(cand)
+                    cands.append(combination(cand))
             gram = self._pairings(beta, cands, cands) if cands else []
             keep = rref(list(zip(*gram)))[1]
             basis = [cands[a] for a in keep]
@@ -305,16 +305,17 @@ class CasimirEngine:
                 fdual = {}
                 for a, y in enumerate(basis):
                     if inv[a][b]:
-                        for w, c in y.items():
+                        for w, c in y:
                             fdual[w] = fdual.get(w, 0) + c * inv[a][b]
-                pairs.append((x, {w: c for w, c in fdual.items() if c}))
+                pairs.append((x, combination(fdual)))
             self._spaces[beta] = basis, pairs
         return self._spaces[beta]
 
     def root_basis(self, beta):
         """A basis of n+_beta: the left-normed brackets [x, e_i], x over the
         basis at beta - 1_i (e_i itself at a simple root), whose rows of
-        pairings against all of them are independent, in order."""
+        pairings against all of them are independent, in order; each a
+        combination of words (`freealg.combination`)."""
         return self._root_space(tuple(beta))[0]
 
     def dual_root_pairs(self, beta):
@@ -339,8 +340,8 @@ class CasimirEngine:
             out[key] = cart
         for beta in degrees_upto(self.cd.n, min(V.depth, W.depth)):
             for e, f in self.dual_root_pairs(beta):
-                add_pair_image(out, V, W, key, e.items(), f.items(), True)
-                add_pair_image(out, V, W, key, f.items(), e.items(), False)
+                add_pair_image(out, V, W, key, e, f, True)
+                add_pair_image(out, V, W, key, f, e, False)
         return [(key, val) for key, val in out.items() if val]
 
 

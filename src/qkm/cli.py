@@ -39,6 +39,7 @@ from .freealg import (
     TruncationError,
     check_degree_budget,
     total_degree,
+    word_string,
 )
 from .kz import DiagonalApproachError, drinfeld_kohno_compare
 from .linalg import BadPointError
@@ -320,7 +321,8 @@ def cmd_relations(cfg: SessionConfig, report: Report, args) -> None:
     rows = []
     for m in degrees_upto(cd.n, cfg.max_degree):
         kb = bp.kernel_block(m)
-        vectors = " | ".join(str(v) for v in kb.vectors) or "-"
+        vectors = " | ".join("; ".join(f"{word_string(w)}:{c}" for w, c in v)
+                             for v in kb.vectors) or "-"
         dim = len(bp.gram_block(m).basis)
         rows.append((_degree_label(m), dim, len(kb.vectors),
                      kb.quotient_dim, vectors))

@@ -1,25 +1,28 @@
 """The graded free associative algebra on generators E_1..E_n.
 
 Words are tuples of 0-based letter indices; a multidegree is the tuple of
-letter counts.  Elements are homogeneous linear combinations of words of a
-common multidegree with exact scalar coefficients.
+letter counts.  A combination of words of one multidegree (a kernel vector,
+a quantum Serre element, an element of a dual basis or of a root space) has
+one form in every layer: the tuple of its (word, coefficient) pairs with a
+nonzero exact coefficient, sorted by word (`combination`), so equal
+combinations are equal tuples and key one memo entry.
 
 Weight modules are graded by the same multidegrees (offsets below the
 highest weight), so the bases of total-weight blocks of their tensor
 products and the one two-site operator type (`PairOperator`: the R-matrix,
 sigma R and the Casimir tensor, lifted onto those blocks) live here too,
 with `add_pair_image`, which adds one (x v_a) (x) (y w_b) term of R or the
-Casimir tensor from the modules' word images.  A lifted block is a list of
-sparse rows {column: nonzero value}.  Each block basis of a tensor product
-is built once and kept with the product's other blocks, keyed by the
-factors' characters, so modules with equal characters (the quantum and
+Casimir tensor from the modules' images of the combinations x and y.  A
+lifted block is a list of sparse rows {column: nonzero value}.  Each block
+basis of a tensor product is built once and kept with the product's other
+blocks, keyed by the factors' characters (`WeightModule.occupied`, taken
+once per module), so modules with equal characters (the quantum and
 classical sides of a comparison) share them; the blocks of the last four
 tensor products are kept.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
 
@@ -48,10 +51,6 @@ def multinomial(m) -> int:
 
 def unit_degree(n: int, i: int) -> tuple[int, ...]:
     return tuple(int(k == i) for k in range(n))
-
-
-def add_degrees(a, b) -> tuple[int, ...]:
-    return tuple(x + y for x, y in zip(a, b))
 
 
 def word_degree(word, n: int) -> tuple[int, ...]:
@@ -96,76 +95,25 @@ def word_string(word) -> str:
     return "".join(str(i + 1) for i in word)
 
 
-@dataclass(frozen=True)
-class FreeElement:
-    """A combination of words; coefficients are exact scalars.
-
-    Pairing and kernel machinery only ever sees homogeneous elements
-    (degree is the common multidegree); sums across degrees carry None.
-    """
-
-    degree: tuple[int, ...] | None
-    terms: tuple  # sorted tuple of (word, coeff) pairs, no zero coeffs
-
-    @staticmethod
-    def from_dict(degree, d) -> "FreeElement":
-        items = tuple(sorted((w, c) for w, c in d.items() if not _is_zero(c)))
-        return FreeElement(tuple(degree) if degree is not None else None, items)
-
-    def as_dict(self) -> dict:
-        return dict(self.terms)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def coefficient(self, word):
-        for w, c in self.terms:
-            if w == tuple(word):
-                return c
-        return None
-
-    def scaled(self, s) -> "FreeElement":
-        return FreeElement.from_dict(self.degree,
-                                     {w: c * s for w, c in self.terms})
-
-    def __add__(self, other: "FreeElement") -> "FreeElement":
-        if self.is_zero():
-            return other
-        if other.is_zero():
-            return self
-        degree = self.degree if self.degree == other.degree else None
-        d = self.as_dict()
-        for w, c in other.terms:
-            d[w] = d.get(w, 0) + c
-        return FreeElement.from_dict(degree, d)
-
-    def __sub__(self, other: "FreeElement") -> "FreeElement":
-        return self + other.scaled(-1)
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        return "; ".join(f"{word_string(w)}:{c}" for w, c in self.terms)
-
-
-def _is_zero(c) -> bool:
-    if hasattr(c, "is_zero"):
-        return c.is_zero()
-    return c == 0
+def combination(d) -> tuple:
+    """The one form of a combination of words: the (word, coefficient)
+    pairs of a {word: coefficient} dict whose coefficient is nonzero,
+    sorted by word, so equal combinations are equal tuples."""
+    return tuple(sorted((w, c) for w, c in d.items() if c))
 
 
 def tensor_block_basis(factors, total):
     """Basis of the total-weight block of factors[0] (x) ... (x) factors[-1].
 
-    Each factor is a weight module (offsets(), dim(offset)).  The basis
-    tuples ((m_1, a_1), ..., (m_k, a_k)) have offsets summing to `total` and
-    are ordered lexicographically, site by site, along each factor's
-    offsets().  Every call on factors of the same characters reads the
-    same `_TensorBlocks`, so the quantum and classical sides of one
-    comparison build each block once between them.
+    Each factor is a weight module, read through its character
+    `occupied`, the (offset, dim) pairs of its nonzero weight spaces in
+    offsets() order.  The basis tuples ((m_1, a_1), ..., (m_k, a_k)) have
+    offsets summing to `total` and are ordered lexicographically, site by
+    site, along each factor's offsets().  Every call on factors of the same
+    characters reads the same `_TensorBlocks`, so the quantum and classical
+    sides of one comparison build each block once between them.
     """
-    characters = tuple(tuple((m, f.dim(m)) for m in f.offsets() if f.dim(m))
-                       for f in factors)
+    characters = tuple(f.occupied for f in factors)
     return list(_tensor_blocks(characters).block(0, tuple(total)))
 
 
@@ -206,10 +154,12 @@ def _tensor_blocks(characters) -> _TensorBlocks:
 
 def add_pair_image(out: dict, V, W, key, x, y, raising: bool) -> None:
     """Add (x v_a) (x) (y w_b), for key = (m_V, a, m_W, b), into a dict of
-    ((t, r, t', s), value) terms.  x and y are combinations of words (see
-    `WeightModule.image`): x acts on V by E-words when `raising` and by
-    F-words otherwise, y on W by the other kind.  The raising side's image
-    is taken first, and the other is not computed when it is zero."""
+    ((t, r, t', s), value) terms.  x and y are combinations of words of one
+    degree each, in the form of `combination`, as the dual bases and root
+    spaces hold them: x acts on V by E-words when `raising` and by F-words
+    otherwise, y on W by the other kind (`WeightModule.image`).  The
+    raising side's image is taken first, and the other is not computed
+    when it is zero."""
     mV, a, mW, b = key
     if raising:
         imgV = V.image(x, mV, a, True)

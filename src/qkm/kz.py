@@ -314,12 +314,6 @@ class MonodromyReport:
         return max(self.max_trace_deviation, self.max_eigenvalue_deviation)
 
 
-def _eig_multiset_deviation(A, B) -> float:
-    """Bottleneck distance between the eigenvalue multisets of A and B (see
-    `_spectrum_deviation`)."""
-    return _spectrum_deviation(np.linalg.eigvals(A), np.linalg.eigvals(B))
-
-
 def _spectrum_deviation(eig_a, eig_b) -> float:
     """Bottleneck distance between two multisets of eigenvalues: the least t
     such that some perfect matching pairs every a in eig_a with one b in

@@ -48,6 +48,9 @@ class WeightModule:
     module, the form at the highest weight for an irreducible one.
     The word-combination images of basis vectors (`image`) are kept on the
     module, for every two-site operator on it: R and the Casimir tensor.
+    `occupied`, the (offset, dim) pairs of the nonzero weight spaces in
+    offsets() order, is the module's character, taken once when it is
+    built; tensor blocks and their totals read it.
     """
 
     cd: CartanDatum
@@ -149,38 +152,27 @@ class WeightModule:
     def apply_f_word(self, word, offset, vec):
         return self._apply_word(self.f_action, 1, word, offset, vec)
 
-    def apply_combo(self, terms, offset, vec, raising: bool):
-        """Sum of c * (word action) over (word, c) terms, E-words when
-        raising and F-words otherwise; None when no term applies.  Lowering
-        out of a complete module's cone contributes zero; doing so on a
-        truncated module raises TruncationError."""
-        act = self.apply_e_word if raising else self.apply_f_word
-        total = None
-        for word, c in terms:
-            try:
-                _, img = act(word, offset, vec)
-            except TruncationError:
-                if self.complete:
-                    continue
-                raise
-            img = [c * x for x in img]
-            total = img if total is None else [p + q for p, q in zip(total, img)]
-        return total
-
     def image(self, terms, offset, k: int, raising: bool):
         """(target offset, coefficient vector) of basis vector k at `offset`
-        under `terms`, words of one degree, as in `apply_combo`; None when
-        it is zero.  Kept per (terms, offset, k, raising).  A combination
-        of several words is summed from the kept images of its words, so a
-        word that several combinations share acts once."""
-        terms = tuple(terms)
+        under a combination of words of one degree (`freealg.combination`),
+        E-words when `raising` and F-words otherwise; None when it is zero.
+        Lowering out of a complete module's cone gives zero; doing so on a
+        truncated module raises TruncationError.  Kept per (terms, offset,
+        k, raising).  A combination of several words is summed from the
+        kept images of its words, so a word that several combinations share
+        acts once."""
         key = (terms, offset, k, raising)
         if key in self._images:
             return self._images[key]
         one = self.scalar_one
         if len(terms) == 1 and terms[0][1] == one:
-            img = self.apply_combo(terms, offset, self.unit(offset, k),
-                                   raising)
+            act = self.apply_e_word if raising else self.apply_f_word
+            try:
+                img = act(terms[0][0], offset, self.unit(offset, k))[1]
+            except TruncationError:
+                if not self.complete:
+                    raise
+                img = None
         else:
             img = None
             for word, c in terms:
@@ -273,6 +265,7 @@ def _build(M: WeightModule, form) -> WeightModule:
                     cols.append(form.reduce(down, combo))
                 M.e_action[(i, m)] = _transpose(cols, len(spaces[down]),
                                                 M.scalar_zero)
+    M.occupied = tuple((m, M.dim(m)) for m in M.offsets() if M.dim(m))
     return M
 
 

@@ -60,8 +60,7 @@ import numpy as np
 
 from .cartan import CartanDatum, session_denominator
 from .freealg import (
-    FreeElement,
-    add_degrees,
+    combination,
     enumerate_words,
     unit_degree,
     word_degree,
@@ -119,11 +118,12 @@ class GramBlock:
 @dataclass(frozen=True)
 class KernelBasis:
     """A basis of the null space of one Gram block: every vector pairs to
-    zero against all words of the same degree.  The engine's
-    `quotient_basis` names the words whose classes survive."""
+    zero against all words of the same degree, a combination of words
+    (`freealg.combination`) with Laurent-polynomial coefficients.  The
+    engine's `quotient_basis` names the words whose classes survive."""
 
     degree: tuple[int, ...]
-    vectors: tuple[FreeElement, ...]
+    vectors: tuple[tuple, ...]
     quotient_dim: int
 
 
@@ -340,14 +340,6 @@ class GradedForm:
             yield prev, [index[(i,) + w] for w in words]
             yield prev, [index[w + (i,)] for w in words]
 
-    def _pair(self, x, z, zero):
-        """B(x, z): an entry of the exact Gram block of their degree."""
-        m = word_degree(x, self.cd.n)
-        if m != word_degree(z, self.cd.n):
-            return zero
-        index, gram = self._gram(m)
-        return gram[index[tuple(x)], index[tuple(z)]]
-
     def _gram(self, m, p=None):
         """(word index, Gram block) of degree m: an object array over the
         exact ring, or an int64 array mod p at the fixed point when p is
@@ -461,8 +453,12 @@ class DrinfeldPairing(GradedForm):
 
     def pair_numerator(self, x, z) -> LaurentPoly:
         """B(x, z) times the denominator of its degree, as a Laurent
-        polynomial."""
-        return self._pair(x, z, LaurentPoly.zero())
+        polynomial: an entry of the exact Gram block of their degree."""
+        m = word_degree(x, self.cd.n)
+        if m != word_degree(z, self.cd.n):
+            return LaurentPoly.zero()
+        index, gram = self._gram(m)
+        return gram[index[tuple(x)], index[tuple(z)]]
 
     def _factor(self, i, tail, p=None):
         """v^e, e = sign * sum of (alpha_i, alpha_u) over the letters u of
@@ -516,13 +512,6 @@ class DrinfeldPairing(GradedForm):
         """The value of a Laurent polynomial at v = MOD_P_V, mod p."""
         return entry.residue(MOD_P_V, p)
 
-    def pair_words(self, x, z) -> QScalar:
-        """The pairing of two words, exact."""
-        num = self.pair_numerator(x, z)
-        if num.is_zero():
-            return QScalar.zero()
-        return QScalar(num, self.denominator(word_degree(x, self.cd.n)))
-
     def denominator(self, m) -> LaurentPoly:
         """prod_i (q_i - q_i^{-1})^{m_i}, q_i = q^{d_i}: the denominator of
         the pairing on degree m."""
@@ -557,9 +546,8 @@ class DrinfeldPairing(GradedForm):
             self._propagated(m))
         words = block.basis
         self._set_reduction(m, words, pivots, vectors, QScalar)
-        els = tuple(FreeElement.from_dict(
-            m, {words[c]: QScalar(p) for c, p in enumerate(vec) if p})
-            for vec in vectors)
+        els = tuple(combination({w: QScalar(p) for w, p in zip(words, vec)
+                                 if p}) for vec in vectors)
         kb = KernelBasis(degree=m, vectors=els, quotient_dim=rank)
         self._kernel[m] = kb
         return kb
@@ -590,8 +578,9 @@ class DrinfeldPairing(GradedForm):
 
     # -- quantum Serre elements ---------------------------------------------
 
-    def quantum_serre_element(self, i: int, j: int) -> FreeElement:
-        """sum_m (-1)^m / ([m]_i! [1-a_ij-m]_i!) E_i^{1-a_ij-m} E_j E_i^m."""
+    def quantum_serre_element(self, i: int, j: int) -> tuple:
+        """sum_m (-1)^m / ([m]_i! [1-a_ij-m]_i!) E_i^{1-a_ij-m} E_j E_i^m,
+        a combination of words (`freealg.combination`)."""
         cd = self.cd
         a = cd.A[i][j]
         if i == j or cd.A[i][i] != 2 or a > 0 or a.denominator != 1:
@@ -606,17 +595,14 @@ class DrinfeldPairing(GradedForm):
             coeff = QScalar(1 if m % 2 == 0 else -1) / denom
             word = (i,) * (nterms - m) + (j,) + (i,) * m
             terms[word] = coeff
-        degree = add_degrees(tuple(nterms * u for u in unit_degree(cd.n, i)),
-                             unit_degree(cd.n, j))
-        return FreeElement.from_dict(degree, terms)
+        return combination(terms)
 
     def verify_serre_in_kernel(self, i: int, j: int) -> bool:
         """True iff the Serre element pairs to zero against all its degree."""
         el = self.quantum_serre_element(i, j)
-        m = el.degree
-        for z in enumerate_words(m):
+        for z in enumerate_words(word_degree(el[0][0], self.cd.n)):
             acc = QScalar.zero()
-            for w, c in el.terms:
+            for w, c in el:
                 num = self.pair_numerator(w, z)
                 if not num.is_zero():
                     acc = acc + c * QScalar(num)

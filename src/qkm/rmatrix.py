@@ -40,10 +40,10 @@ from itertools import product
 from .cartan import session_denominator, weight_form
 from .freealg import (
     MAX_COMPONENT_DIM,
-    FreeElement,
     PairOperator,
     ResourceLimitError,
     add_pair_image,
+    combination,
     tensor_block_basis,
     total_degree,
 )
@@ -75,7 +75,7 @@ class DualBasisPair:
 
     degree: tuple
     u_basis: tuple          # E-words (the surviving pivot words)
-    v_basis: tuple          # FreeElements in f-words with QScalar coefficients
+    v_basis: tuple          # combinations of f-words, QScalar coefficients
 
 
 def dual_bases(beta, pairing: DrinfeldPairing) -> DualBasisPair:
@@ -104,7 +104,7 @@ def dual_bases(beta, pairing: DrinfeldPairing) -> DualBasisPair:
             if coeff:
                 key = tuple(reversed(w)) if MIRROR_REVERSES else w
                 terms[key] = terms.get(key, QScalar.zero()) + coeff
-        v_els.append(FreeElement.from_dict(beta, terms))
+        v_els.append(combination(terms))
     pair = DualBasisPair(beta, words, tuple(v_els))
     pairing._dual[beta] = pair
     return pair
@@ -144,7 +144,7 @@ class TruncatedR(PairOperator):
         for beta in _betas_below(mW):
             db = dual_bases(beta, self.pairing)
             for u, v in zip(db.u_basis, db.v_basis):
-                add_pair_image(out, V, W, key, v.terms, ((u, one),), False)
+                add_pair_image(out, V, W, key, v, ((u, one),), False)
         cartan = q_power(weight_form(V.weight_at(mV), W.weight_at(mW), V.cd),
                          V.D)
         return [(k2, cartan * v) for k2, v in out.items() if v]
@@ -158,10 +158,9 @@ def total_offsets(V: WeightModule, k: int):
     block dimensions (V's character convolved k times) never shrink as
     factors are added, so the first one over the component cap is refused."""
     dims = {(0,) * V.cd.n: 1}
-    occupied = {m: V.dim(m) for m in V.offsets() if V.dim(m)}
     for _ in range(k):
         new = Counter()
-        for (t, a), (m, b) in product(dims.items(), occupied.items()):
+        for (t, a), (m, b) in product(dims.items(), V.occupied):
             new[tuple(x + y for x, y in zip(t, m))] += a * b
         dims = new
         if max(dims.values()) > MAX_COMPONENT_DIM:

@@ -114,8 +114,8 @@ def test_dual_pairs_duality_simple_roots():
     pairs = eng.dual_root_pairs((1,))
     assert len(pairs) == 1
     e_combo, f_dual = pairs[0]
-    assert e_combo == {(0,): Fraction(1)}
-    assert f_dual == {(0,): Fraction(1)}  # (e, f) = d^{-1} = 1 for sl2
+    assert e_combo == (((0,), Fraction(1)),)
+    assert f_dual == (((0,), Fraction(1)),)  # (e, f) = d^{-1} = 1 for sl2
 
 
 def test_root_space_dimensions_match_multiplicities():

@@ -6,17 +6,20 @@ import pytest
 
 from qkm.cartan import Weight, build_realization
 from qkm.freealg import (
-    FreeElement,
     PairOperator,
     ResourceLimitError,
-    add_degrees,
+    combination,
     enumerate_words,
     multinomial,
     tensor_block_basis,
     word_degree,
     word_string,
 )
+from qkm.classical import CasimirEngine
 from qkm.qmodules import classical_module
+from qkm.qpairing import DrinfeldPairing
+from qkm.rmatrix import dual_bases
+from qkm.scalars import QScalar
 
 
 def test_enumerate_basic():
@@ -51,37 +54,30 @@ def test_word_weight():
     assert word_degree(tuple(letters), cd.n) == word_degree(tuple(shuffled), cd.n)
 
 
-def from_word(word, n, coeff):
-    return FreeElement.from_dict(word_degree(word, n), {tuple(word): coeff})
-
-
 def free_mul(x, y):
-    """Concatenation product; degrees add, coefficients multiply."""
-    if x.degree is not None and y.degree is not None:
-        degree = add_degrees(x.degree, y.degree)
-    else:
-        degree = None
+    """Concatenation product of two combinations of words; coefficients
+    multiply."""
     d = {}
-    for wx, cx in x.terms:
-        for wy, cy in y.terms:
+    for wx, cx in x:
+        for wy, cy in y:
             w = wx + wy
             d[w] = d.get(w, 0) + cx * cy
-    return FreeElement.from_dict(degree, d)
+    return combination(d)
 
 
 def test_free_mul_examples():
-    e1 = from_word((0,), 2, Fraction(1))
-    e2 = from_word((1,), 2, Fraction(1))
+    e1 = combination({(0,): Fraction(1)})
+    e2 = combination({(1,): Fraction(1)})
     prod = free_mul(e1, e2)
-    assert prod.terms == (((0, 1), Fraction(1)),)
-    s = free_mul(e1 + e2, e1)
-    assert s.as_dict() == {(0, 0): Fraction(1), (1, 0): Fraction(1)}
+    assert prod == (((0, 1), Fraction(1)),)
+    s = free_mul(combination({(0,): Fraction(1), (1,): Fraction(1)}), e1)
+    assert dict(s) == {(0, 0): Fraction(1), (1, 0): Fraction(1)}
 
 
 def random_element(rng, n=2, deg=(1, 1)):
     words = enumerate_words(deg)
-    return FreeElement.from_dict(
-        deg, {w: Fraction(rng.randrange(-3, 4)) for w in rng.sample(list(words), k=min(2, len(words)))})
+    return combination(
+        {w: Fraction(rng.randrange(-3, 4)) for w in rng.sample(list(words), k=min(2, len(words)))})
 
 
 def test_free_mul_associative_and_graded():
@@ -91,12 +87,46 @@ def test_free_mul_associative_and_graded():
         y = random_element(rng, deg=(0, 1))
         z = random_element(rng, deg=(2, 0))
         assert free_mul(free_mul(x, y), z) == free_mul(x, free_mul(y, z))
-        assert free_mul(x, y).degree == (1, 2)
+        assert all(word_degree(w, 2) == (1, 2) for w, _ in free_mul(x, y))
+
+
+def test_combination_drops_zeros_and_sorts_by_word():
+    # each kind of coefficient the engines hold: int, rational, Q(v)
+    for zero, one in ((0, 1), (Fraction(0), Fraction(1)),
+                      (QScalar.zero(), QScalar.one())):
+        d = {(1, 0): one, (0, 1): zero, (0, 0): one + one}
+        assert combination(d) == (((0, 0), one + one), ((1, 0), one))
+        assert combination({(0,): zero, (1,): zero}) == ()
+        # the same items in another insertion order: an equal tuple
+        assert combination(dict(reversed(d.items()))) == combination(d)
+    assert combination({}) == ()
+
+
+def test_every_producer_returns_the_one_form():
+    # kernel vectors, Serre elements, dual bases of the pairing and the
+    # Casimir's root spaces and dual pairs are all combination(dict(c))
+    combos = []
+    for cd, m in ((build_realization([[2, -1], [-1, 2]]), (2, 1)),
+                  (build_realization([[2, -2], [-2, 2]]), (3, 1))):
+        bp = DrinfeldPairing(cd)
+        combos += bp.kernel_block(m).vectors
+        combos.append(bp.quantum_serre_element(0, 1))
+        combos += dual_bases(m, bp).v_basis
+        eng = CasimirEngine(cd)
+        combos += eng.root_basis((1, 1))
+        combos += [c for pair in eng.dual_root_pairs((1, 1)) for c in pair]
+    # sl3: 1 kernel vector, the Serre element, 2 dual elements, 1 root
+    # vector and its pair; affine: the same with 3 dual elements
+    assert len(combos) == 15
+    for c in combos:
+        assert type(c) is tuple and c and c == combination(dict(c)), c
 
 
 def test_serialization():
-    el = FreeElement.from_dict((2, 1), {(0, 0, 1): Fraction(1), (0, 1, 0): Fraction(-2)})
-    assert str(el) == "112:1; 121:-2"
+    # the `relations` report writes a kernel vector as word:coefficient
+    # pairs, sorted by word
+    el = combination({(0, 1, 0): Fraction(-2), (0, 0, 1): Fraction(1)})
+    assert "; ".join(f"{word_string(w)}:{c}" for w, c in el) == "112:1; 121:-2"
     assert word_degree((0, 0, 1), 2) == (2, 1)
 
 

@@ -9,6 +9,7 @@ from qkm.cartan import (
     session_denominator,
 )
 from qkm.classical import ShapovalovForm, weyl_kac_character
+from qkm.freealg import combination
 from qkm.qmodules import (
     WeightModule,
     character,
@@ -294,3 +295,18 @@ def test_weight_coordinates_follow_one_rule():
             weyl_kac_character(bad, cd, 2)
         with pytest.raises(ValueError, match="coordinates"):
             session_denominator(cd, [bad])
+
+
+def test_equal_combinations_share_one_image_entry():
+    # one combination inserted in two orders is one tuple, so its image on
+    # a basis vector is computed once and kept under one key
+    V = classical_module(hw(SL3, 1, 1), "irreducible", 3, SL3)
+    words = {(1, 0): Fraction(-1), (0, 1): Fraction(1)}
+    x = combination(words)
+    y = combination(dict(reversed(words.items())))
+    assert x == y
+    first = V.image(x, (0, 0), 0, False)
+    assert first is not None
+    size = len(V._images)
+    assert V.image(y, (0, 0), 0, False) is first
+    assert len(V._images) == size

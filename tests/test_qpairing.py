@@ -5,7 +5,7 @@ import pytest
 
 from qkm import linalg
 from qkm.cartan import build_realization, session_denominator
-from qkm.freealg import FreeElement, enumerate_words
+from qkm.freealg import combination, enumerate_words, word_degree
 from qkm.linalg import certified_laurent_nullspace, rank_mod_p
 from qkm.qpairing import (
     DrinfeldPairing,
@@ -29,18 +29,25 @@ def c_power(k, D=1):
     return QScalar(LaurentPoly.one(), (mono(D) - mono(-D)) ** k)
 
 
+def pair_words(bp, x, z):
+    """The exact pairing of two words: its numerator over the denominator
+    of their degree."""
+    return QScalar(bp.pair_numerator(x, z),
+                   bp.denominator(word_degree(x, bp.cd.n)))
+
+
 def test_generator_pairings():
     bp = DrinfeldPairing(SL3)
-    assert bp.pair_words((0,), (0,)) == c_power(1)
-    assert bp.pair_words((0,), (1,)) == QScalar.zero()
-    assert bp.pair_words((), ()) == QScalar.one()
+    assert pair_words(bp, (0,), (0,)) == c_power(1)
+    assert pair_words(bp, (0,), (1,)) == QScalar.zero()
+    assert pair_words(bp, (), ()) == QScalar.one()
 
 
 def test_sl2_degree2_value():
     bp = DrinfeldPairing(SL2)
     # q^-1 [2] / (q - q^-1)^2, a unit power of q times [2]
     expected = QScalar(mono(-1)) * q_integer(2) * c_power(2)
-    assert bp.pair_words((0, 0), (0, 0)) == expected
+    assert pair_words(bp, (0, 0), (0, 0)) == expected
 
 
 def test_sl3_gram_block_21_frozen():
@@ -116,8 +123,8 @@ def test_packed_gram_matches_the_hopf_oracle(matrix, sign):
 
 def test_grading_orthogonality():
     bp = DrinfeldPairing(SL3)
-    assert bp.pair_words((0, 1), (0, 0)) == QScalar.zero()
-    assert bp.pair_words((0,), (0, 1)) == QScalar.zero()
+    assert pair_words(bp, (0, 1), (0, 0)) == QScalar.zero()
+    assert pair_words(bp, (0,), (0, 1)) == QScalar.zero()
 
 
 def test_oracle_agrees_with_fast_recursion():
@@ -126,7 +133,7 @@ def test_oracle_agrees_with_fast_recursion():
         for m in degrees_upto(cd.n, 3):
             for x in enumerate_words(m):
                 for z in enumerate_words(m):
-                    assert bp.oracle_pair_words(x, z) == bp.pair_words(x, z), \
+                    assert bp.oracle_pair_words(x, z) == pair_words(bp, x, z), \
                         (cd.A, x, z)
 
 
@@ -135,10 +142,10 @@ def test_oracle_rejects_flipped_sign():
     bp_flip = DrinfeldPairing(SL2, exponent_sign=1)
     x = (0, 0)
     oracle = bp_good.oracle_pair_words(x, x)
-    assert bp_good.pair_words(x, x) == oracle
+    assert pair_words(bp_good, x, x) == oracle
     # the flipped convention is the bar-conjugate form: still symmetric with
     # the same kernel, but only one convention matches the Hopf axioms
-    assert bp_flip.pair_words(x, x) != oracle
+    assert pair_words(bp_flip, x, x) != oracle
 
 
 def test_kernel_sl2_all_degrees():
@@ -158,15 +165,15 @@ def test_kernel_sl3_21():
     # proportional to the quantum Serre element: 112 - [2] 121 + 211
     serre = bp.quantum_serre_element(0, 1)
     ratio = None
-    for w, cv in vec.terms:
-        cs = serre.coefficient(w)
+    for w, cv in vec:
+        cs = dict(serre).get(w)
         assert cs is not None
         r = cv / cs
         if ratio is None:
             ratio = r
         else:
             assert r == ratio
-    assert len(vec.terms) == len(serre.terms)
+    assert len(vec) == len(serre)
 
 
 def test_kernel_mixed_degree_11():
@@ -198,20 +205,20 @@ def test_degree_zero_block():
 def test_serre_elements():
     bp = DrinfeldPairing(SL3)
     el = bp.quantum_serre_element(0, 1)
-    assert el.degree == (2, 1)
+    assert {word_degree(w, 2) for w, _ in el} == {(2, 1)}
     two_fact = q_factorial(2)
-    assert el.coefficient((0, 0, 1)) == QScalar.one() / two_fact
-    assert el.coefficient((0, 1, 0)) == QScalar(-1)
-    assert el.coefficient((1, 0, 0)) == QScalar.one() / two_fact
+    assert dict(el)[(0, 0, 1)] == QScalar.one() / two_fact
+    assert dict(el)[(0, 1, 0)] == QScalar(-1)
+    assert dict(el)[(1, 0, 0)] == QScalar.one() / two_fact
 
     bp0 = DrinfeldPairing(SL2SL2)
     el0 = bp0.quantum_serre_element(0, 1)
-    assert el0.as_dict() == {(0, 1): QScalar.one(), (1, 0): QScalar(-1)}
+    assert dict(el0) == {(0, 1): QScalar.one(), (1, 0): QScalar(-1)}
 
     bpa = DrinfeldPairing(AFF)
     ela = bpa.quantum_serre_element(0, 1)
-    assert ela.degree == (3, 1)
-    assert len(ela.terms) == 4
+    assert {word_degree(w, 2) for w, _ in ela} == {(3, 1)}
+    assert len(ela) == 4
 
     with pytest.raises(NotApplicableError):
         DrinfeldPairing(build_realization([[2, Fraction(-1, 2)], [Fraction(-1, 2), 2]],
@@ -233,13 +240,13 @@ def test_kernel_is_two_sided_ideal_slice():
     for i in range(2):
         for left in (True, False):
             # the product with the generator word (i,), coefficient one
-            target = tuple(m + (k == i) for k, m in enumerate(vec.degree))
-            prod = FreeElement.from_dict(target, {
-                ((i,) + w if left else w + (i,)): c for w, c in vec.terms})
+            target = tuple(m + (k == i) for k, m in enumerate(kb.degree))
+            prod = combination({
+                ((i,) + w if left else w + (i,)): c for w, c in vec})
             for z in enumerate_words(target):
                 acc = QScalar.zero()
-                for w, cw in prod.terms:
-                    val = bp.pair_words(w, z)
+                for w, cw in prod:
+                    val = pair_words(bp, w, z)
                     if val:
                         acc = acc + cw * val
                 assert acc == QScalar.zero(), (i, left, z)

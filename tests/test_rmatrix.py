@@ -48,7 +48,7 @@ def test_dual_basis_single_root(sl2_setup):
     el = db.v_basis[0]
     # (q - q^{-1}) F_i  on the v-grid with D = 2
     expected = QScalar(LaurentPoly.monomial(2) - LaurentPoly.monomial(-2))
-    assert el.as_dict() == {(0,): expected}
+    assert el == (((0,), expected),)
 
 
 def test_dual_basis_duality_sl3():
@@ -59,8 +59,9 @@ def test_dual_basis_duality_sl3():
         for a, u in enumerate(db.u_basis):
             for b, vel in enumerate(db.v_basis):
                 total = QScalar.zero()
-                for fword, coeff in vel.terms:
-                    total = total + coeff * bp.pair_words(u, fword)
+                for fword, coeff in vel:
+                    total = total + coeff * QScalar(
+                        bp.pair_numerator(u, fword), bp.denominator(beta))
                 assert total == (QScalar.one() if a == b else QScalar.zero())
 
 
@@ -239,18 +240,20 @@ def test_check_ybe_builds_each_block_basis_once(sl3_fundamental, monkeypatch):
     assert calls == total_offsets(V, 3)
 
 
-def _count_combos(monkeypatch):
-    """The key of every `WeightModule.apply_combo` call, in order."""
+def _count_word_actions(monkeypatch):
+    """The key (module id, word, offset, vector) of every E-word (under
+    "e") and F-word (under "f") action of a `WeightModule`, in order."""
     from qkm.qmodules import WeightModule
-    calls = []
-    combo = WeightModule.apply_combo
+    calls = {"e": [], "f": []}
+    for kind, seen in calls.items():
+        name = f"apply_{kind}_word"
 
-    def counting(self, terms, offset, vec, raising):
-        calls.append((id(self), tuple(terms), tuple(offset), tuple(vec),
-                      raising))
-        return combo(self, terms, offset, vec, raising)
+        def counting(self, word, offset, vec, act=getattr(WeightModule, name),
+                     seen=seen):
+            seen.append((id(self), tuple(word), tuple(offset), tuple(vec)))
+            return act(self, word, offset, vec)
 
-    monkeypatch.setattr(WeightModule, "apply_combo", counting)
+        monkeypatch.setattr(WeightModule, name, counting)
     return calls
 
 
@@ -258,16 +261,8 @@ def test_check_ybe_computes_each_word_image_once(monkeypatch):
     # R's E-word images of w_b and dual F-combination images of v_a are
     # shared by every basis pair that reaches them; the images are kept on
     # the module, so it is built here, with no image computed yet
-    from qkm.qmodules import WeightModule
     V = _sl3_fundamental()
-    calls = {"e": [], "f": _count_combos(monkeypatch)}
-    e_word = WeightModule.apply_e_word
-
-    def counting_e(self, word, offset, vec):
-        calls["e"].append((id(self), tuple(word), tuple(offset), tuple(vec)))
-        return e_word(self, word, offset, vec)
-
-    monkeypatch.setattr(WeightModule, "apply_e_word", counting_e)
+    calls = _count_word_actions(monkeypatch)
     assert check_ybe(V).holds
     for seen in calls.values():
         assert seen
@@ -276,14 +271,15 @@ def test_check_ybe_computes_each_word_image_once(monkeypatch):
 
 def test_dk_computes_each_word_image_once(monkeypatch):
     # R and the Casimir tensor both read word images through the modules'
-    # memo, so neither side repeats a combination on a basis vector
+    # memo, so neither side repeats a word on a basis vector
     Vq = _sl3_fundamental()
     Vc = classical_module(hw(SL3, 1, 0), "irreducible", 3, SL3)
-    calls = _count_combos(monkeypatch)
+    calls = _count_word_actions(monkeypatch)
     report = drinfeld_kohno_compare(Vc, Vq, 3, 0.1, word_length=2)
     assert report.max_deviation < 1e-6
-    assert any(key[0] == id(Vc) for key in calls)
-    assert len(calls) == len(set(calls))
+    assert any(key[0] == id(Vc) for seen in calls.values() for key in seen)
+    for seen in calls.values():
+        assert len(seen) == len(set(seen))
 
 
 def test_dk_builds_each_r_block_basis_once(sl2_setup, monkeypatch):
@@ -293,6 +289,31 @@ def test_dk_builds_each_r_block_basis_once(sl2_setup, monkeypatch):
     report = drinfeld_kohno_compare(Vc, Vq, 3, 0.1, word_length=2)
     assert report.max_deviation < 1e-6
     assert calls == total_offsets(Vc, 3)
+
+
+def test_dk_walks_module_offsets_independent_of_block_count(sl2_setup, monkeypatch):
+    # block bases and their totals read the character each module took when
+    # it was built, so a comparison walks no module's offsets per block
+    from qkm.qmodules import WeightModule
+    _, Vq = sl2_setup
+    Vc = classical_module(hw(SL2, 1), "irreducible", 2, SL2)
+    calls = []
+    offsets = WeightModule.offsets
+
+    def counting(self):
+        calls.append(id(self))
+        return offsets(self)
+
+    monkeypatch.setattr(WeightModule, "offsets", counting)
+    counts = []
+    for totals in ([(1,)], total_offsets(Vc, 3)):
+        calls.clear()
+        report = drinfeld_kohno_compare(Vc, Vq, 3, 0.1, word_length=2,
+                                        totals=totals)
+        assert len(report.blocks) == len(totals)
+        counts.append(len(calls))
+    assert len(totals) == 4
+    assert counts[0] == counts[1]
 
 
 def test_three_generators_on_four_strands(sl2_setup, sl3_fundamental):
