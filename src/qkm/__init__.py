@@ -15,7 +15,6 @@ from .cartan import (
     NotSymmetrizableError,
     Weight,
     build_realization,
-    gamma,
     session_denominator,
     symmetrize,
     weight_form,

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .linalg import invert, matrix_rank, nullspace
+from .linalg import invert, matrix_rank, nullspace, rref
 
 
 class NotSymmetrizableError(ValueError):
@@ -128,20 +128,9 @@ def build_realization(A, d=None) -> CartanDatum:
     r = n - rank
     h_dim = n + r
 
-    ext_cols: list[int] = []
-    if r:
-        # right kernel of A, then the lexicographically first r independent
-        # columns of its basis matrix
-        kern = nullspace(A)
-        kmat = [list(v) for v in kern]  # r rows, n cols
-        chosen: list[int] = []
-        for c in range(n):
-            trial = [[kmat[i][j] for j in chosen + [c]] for i in range(r)]
-            if matrix_rank(trial) == len(chosen) + 1:
-                chosen.append(c)
-                if len(chosen) == r:
-                    break
-        ext_cols = chosen
+    # the lexicographically first r independent columns of a basis of the
+    # right kernel of A: the pivot columns of its echelon form
+    ext_cols = rref(nullspace(A))[1]
 
     alpha = []
     for i in range(n):
@@ -250,11 +239,6 @@ def highest_weight(hw, cd: CartanDatum) -> Weight:
 def weight_form(x: Weight, y: Weight, cd: CartanDatum) -> Fraction:
     """(x, y) on h*, bilinear, computed via G_inv."""
     return weight_form_base(cd, x.coords(cd), y.coords(cd))
-
-
-def gamma(i: int, cd: CartanDatum) -> tuple[Fraction, ...]:
-    """Coordinates of d_i h_i; satisfies alpha_j(gamma_i) = (alpha_i, alpha_j)."""
-    return tuple(cd.d[i] * c for c in cd.h_coords[i])
 
 
 def session_denominator(cd: CartanDatum, weights=()) -> int:

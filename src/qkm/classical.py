@@ -223,19 +223,19 @@ def _series_mul_binom(series, beta, exponent: int, cap: int):
     return {k: v for k, v in out.items() if v}
 
 
-def root_multiplicities(cd: CartanDatum, max_total_degree: int,
-                        form: ShapovalovForm | None = None):
-    """dim of the positive root space per root, from the graded quotient
-    dimensions by Poincare-Birkhoff-Witt inversion."""
-    form = form or ShapovalovForm(cd)
-    udims = form.quotient_dims(max_total_degree)
-    series = {(0,) * cd.n: 1}
+def root_multiplicities(udims):
+    """dim of the positive root space per root, by Poincare-Birkhoff-Witt
+    inversion of a table of graded quotient dimensions (`quotient_dims`),
+    whose degrees fix the rank and the total-degree cap."""
+    n = len(next(iter(udims)))
+    cap = max(map(total_degree, udims))
+    series = {(0,) * n: 1}
     mults = {}
-    for beta in degrees_upto(cd.n, max_total_degree):
+    for beta in degrees_upto(n, cap):
         mult = udims[beta] - series.get(beta, 0)
         mults[beta] = mult
         if mult:
-            series = _series_mul_binom(series, beta, -mult, max_total_degree)
+            series = _series_mul_binom(series, beta, -mult, cap)
     return mults
 
 
@@ -250,12 +250,12 @@ class CasimirEngine:
     (x | y)(lambda, beta) v on the highest weight vector for x in n+_beta,
     y in n-_beta, with (lambda, beta) = sum_i beta_i d_i x_i; and (x | y)
     pairs n+_beta with n-_beta nondegenerately (Kac, Thm 2.2).  So a
-    bracket vanishes exactly when its pairings with all brackets do.
+    bracket vanishes exactly when its pairings with all brackets do.  The
+    Cartan datum is the form's.
     """
 
-    def __init__(self, cd: CartanDatum, form: ShapovalovForm | None = None):
-        self.cd = cd
-        self.form = form or ShapovalovForm(cd)
+    def __init__(self, form: ShapovalovForm):
+        self.form = form
         self._spaces: dict = {}
 
     def _pairings(self, beta, e_combos, f_combos):
@@ -263,11 +263,11 @@ class CasimirEngine:
         words of degree beta (`freealg.combination`): their Gram entry over
         (lambda, beta).  The form's row word acts first letter first, so
         x's words are read reversed."""
-        n = self.cd.n
+        n = self.form.cd.n
         words, mat = self.form.block(beta)
         index = {w: c for c, w in enumerate(words)}
         line = PolyN(n, {unit_degree(n, i): b * d
-                         for i, (b, d) in enumerate(zip(beta, self.cd.d))})
+                         for i, (b, d) in enumerate(zip(beta, self.form.cd.d))})
         unit, scale = next(iter(line.terms.items()))
         out = []
         for x in e_combos:
@@ -335,10 +335,10 @@ class CasimirEngine:
         """
         key = (mV, a, mW, b)
         out = {}
-        cart = weight_form(V.weight_at(mV), W.weight_at(mW), self.cd)
+        cart = weight_form(V.weight_at(mV), W.weight_at(mW), self.form.cd)
         if cart:
             out[key] = cart
-        for beta in degrees_upto(self.cd.n, min(V.depth, W.depth)):
+        for beta in degrees_upto(self.form.cd.n, min(V.depth, W.depth)):
             for e, f in self.dual_root_pairs(beta):
                 add_pair_image(out, V, W, key, e, f, True)
                 add_pair_image(out, V, W, key, f, e, False)
@@ -353,7 +353,7 @@ class CasimirTensor(PairOperator):
     def __init__(self, V, W):
         if V.kind != "classical" or W.kind != "classical":
             raise ValueError("the Casimir tensor acts on classical modules")
-        engine = CasimirEngine(V.cd, form=V.engine)
+        engine = CasimirEngine(V.engine)
         super().__init__(V, W, partial(engine.pair_action, V, W))
 
 

@@ -334,15 +334,12 @@ def cmd_relations(cfg: SessionConfig, report: Report, args) -> None:
 def cmd_dims(cfg: SessionConfig, report: Report, args) -> None:
     cd = build_realization(cfg.matrix, cfg.d)
     check_degree_budget(cd.n, cfg.max_degree)
-    form = ShapovalovForm(cd)
-    dims = form.quotient_dims(cfg.max_degree)
+    dims = ShapovalovForm(cd).quotient_dims(cfg.max_degree)
     report.table("quotient_dims", ("degree", "dim"),
-                 [(_degree_label(m), dims[m]) for m in sorted(
-                     dims, key=lambda t: (total_degree(t), t))])
-    mults = root_multiplicities(cd, cfg.max_degree, form=form)
+                 [(_degree_label(m), dim) for m, dim in dims.items()])
+    mults = root_multiplicities(dims)
     report.table("root_multiplicities", ("root", "mult"),
-                 [(_degree_label(m), mults[m]) for m in sorted(
-                     mults, key=lambda t: (total_degree(t), t))])
+                 [(_degree_label(m), mult) for m, mult in mults.items()])
     if cd.is_gcm():
         oracle = weyl_kac_multiplicities(cd, cfg.max_degree)
         ok = oracle == mults

@@ -14,8 +14,8 @@ each distinct sigma R entry is evaluated once per comparison.
 
 The unit of work is a stack: the blocks of one dimension, B of them.  A
 system stores its Omega_ij as one (P, B, d, d) array over the P pairs
-i < j (`omegas` are views into it), and the right-hand side forms A(t) as
-one product of the P path coefficients, computed as scalars, with that
+i < j, in `_pairs(k)` order, and the right-hand side forms A(t) as one
+product of the P path coefficients, computed as scalars, with that
 array.  The blocks share one adaptive step sequence, in which a step is
 accepted only when every block meets its own error tolerance.  The seven
 stages of a step share one buffer, allocated once per segment, so each
@@ -76,11 +76,6 @@ class KZSystem:
     @property
     def dim(self) -> int:
         return self.omega.shape[-1]
-
-    @property
-    def omegas(self) -> dict:
-        """(i, j), i < j -> Omega_ij, a view into `omega`."""
-        return dict(zip(_pairs(self.k), self.omega))
 
 
 @lru_cache(maxsize=None)
@@ -301,17 +296,12 @@ class BlockComparison:
 
 @dataclass(frozen=True)
 class MonodromyReport:
-    strands: int
-    hbar: complex
-    word_length: int
-    rtol: float
-    blocks: tuple
-    max_trace_deviation: float
-    max_eigenvalue_deviation: float
+    blocks: tuple     # BlockComparison per compared block, in totals order
 
     @property
     def max_deviation(self) -> float:
-        return max(self.max_trace_deviation, self.max_eigenvalue_deviation)
+        return max((max(b.max_trace_deviation, b.max_eigenvalue_deviation)
+                    for b in self.blocks), default=0.0)
 
 
 def _spectrum_deviation(eig_a, eig_b) -> float:
@@ -534,10 +524,5 @@ def drinfeld_kohno_compare(V_classical: WeightModule, V_quantum: WeightModule,
     except (FloatingPointError, OverflowError, ZeroDivisionError):
         raise FloatingPointError(f"double precision overflowed at hbar = "
                                  f"{hbar}; take a smaller |Re hbar|") from None
-    blocks = [compared[total] for total in totals if total in compared]
-    worst_trace = max((b.max_trace_deviation for b in blocks), default=0.0)
-    worst_eig = max((b.max_eigenvalue_deviation for b in blocks), default=0.0)
-    return MonodromyReport(strands=k, hbar=hbar, word_length=word_length,
-                           rtol=rtol, blocks=tuple(blocks),
-                           max_trace_deviation=worst_trace,
-                           max_eigenvalue_deviation=worst_eig)
+    return MonodromyReport(tuple(compared[total] for total in totals
+                                 if total in compared))

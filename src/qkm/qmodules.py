@@ -43,9 +43,10 @@ class WeightModule:
     generator and source offset; matrix[r][c] is the coefficient of target
     basis vector r in the image of source basis vector c.  engine holds the
     generic relations, which the R-matrix and the Casimir tensor on this
-    module read, and fixes the kind, D and the scalars.  The module's own
-    quotient comes from the form it was built with: the engine for a Verma
-    module, the form at the highest weight for an irreducible one.
+    module read, and fixes the Cartan datum cd, the kind, D and the
+    scalars.  The module's own quotient comes from the form it was built
+    with: the engine for a Verma module, the form at the highest weight for
+    an irreducible one.
     The word-combination images of basis vectors (`image`) are kept on the
     module, for every two-site operator on it: R and the Casimir tensor.
     `occupied`, the (offset, dim) pairs of the nonzero weight spaces in
@@ -53,7 +54,6 @@ class WeightModule:
     built; tensor blocks and their totals read it.
     """
 
-    cd: CartanDatum
     highest: Weight
     depth: int
     engine: object                 # DrinfeldPairing or ShapovalovForm
@@ -64,6 +64,7 @@ class WeightModule:
     _images: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
+        self.cd = self.engine.cd
         quantum = isinstance(self.engine, DrinfeldPairing)
         self.kind = "quantum" if quantum else "classical"
         self.D = self.engine.D if quantum else 1   # q = v^D
@@ -273,7 +274,7 @@ def _quantum(hw, depth: int, cd: CartanDatum, pairing) -> WeightModule:
     """An empty quantum module on the v-grid of `pairing`, by default hw's."""
     hw = highest_weight(hw, cd)
     pairing = pairing or DrinfeldPairing(cd, D=session_denominator(cd, [hw]))
-    return WeightModule(cd, hw, depth, pairing)
+    return WeightModule(hw, depth, pairing)
 
 
 def verma(hw, depth: int, cd: CartanDatum,
@@ -294,7 +295,7 @@ def classical_module(hw, kind: str, depth: int, cd: CartanDatum) -> WeightModule
     """Classical Verma or irreducible module with exact rational actions."""
     if kind not in ("verma", "irreducible"):
         raise ValueError("kind must be 'verma' or 'irreducible'")
-    M = WeightModule(cd, highest_weight(hw, cd), depth, ShapovalovForm(cd))
+    M = WeightModule(highest_weight(hw, cd), depth, ShapovalovForm(cd))
     return _build(M, M.engine if kind == "verma" else HighestWeightForm(M))
 
 

@@ -97,32 +97,24 @@ MOD_P_V = 1000003
 
 @dataclass(frozen=True)
 class GramBlock:
-    """The pairing matrix on one multidegree component.
+    """The pairing matrix on the multidegree m of `gram_block(m)`.
 
     Entries are numerators over the common denominator
     prod_i (q_i - q_i^{-1})^{m_i}, one factor per letter.
     """
 
-    degree: tuple[int, ...]
     basis: tuple[tuple[int, ...], ...]
     numerators: tuple[tuple[LaurentPoly, ...], ...]
     denominator: LaurentPoly
 
-    def entry(self, a: int, b: int) -> QScalar:
-        return QScalar(self.numerators[a][b], self.denominator)
-
-    def size(self) -> int:
-        return len(self.basis)
-
 
 @dataclass(frozen=True)
 class KernelBasis:
-    """A basis of the null space of one Gram block: every vector pairs to
-    zero against all words of the same degree, a combination of words
-    (`freealg.combination`) with Laurent-polynomial coefficients.  The
-    engine's `quotient_basis` names the words whose classes survive."""
+    """A basis of the null space of the Gram block of `kernel_block(m)`:
+    every vector pairs to zero against all words of degree m, a combination
+    of words (`freealg.combination`) with Laurent-polynomial coefficients.
+    The engine's `quotient_basis` names the words whose classes survive."""
 
-    degree: tuple[int, ...]
     vectors: tuple[tuple, ...]
     quotient_dim: int
 
@@ -529,7 +521,7 @@ class DrinfeldPairing(GradedForm):
         m = tuple(m)
         if m not in self._block:
             self._block[m] = GramBlock(
-                degree=m, basis=enumerate_words(m),
+                basis=enumerate_words(m),
                 numerators=tuple(map(tuple, self._gram(m)[1])),
                 denominator=self.denominator(m))
         return self._block[m]
@@ -548,7 +540,7 @@ class DrinfeldPairing(GradedForm):
         self._set_reduction(m, words, pivots, vectors, QScalar)
         els = tuple(combination({w: QScalar(p) for w, p in zip(words, vec)
                                  if p}) for vec in vectors)
-        kb = KernelBasis(degree=m, vectors=els, quotient_dim=rank)
+        kb = KernelBasis(vectors=els, quotient_dim=rank)
         self._kernel[m] = kb
         return kb
 

@@ -71,9 +71,9 @@ MIRROR_REVERSES = False
 
 @dataclass(frozen=True)
 class DualBasisPair:
-    """Bases of the positive piece and its pairing-dual negative piece."""
+    """Bases of the positive piece of degree beta (`dual_bases(beta, ...)`)
+    and its pairing-dual negative piece."""
 
-    degree: tuple
     u_basis: tuple          # E-words (the surviving pivot words)
     v_basis: tuple          # combinations of f-words, QScalar coefficients
 
@@ -105,7 +105,7 @@ def dual_bases(beta, pairing: DrinfeldPairing) -> DualBasisPair:
                 key = tuple(reversed(w)) if MIRROR_REVERSES else w
                 terms[key] = terms.get(key, QScalar.zero()) + coeff
         v_els.append(combination(terms))
-    pair = DualBasisPair(beta, words, tuple(v_els))
+    pair = DualBasisPair(words, tuple(v_els))
     pairing._dual[beta] = pair
     return pair
 
@@ -202,7 +202,10 @@ def _mat_mul(A, B):
 @dataclass(frozen=True)
 class YangBaxterReport:
     blocks: tuple            # (total_offset, dimension, holds) triples
-    holds: bool
+
+    @property
+    def holds(self) -> bool:
+        return all(ok for _, _, ok in self.blocks)
 
 
 def _cleared(m1, m2):
@@ -239,12 +242,10 @@ def check_ybe(V: WeightModule, totals=None) -> YangBaxterReport:
     if totals is None:
         totals = total_offsets(V, 3)
     results = []
-    all_ok = True
     for total in totals:
         basis, (m1, m2) = braid.block(total)
         if not basis:
             continue
         ok = _braid_relation_holds(m1, m2)
-        all_ok = all_ok and ok
         results.append((total, len(basis), ok))
-    return YangBaxterReport(blocks=tuple(results), holds=all_ok)
+    return YangBaxterReport(tuple(results))

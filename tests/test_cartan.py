@@ -7,7 +7,6 @@ from qkm.cartan import (
     NotSymmetrizableError,
     Weight,
     build_realization,
-    gamma,
     session_denominator,
     symmetrize,
     weight_form,
@@ -66,6 +65,14 @@ def test_build_affine_extension():
             ai = Weight(tuple(cd.alpha[i]), (0, 0))
             aj = Weight(tuple(cd.alpha[j]), (0, 0))
             assert weight_form(ai, aj, cd) == cd.d[i] * cd.A[i][j]
+    # the extension columns are the first independent columns of the
+    # kernel basis: (0, 1, 1) skips column 0, and affine + affine takes
+    # columns 0 and 2
+    for A, ext in (([[2, 0, 0], [0, 2, -2], [0, -2, 2]], [(0,), (1,), (0,)]),
+                   ([[2, -2, 0, 0], [-2, 2, 0, 0], [0, 0, 2, -2],
+                     [0, 0, -2, 2]], [(1, 0), (0, 0), (0, 1), (0, 0)])):
+        cd = build_realization(A)
+        assert [row[cd.n:] for row in cd.alpha] == ext
 
 
 def test_invariants_across_matrices():
@@ -116,28 +123,6 @@ def test_weight_offsets():
     lam = Weight.highest(_coords_for(cd, [1, 0]), 2)
     mu = Weight(lam.base, (1, 1))
     assert mu.value_on_coroot(cd, 0) == 1 - cd.A[0][0] - cd.A[1][0]
-
-
-def test_gamma():
-    sl2 = build_realization(SL2)
-    g = gamma(0, sl2)
-    assert g == tuple(sl2.h_coords[0])
-    assert sum(sl2.alpha[0][k] * g[k] for k in range(1)) == 2
-
-    cd = build_realization([[2, -2], [-1, 2]])
-    g2 = gamma(1, cd)
-    assert g2 == tuple(2 * c for c in cd.h_coords[1])
-    val = sum(cd.alpha[0][k] * g2[k] for k in range(cd.h_dim))
-    assert val == cd.d[1] * cd.A[1][0] == -2
-
-    sl3 = build_realization(SL3)
-    for i in range(2):
-        for j in range(2):
-            gi = gamma(i, sl3)
-            gj = gamma(j, sl3)
-            form = sum(gi[k] * sl3.G[k][l] * gj[l]
-                       for k in range(sl3.h_dim) for l in range(sl3.h_dim))
-            assert form == sl3.d[i] * sl3.A[i][j]
 
 
 def test_session_denominator():

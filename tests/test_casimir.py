@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from qkm.cartan import Weight, build_realization
-from qkm.classical import CasimirEngine, CasimirTensor
+from qkm.classical import CasimirEngine, CasimirTensor, ShapovalovForm
 from qkm.qmodules import classical_module
 from qkm.qpairing import degrees_upto
 
@@ -100,7 +100,7 @@ def test_casimir_commutes_with_diagonal_action(sl2_v):
 
 
 def test_affine_dual_pairs_at_delta():
-    eng = CasimirEngine(AFF)
+    eng = CasimirEngine(ShapovalovForm(AFF))
     pairs = eng.dual_root_pairs((1, 1))
     assert len(pairs) == 1
     for b, (_, fdual) in enumerate(pairs):
@@ -110,7 +110,7 @@ def test_affine_dual_pairs_at_delta():
 
 
 def test_dual_pairs_duality_simple_roots():
-    eng = CasimirEngine(SL2)
+    eng = CasimirEngine(ShapovalovForm(SL2))
     pairs = eng.dual_root_pairs((1,))
     assert len(pairs) == 1
     e_combo, f_dual = pairs[0]
@@ -120,8 +120,8 @@ def test_dual_pairs_duality_simple_roots():
 
 def test_root_space_dimensions_match_multiplicities():
     from qkm.classical import root_multiplicities
-    eng = CasimirEngine(AFF)
-    mults = root_multiplicities(AFF, 4)
+    eng = CasimirEngine(ShapovalovForm(AFF))
+    mults = root_multiplicities(ShapovalovForm(AFF).quotient_dims(4))
     for beta, m in mults.items():
         assert len(eng.root_basis(beta)) == m, beta
 

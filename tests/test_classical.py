@@ -148,16 +148,20 @@ def test_flatness_small():
             assert bp.kernel_block(m).quotient_dim == sf.quotient_dim(m), (cd.A, m)
 
 
+def _multiplicities(cd, cap):
+    return root_multiplicities(ShapovalovForm(cd).quotient_dims(cap))
+
+
 def test_root_multiplicities_sl2_sl3():
-    assert root_multiplicities(SL2, 5) == {(k,): (1 if k == 1 else 0) for k in range(1, 6)}
-    mults = root_multiplicities(SL3, 4)
+    assert _multiplicities(SL2, 5) == {(k,): (1 if k == 1 else 0) for k in range(1, 6)}
+    mults = _multiplicities(SL3, 4)
     expected_roots = {(1, 0), (0, 1), (1, 1)}
     for beta, m in mults.items():
         assert m == (1 if beta in expected_roots else 0), beta
 
 
 def test_root_multiplicities_affine():
-    mults = root_multiplicities(AFF, 6)
+    mults = _multiplicities(AFF, 6)
     for beta, m in mults.items():
         a, b = beta
         is_root = abs(a - b) <= 1 and beta != (0, 0)
@@ -165,8 +169,8 @@ def test_root_multiplicities_affine():
 
 
 def test_weyl_kac_denominator_oracle_agreement():
-    assert weyl_kac_multiplicities(AFF, 6) == root_multiplicities(AFF, 6)
-    assert weyl_kac_multiplicities(SL3, 5) == root_multiplicities(SL3, 5)
+    assert weyl_kac_multiplicities(AFF, 6) == _multiplicities(AFF, 6)
+    assert weyl_kac_multiplicities(SL3, 5) == _multiplicities(SL3, 5)
 
 
 def test_pbw_consistency():
@@ -174,7 +178,7 @@ def test_pbw_consistency():
     from qkm.classical import _series_mul_binom
     sf = ShapovalovForm(AFF)
     dims = sf.quotient_dims(5)
-    mults = root_multiplicities(AFF, 5, form=sf)
+    mults = root_multiplicities(dims)
     series = {(0, 0): 1}
     for beta, m in mults.items():
         if m:

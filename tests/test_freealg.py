@@ -15,7 +15,7 @@ from qkm.freealg import (
     word_degree,
     word_string,
 )
-from qkm.classical import CasimirEngine
+from qkm.classical import CasimirEngine, ShapovalovForm
 from qkm.qmodules import classical_module
 from qkm.qpairing import DrinfeldPairing
 from qkm.rmatrix import dual_bases
@@ -112,7 +112,7 @@ def test_every_producer_returns_the_one_form():
         combos += bp.kernel_block(m).vectors
         combos.append(bp.quantum_serre_element(0, 1))
         combos += dual_bases(m, bp).v_basis
-        eng = CasimirEngine(cd)
+        eng = CasimirEngine(ShapovalovForm(cd))
         combos += eng.root_basis((1, 1))
         combos += [c for pair in eng.dual_root_pairs((1, 1)) for c in pair]
     # sl3: 1 kernel vector, the Serre element, 2 dual elements, 1 root

@@ -423,8 +423,8 @@ def test_casimir_root_spaces_and_invariance(cd, data):
     diagonal action of every e_i and f_i, for the classical Verma and
     irreducible modules at a random highest weight, on the blocks
     |t| <= 2 and their neighbours."""
-    eng = CasimirEngine(cd)
-    mults = root_multiplicities(cd, 3)
+    eng = CasimirEngine(ShapovalovForm(cd))
+    mults = root_multiplicities(ShapovalovForm(cd).quotient_dims(3))
     for beta in degrees_upto(cd.n, 3):
         assert len(eng.root_basis(beta)) == mults[beta], (cd.A, cd.d, beta)
         pairs = eng.dual_root_pairs(beta)
