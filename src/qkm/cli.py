@@ -323,9 +323,8 @@ def cmd_relations(cfg: SessionConfig, report: Report, args) -> None:
         kb = bp.kernel_block(m)
         vectors = " | ".join("; ".join(f"{word_string(w)}:{c}" for w, c in v)
                              for v in kb.vectors) or "-"
-        dim = len(bp.gram_block(m).basis)
-        rows.append((_degree_label(m), dim, len(kb.vectors),
-                     kb.quotient_dim, vectors))
+        rows.append((_degree_label(m), len(kb.vectors) + kb.quotient_dim,
+                     len(kb.vectors), kb.quotient_dim, vectors))
     report.table("relations", ("degree", "dim", "kernel_rank",
                                "quotient_dim", "kernel_vectors"), rows)
     report.verdict("computed", True)

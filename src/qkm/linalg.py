@@ -11,19 +11,18 @@ N specialized at a point is a lower bound for its generic rank.  Over Q
 the point is rational and the candidates, one kernel vector per free
 column, are the RREF basis of the specialization.  Over Z[v^+-1] the
 point is read in F_p, where `rank_mod_p` gives the rank and pivot columns
-C, and each candidate comes from a fraction-free (Bareiss) solve, with one
-of two sources.  When the caller knows as many independent kernel vectors
-as the point has free columns (the Drinfeld pairing propagates them from
-the degrees below), the solve is on those vectors restricted to the free
-columns, a corank x corank system with small entries.  Otherwise, or when
-those candidates fail, it is on N[C][C].  Either way every candidate is
-det times an RREF vector, so it has an invertible block on the free
-columns.  An exact check of N . k = 0 then certifies every candidate;
-since the candidates are independent and their number is the specialized
-corank, the specialized rank is also the generic rank, so the kernel is
-exact whether or not the point was generic and whichever source built it.
-A point whose candidates all fail the check is discarded and the next one
-is tried.
+C, and the candidates come from one fraction-free (Bareiss) solve on the
+Gram side, the pivot block N[C][C].  Every candidate is det times an RREF
+vector, so it has an invertible block on the free columns.  An exact
+check of N . k = 0 then certifies every candidate; since the candidates
+are independent and their number is the specialized corank, the
+specialized rank is also the generic rank, so the kernel is exact whether
+or not the point was generic.  A point whose candidates fail the check is
+discarded and the next one is tried.
+
+`kernel_side_basis` reads the same RREF basis off kernel vectors K, one
+per free column, by K_F X = -det K_C, a corank x corank solve; the caller
+certifies that K spans the kernel (see `qpairing.DrinfeldPairing`).
 
 Over the polynomial ring over Q the check multiplies out the symbolic
 products.  Over Z[v^+-1] it compares integers (Kronecker substitution, as
@@ -300,55 +299,54 @@ def _packed_verifier(N):
     return verified
 
 
-def certified_laurent_nullspace(N, normalize, p, points, known=()):
+def _solved_basis(P, B, pivots, free, by_free, normalize):
+    """The normalized kernel basis, one vector per free column, read off
+    P X = det B, or None when P is singular.  The pivot entries of det
+    times the RREF vector of free column f are minus row f of X when
+    by_free, else minus column f."""
+    try:
+        det, X = bareiss_solve_columns(P, B)
+    except ValueError:
+        return None
+    scaled = [dict(zip(free, x)) for x in (zip(*X) if by_free else X)]
+    return [normalize(v) for v in _free_basis(
+        scaled, pivots, len(pivots) + len(free), det)]
+
+
+def kernel_side_basis(known, pivots, normalize):
+    """The RREF kernel basis spanned by known, one kernel vector over
+    Z[v^+-1] per free column F: K_F^-1 K, whose pivot entries solve
+    K_F X = -det K_C.  None when K_F is singular."""
+    free = [c for c in range(len(known[0])) if c not in pivots]
+    return _solved_basis([[k[f] for f in free] for k in known],
+                         [[-k[c] for c in pivots] for k in known],
+                         pivots, free, True, normalize)
+
+
+def certified_laurent_nullspace(N, normalize, p, points):
     """Certified kernel of a symmetric matrix over Z[v^+-1].
 
     N: rows of Laurent polynomials, N[a][b] == N[b][a]; the rows of the
     pivot columns C mod p are then independent too, so N[C][C] is
     invertible at the point and over Q(v).  normalize(vector) -> canonical
     form of a kernel vector.  points: rational values of v, each read in
-    F_p; they stay the fourth argument, which `perfbench/spans.py` wraps
-    to count the points drawn.  known: kernel vectors of N believed independent
-    over Q(v), unverified; at a point with len(known) free columns F the
-    first candidates are the rows of det K_F^-1 K, each det times the RREF
-    vector of a free column.  Returns (rank, pivot columns, kernel
-    vectors), one vector per free column in increasing column order.
+    F_p; they stay the fourth argument, which `perfbench/spans.py` wraps to
+    count the points drawn.  Returns (rank, pivot columns, kernel vectors),
+    one vector per free column in increasing column order.
     """
     ncols = len(N[0]) if N else 0
-
-    def solved(P, B, pivots, free, by_free):
-        """The kernel basis read off P X = det B, or none when P is
-        singular.  The pivot entries of det times the RREF vector of free
-        column f are minus row f of X when by_free, else minus column f."""
-        try:
-            det, X = bareiss_solve_columns(P, B)
-        except ValueError:
-            return
-        scaled = [dict(zip(free, x)) for x in (zip(*X) if by_free else X)]
-        yield [normalize(v) for v in _free_basis(scaled, pivots, ncols, det)]
-
-    def lift(pivots):
-        free = [c for c in range(ncols) if c not in pivots]
-        if not free:
-            yield []
-            return
-        if len(known) == len(free):
-            # the RREF basis is K_F^-1 K, so K_F X = -det K_pivots gives
-            # its pivot entries, one row of X per free column
-            yield from solved([[k[f] for f in free] for k in known],
-                              [[-k[c] for c in pivots] for k in known],
-                              pivots, free, True)
-        # N[C][C] X = det N[C][F]: the rows of X, keyed by free column, are
-        # the RREF rows scaled by det
-        yield from solved([[N[r][c] for c in pivots] for r in pivots],
-                          [[N[r][f] for f in free] for r in pivots],
-                          pivots, free, False)
 
     def candidates(pt):
         x = rational_residue(pt, p)
         rows = rank_mod_p([[e.residue(x, p) for e in row] for row in N], p)[1]
         pivots = [int(np.flatnonzero(row)[0]) for row in rows]
-        return pivots, lift(pivots)
+        if len(pivots) == ncols:
+            return pivots, [[]]
+        free = [c for c in range(ncols) if c not in pivots]
+        solved = _solved_basis([[N[r][c] for c in pivots] for r in pivots],
+                               [[N[r][f] for f in free] for r in pivots],
+                               pivots, free, False, normalize)
+        return pivots, [] if solved is None else [solved]
 
     return _certified_nullspace(N, points, candidates, _packed_verifier(N))
 

@@ -272,6 +272,8 @@ def _build(M: WeightModule, form) -> WeightModule:
 
 def _quantum(hw, depth: int, cd: CartanDatum, pairing) -> WeightModule:
     """An empty quantum module on the v-grid of `pairing`, by default hw's."""
+    if pairing is not None and pairing.cd != cd:
+        raise ValueError("pairing is for another Cartan datum")
     hw = highest_weight(hw, cd)
     pairing = pairing or DrinfeldPairing(cd, D=session_denominator(cd, [hw]))
     return WeightModule(hw, depth, pairing)

@@ -36,16 +36,13 @@ every Gram block, exact or mod p.  Graded dimensions are certified without
 exact blocks: the recursion at v = MOD_P_V mod a prime gives a lower bound,
 the ideal generated by the kernels one letter down an upper bound.
 
-The same ideal feeds the exact kernels.  `DrinfeldPairing.kernel_block`
-hands the certificate of `linalg.certified_laurent_nullspace` (ranks and
-pivots mod p at the points of EVAL_POINTS) the vectors (i,) + k and
-k + (i,) for k over the exact kernels one letter down that are already
-certified.  Where they fill the degree, the fraction-free solve runs on
-them, a corank x corank system, instead of on the rank x rank principal
-pivot block of the Gram numerators, whose minors swell.  At the degrees
-where new generators enter (the Serre degrees for a GCM) the solve stays
-on the Gram block.  Every candidate is verified N . k = 0 either way, so
-the certificate and the canonical vectors do not change.
+The same ideal gives the exact kernels where it fills the degree:
+`DrinfeldPairing.kernel_block` takes rank and pivots mod p from the
+dimension certificate's block and the vectors (i,) + k and k + (i,) over
+the certified kernels k one letter down, and solves a corank x corank
+system on them (`linalg.kernel_side_basis`), unpacking no numerator.
+Elsewhere (the Serre degrees for a GCM) `linalg.certified_laurent_nullspace`
+certifies the kernel on the Gram numerators.
 """
 
 from __future__ import annotations
@@ -65,7 +62,12 @@ from .freealg import (
     unit_degree,
     word_degree,
 )
-from .linalg import BadPointError, certified_laurent_nullspace, rank_mod_p
+from .linalg import (
+    BadPointError,
+    certified_laurent_nullspace,
+    kernel_side_basis,
+    rank_mod_p,
+)
 from .scalars import (
     LaurentPoly,
     QScalar,
@@ -390,10 +392,10 @@ class DrinfeldPairing(GradedForm):
 
     Gram blocks and kernels are memoized per multidegree.  The Gram
     numerators lie in Z[v^+-1]; the fixed point of the dimension
-    certificate is v = MOD_P_V.  A kernel's candidate vectors come from the
-    kernels one letter down where those fill its degree, and from its Gram
-    block otherwise (`_propagated`).  All cached values are immutable, so
-    the caches are safe for concurrent reads once populated.
+    certificate is v = MOD_P_V.  A kernel comes from the kernels one letter
+    down where those fill its degree (`_from_ideal`), and from its Gram
+    numerators otherwise.  All cached values are immutable, so the caches
+    are safe for concurrent reads once populated.
 
     The exact recursion runs on Kronecker-packed integers (von zur Gathen &
     Gerhard, Modern Computer Algebra, ch. 8), and each block is unpacked
@@ -532,11 +534,13 @@ class DrinfeldPairing(GradedForm):
         m = tuple(m)
         if m in self._kernel:
             return self._kernel[m]
-        block = self.gram_block(m)
-        rank, pivots, vectors = certified_laurent_nullspace(
-            block.numerators, _normalize_poly_vector, self.p, EVAL_POINTS,
-            self._propagated(m))
-        words = block.basis
+        found = self._from_ideal(m)
+        if found is None:
+            found = certified_laurent_nullspace(
+                self.gram_block(m).numerators, _normalize_poly_vector,
+                self.p, EVAL_POINTS)
+        rank, pivots, vectors = found
+        words = enumerate_words(m)
         self._set_reduction(m, words, pivots, vectors, QScalar)
         els = tuple(combination({w: QScalar(p) for w, p in zip(words, vec)
                                  if p}) for vec in vectors)
@@ -547,13 +551,39 @@ class DrinfeldPairing(GradedForm):
     def _solve(self, m) -> None:
         self.kernel_block(m)
 
+    def _from_ideal(self, m):
+        """(rank, pivots, vectors) of degree m where the ideal fills it, else
+        None.  The rank r mod p is at most the generic rank (specializing is
+        a ring homomorphism), and #words - r independent exact kernel
+        vectors (`_propagated`) span the kernel.  A check G_p r = 0 mod p on
+        their residues sends a corrupted cached vector to the Gram side."""
+        p = self.p
+        index, gram = self._ring_gram(m, p)
+        rank, echelon = rank_mod_p(gram, p)
+        known = self._propagated(m)
+        if len(index) - rank != len(known):
+            return None
+        pivots = [int(np.flatnonzero(row)[0]) for row in echelon]
+        vectors = []
+        if known:
+            vectors = kernel_side_basis(known, pivots, _normalize_poly_vector)
+            if vectors is None:
+                return None
+        for v in vectors:
+            r = np.array([self._residue(e, p) for e in v], np.int64)
+            # reduce each product: a sum of unreduced ones overflows int64
+            if ((gram * r % p).sum(axis=1) % p).any():
+                return None
+        return rank, pivots, vectors
+
     def _propagated(self, m):
         """An independent subset of the vectors (i,) + k and k + (i,), for k
         over the exact kernels one letter down that are already certified
         (none is computed here).  The relations form a two-sided ideal, so
         these lie in the kernel of degree m; vectors whose residues at the
-        fixed point are independent mod p are independent over Q(v)."""
-        index = self._gram(m)[0]
+        fixed point are independent mod p are independent over Q(v).  Words
+        are indexed by the mod-p block: nothing is unpacked."""
+        index = self._ring_gram(m, self.p)[0]
         zero = LaurentPoly.zero()
         found = []
         for prev, cols in self._letter_maps(m, index):

@@ -277,9 +277,9 @@ def test_braid_relation_on_verma_blocks(cd, data):
 @PROPERTY
 @given(symmetrizable(max_n=2))
 def test_kernel_side_candidates_match_the_gram_side(cd):
-    """In graded order `kernel_block` builds its candidates from the
-    kernels one letter down where they fill the degree; the result equals
-    the certificate run on the Gram block alone."""
+    """In graded order `kernel_block` takes its kernels from the ideal one
+    letter down where it fills the degree; the result equals the
+    certificate run on the Gram block alone."""
     bp = DrinfeldPairing(cd)
     for m in degrees_upto(cd.n, 4):
         kb = bp.kernel_block(m)

@@ -258,6 +258,16 @@ def test_modules_take_the_session_denominator_from_the_pairing():
     assert verma(lam, 2, SL3).D == irreducible(lam, 2, SL3).D == D
 
 
+def test_a_pairing_for_another_cartan_datum_is_refused():
+    for build in (verma, irreducible):
+        with pytest.raises(ValueError, match="another Cartan datum"):
+            build((1, 1), 3, SL3, pairing=DrinfeldPairing(AFF))
+    # an equal datum built again is the same datum
+    sl3 = build_realization([[2, -1], [-1, 2]])
+    assert check_module_relations(
+        irreducible((1, 1), 2, SL3, pairing=DrinfeldPairing(sl3)))
+
+
 def test_irreducibles_reach_no_generic_kernel(monkeypatch):
     """L(lambda) is the quotient by the contravariant form at lambda: no
     Verma module, hence no kernel of the generic pairing or form, is built

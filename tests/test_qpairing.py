@@ -3,11 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from qkm import linalg
+from qkm import linalg, qpairing
 from qkm.cartan import build_realization, session_denominator
 from qkm.freealg import combination, enumerate_words, word_degree
 from qkm.linalg import certified_laurent_nullspace, rank_mod_p
 from qkm.qpairing import (
+    EVAL_POINTS,
     DrinfeldPairing,
     NotApplicableError,
     _normalize_poly_vector,
@@ -459,3 +460,33 @@ def test_corrupted_propagated_vector_falls_back_to_the_gram_side(monkeypatch):
     # (1,4) has rank 3 and corank 2: the 2 x 2 kernel-side candidates
     # fail verification, and the 3 x 3 Gram-side solve replaces them
     assert sizes[:2] == [2, 3]
+
+
+def test_where_the_ideal_fills_every_degree_nothing_is_unpacked(monkeypatch):
+    # 2 -1/2; -1/2 2 (D = 2) through degree 6: every kernel is zero, so
+    # the ranks mod p certify every degree and no numerator is unpacked
+    def refuse(*args):
+        raise AssertionError("a Gram-side certificate on the ideal path")
+
+    monkeypatch.setattr(qpairing, "certified_laurent_nullspace", refuse)
+    half = build_realization([[2, Fraction(-1, 2)], [Fraction(-1, 2), 2]])
+    bp = DrinfeldPairing(half, D=2)
+    for m in degrees_upto(2, 6):
+        kb = bp.kernel_block(m)
+        assert kb.vectors == () and kb.quotient_dim == len(enumerate_words(m))
+    assert bp._exact == {}
+
+
+def test_bar_conjugate_kernels_match_the_gram_side():
+    # exponent_sign = +1 on affine through degree 5: the ideal path and
+    # the certificate on the Gram block alone give one rank, one pivot set
+    # and the same vectors
+    bp = DrinfeldPairing(AFF, exponent_sign=1)
+    for m in degrees_upto(2, 5):
+        kb = bp.kernel_block(m)
+        block = bp.gram_block(m)
+        rank, pivots, vectors = certified_laurent_nullspace(
+            block.numerators, _normalize_poly_vector, bp.p, EVAL_POINTS)
+        assert kb.quotient_dim == rank, m
+        assert bp.quotient_basis(m) == tuple(block.basis[p] for p in pivots)
+        assert bp._vectors[m] == vectors, m
