@@ -22,19 +22,22 @@ prod_i (q_i - q_i^{-1})^{m_i} (`DrinfeldPairing.denominator`); the engine
 works on the Laurent-polynomial numerators, which do not depend on the
 d_i, and attaches the denominator at the boundary.  The recursion builds
 them as Kronecker-packed integers, one per entry: each term a left shift,
-each sum an integer sum, each block unpacked once (`DrinfeldPairing` gives
-the bound that makes the packing exact).  A slow oracle that expands the
-Hopf axioms with explicit group-like bookkeeping (and no closed recursion)
-is kept alongside for cross-checking.
+each sum an integer sum, each block unpacked once, or only the sub-block
+that R's dual bases read (`DrinfeldPairing` gives the bound that makes the
+packing exact).  A slow oracle that expands the Hopf axioms with explicit
+group-like bookkeeping (and no closed recursion) is kept alongside for
+cross-checking.
 
 The classical contravariant form (`classical.ShapovalovForm`) obeys the
 same recursion with the factor x_i - sum_{u > t} a_{i z_u}, and so does the
 form at a fixed weight (`qmodules.HighestWeightForm`).  `GradedForm` runs
 it once for all three: a subclass states the factor (`_factor`) and the
 reduction of its ring to F_p (`_residue`), and `GradedForm._gram` builds
-every Gram block, exact or mod p.  Graded dimensions are certified without
-exact blocks: the recursion at v = MOD_P_V mod a prime gives a lower bound,
-the ideal generated by the kernels one letter down an upper bound.
+every Gram block, exact or mod p (mod p one gathered product per letter).
+Graded dimensions are certified without exact blocks: the ideal generated
+by the kernels one letter down gives an upper bound, and the recursion at
+v = MOD_P_V mod a prime a lower bound, the rank of the block on the
+columns outside the pivots of that ideal's span.
 
 The same ideal gives the exact kernels where it fills the degree:
 `DrinfeldPairing.kernel_block` takes rank and pivots mod p from the
@@ -171,8 +174,8 @@ class GradedForm:
         B(x, z) = sum over t with z_t = i of
                       f_i(deg z[t + 1:]) * B(x minus i, z minus position t),
 
-    from B((), ()) = 1.  `_ring_gram` builds every Gram block column by
-    column from the blocks one letter down, over the subclass's exact ring
+    from B((), ()) = 1.  `_ring_gram` builds every Gram block letter by
+    letter from the blocks one letter down, over the subclass's exact ring
     or mod a prime p at the fixed point of the dimension certificate, and
     `_gram` reads the exact blocks from it.  A subclass states two facts
     about its ring (and its unit, `_ring_one`):
@@ -185,7 +188,8 @@ class GradedForm:
     A ring may store its blocks in another form than their entries: the
     Drinfeld pairing's exact ring is Kronecker-packed integers, where a
     factor acts on a column of the block one letter down as a left shift
-    (`_times`, a product by default) and `_gram` unpacks each block once.
+    (`_times`, a product by default) and `_gram` unpacks each block once
+    (`DrinfeldPairing.numerators_on` a sub-block).
 
     The base owns the caches and the quotient.  A subclass sets the field's
     `one` and `zero` and solves a degree in `_solve`, which records the word
@@ -198,13 +202,22 @@ class GradedForm:
     Quotient dimensions have a cheaper certificate that builds no exact
     block.  Degree by degree in graded-lex order, modulo p:
 
-    - lower bound: the rank mod p of the Gram block at the fixed point.
-      Specializing is a ring homomorphism, so the rank can only drop;
-    - upper bound: #words - rank mod p of the span of (i,) + k and k + (i,)
-      over k in K(m - e_i), where K holds mod-p images of genuine kernel
-      vectors.  The relations are the radical of a Hopf pairing (resp. of
-      the contravariant form at a generic weight), a two-sided ideal, so
-      the span lies in the kernel.
+    - upper bound: #words - rank mod p of the span S of (i,) + k and
+      k + (i,) over k in K(m - e_i), where K holds mod-p images of genuine
+      kernel vectors.  The relations are the radical of a Hopf pairing
+      (resp. of the contravariant form at a generic weight), a two-sided
+      ideal, so S lies in the kernel;
+    - lower bound: the rank mod p of the principal block G_p[F, F] of the
+      Gram block at the fixed point, F the columns outside the pivots of
+      an echelon basis of S, so |F| is the upper bound.  Specializing is a
+      ring homomorphism and a principal block has no larger rank than the
+      whole block, so the rank can only drop.  When S lies in the kernel
+      of the symmetric G_p, every column (and row) of G_p outside F is a
+      combination of those in F, and the two ranks are equal: an
+      |F| x |F| elimination in place of a #words x #words one.  G_p is
+      checked to kill one combination of the rows of S (else
+      AssertionError), since a corrupted K would make the bounds meet on
+      a wrong dimension.
 
     When the bounds meet, the dimension is certified and an echelon basis
     of the span becomes K(m).  When they do not (the degrees of new
@@ -297,15 +310,18 @@ class GradedForm:
         degrees below m are certified first."""
         p = self.p
         index, gram = self._gram(m, p)
-        lower = rank_mod_p(gram, p)[0]
-        span = [np.zeros((0, len(index)), np.int64)]
-        for prev, cols in self._letter_maps(m, index):
-            self.quotient_dim(prev)
-            kernel = self._kernel_p[prev]
-            rows = np.zeros((len(kernel), len(index)), np.int64)
-            rows[:, cols] = kernel
-            span.append(rows)
-        rank, basis = rank_mod_p(np.vstack(span), p)
+        rank, basis = rank_mod_p(self._span_p(m, index), p)
+        # the block kills the span: checked on the sum of its echelon rows,
+        # reducing each product (a sum of unreduced ones overflows int64);
+        # flatnonzero, as in rank_mod_p: a first ndarray.any() in a process
+        # raises its peak RSS by about 0.1 MB
+        killed = (gram * (basis.sum(axis=0) % p) % p).sum(axis=1) % p
+        if np.flatnonzero(killed).size:
+            raise AssertionError(f"the ideal's span at {m} is not in the "
+                                 "kernel of its block mod p")
+        pivots = {int(np.flatnonzero(row)[0]) for row in basis}
+        free = [c for c in range(len(index)) if c not in pivots]
+        lower = rank_mod_p(gram[np.ix_(free, free)], p)[0]
         upper = dim = len(index) - rank
         if lower != upper:
             self._solve(m)
@@ -319,6 +335,19 @@ class GradedForm:
                                  f"its mod-p bounds [{lower}, {upper}]")
         self._kernel_p[m] = basis
         self._dim[m] = dim
+
+    def _span_p(self, m, index):
+        """Rows mod p, under index, spanning the images (i,) + k and
+        k + (i,) of K(m - e_i) in degree m; the degrees below m are
+        certified first."""
+        span = [np.zeros((0, len(index)), np.int64)]
+        for prev, cols in self._letter_maps(m, index):
+            self.quotient_dim(prev)
+            kernel = self._kernel_p[prev]
+            rows = np.zeros((len(kernel), len(index)), np.int64)
+            rows[:, cols] = kernel
+            span.append(rows)
+        return np.vstack(span)
 
     def _predecessors(self, m):
         """(i, m - e_i) for every letter i occurring in degree m."""
@@ -350,9 +379,12 @@ class GradedForm:
     def _ring_gram(self, m, p=None):
         """(word index, block) of degree m in the recursion's ring: the
         subclass's exact ring, or F_p at the fixed point when p is given.
-        Each column z of the rows (i,) + w (resp. w + (i,)) sums, over the
-        positions t with z_t = i, the factor at the degree of z[t + 1:]
-        times column z minus t of the block one letter down."""
+        The rows (i,) + w (resp. w + (i,)) of letter i come from the block
+        one letter down: column z sums, over the m_i positions t with
+        z_t = i, the factor at the degree of z[t + 1:] times column z minus
+        t (`_letter_terms`).  Mod p that is one gather of the source
+        columns, one product by the factors and one sum over each column's
+        m_i terms per letter; the exact rings sum column by column."""
         key = (m, p)
         if key in self._gram_cache:
             return self._gram_cache[key]
@@ -361,30 +393,48 @@ class GradedForm:
         gram = np.empty((len(words), len(words)), np.int64 if p else object)
         if not any(m):
             gram[0, 0] = 1 if p else self._ring_one
-        factors = self._factors
         for i, prev in self._predecessors(m):
             pindex, pgram = self._ring_gram(prev, p)
-            times = self._times(i, prev, p)
             rows = [index[(i,) + w if self._peels_first else w + (i,)]
                     for w in pindex]
-            for c, z in enumerate(words):
-                col = None
-                tail = [0] * len(m)
-                for t in range(len(z) - 1, -1, -1):
-                    if z[t] == i:
-                        fkey = (i, tuple(tail), p)
-                        f = factors.get(fkey)
-                        if f is None:
-                            f = factors[fkey] = self._factor(*fkey)
-                        term = times(pgram[:, pindex[z[:t] + z[t + 1:]]], f)
-                        if p:
-                            # a sum of unreduced products overflows int64
-                            term %= p
-                        col = term if col is None else col + term
-                    tail[z[t]] += 1
-                gram[rows, c] = col % p if p else col
+            terms = self._letter_terms(i, words, pindex, p)
+            if p:
+                src, factors = zip(*terms)
+                block = pgram[:, np.array(src, np.intp)]
+                block *= np.array(factors, np.int64)
+                # reduce each product: a sum of unreduced ones overflows int64
+                block %= p
+                gram[rows] = block.sum(axis=2) % p
+                continue
+            times = self._times(i, prev, p)
+            for c, (src, factors) in enumerate(terms):
+                col = times(pgram[:, src[0]], factors[0])
+                for s, f in zip(src[1:], factors[1:]):
+                    col = col + times(pgram[:, s], f)
+                gram[rows, c] = col
         self._gram_cache[key] = (index, gram)
         return index, gram
+
+    def _letter_terms(self, i, words, pindex, p):
+        """The terms of letter i in the recursion, word by word: for each
+        word z of words, (src, factors), where src[k] is the column of the
+        block one letter down (under pindex) and factors[k] the factor of
+        the k-th position t with z_t = i, from the last.  Every word has
+        the same number m_i of such positions."""
+        factors = self._factors
+        for z in words:
+            src, fs = [], []
+            tail = [0] * self.cd.n
+            for t in range(len(z) - 1, -1, -1):
+                if z[t] == i:
+                    fkey = (i, tuple(tail), p)
+                    f = factors.get(fkey)
+                    if f is None:
+                        f = factors[fkey] = self._factor(*fkey)
+                    src.append(pindex[z[:t] + z[t + 1:]])
+                    fs.append(f)
+                tail[z[t]] += 1
+            yield src, fs
 
 
 class DrinfeldPairing(GradedForm):
@@ -399,11 +449,12 @@ class DrinfeldPairing(GradedForm):
 
     The exact recursion runs on Kronecker-packed integers (von zur Gathen &
     Gerhard, Modern Computer Algebra, ch. 8), and each block is unpacked
-    into Laurent numerators once.  Every factor of the recursion is a
-    monomial v^e with coefficient 1, and B((), ()) = 1, so every numerator
-    N of degree m has nonnegative coefficients, which sum to prod_k m_k!
-    (its value at v = 1 counts the letter-preserving bijections between
-    the two words).  Let g be the gcd of the entries of `_form`, so every
+    into Laurent numerators once; R's dual bases unpack only the rows and
+    columns of the quotient words (`numerators_on`).  Every factor of the
+    recursion is a monomial v^e with coefficient 1, and B((), ()) = 1, so
+    every numerator N of degree m has nonnegative coefficients, which sum
+    to prod_k m_k! (its value at v = 1 counts the letter-preserving
+    bijections between the two words).  Let g be the gcd of the entries of `_form`, so every
     exponent of degree m lies in L(m) + g Z, with the least exponent
 
         L(0) = 0,  L(m) = min_i [L(m - e_i)
@@ -415,8 +466,8 @@ class DrinfeldPairing(GradedForm):
     of degree m - e_i, a left shift by b (e + L(m - e_i) - L(m)) / g >= 0
     of its packed value, and a sum of terms is an integer sum.  The width
     b is one for all packed blocks, the least of 8, 16, 32, ... bits that
-    fits every degree unpacked so far; a degree that needs more doubles it
-    and builds every packed block again.
+    fits every degree unpacked so far (`_packed`); a degree that needs
+    more doubles it and builds every packed block again.
     """
 
     one = QScalar.one()
@@ -488,19 +539,37 @@ class DrinfeldPairing(GradedForm):
             return self._ring_gram(m, p)
         m = tuple(m)
         if m not in self._exact:
-            need = prod(map(factorial, m))
-            if need >> self._bits:
-                while need >> self._bits:
-                    self._bits *= 2
-                self._gram_cache = {k: v for k, v in self._gram_cache.items()
-                                    if k[1]}
-            index, packed = self._ring_gram(m)
-            numerators = np.empty(packed.size, object)
-            numerators[:] = kronecker_unpack(
-                packed.ravel().tolist(), self._bits, self._g * self._low(m),
-                self._g)
-            self._exact[m] = index, numerators.reshape(packed.shape)
+            index, packed = self._packed(m)
+            self._exact[m] = index, self._unpack(m, packed)
         return self._exact[m]
+
+    def _packed(self, m):
+        """(word index, packed block) of degree m at a width that unpacks
+        it: a degree that needs more doubles the width and drops every
+        packed block built so far (class docstring)."""
+        need = prod(map(factorial, m))
+        if need >> self._bits:
+            while need >> self._bits:
+                self._bits *= 2
+            self._gram_cache = {k: v for k, v in self._gram_cache.items()
+                                if k[1]}
+        return self._ring_gram(m)
+
+    def _unpack(self, m, packed) -> np.ndarray:
+        """The Laurent numerators of degree m packed in the int array
+        `packed` (from `_packed`), in its shape."""
+        out = np.empty(packed.size, object)
+        out[:] = kronecker_unpack(packed.ravel().tolist(), self._bits,
+                                  self._g * self._low(m), self._g)
+        return out.reshape(packed.shape)
+
+    def numerators_on(self, m, words) -> np.ndarray:
+        """The Laurent numerators of degree m on the rows and columns of
+        words, unpacked from that sub-block of the packed block alone."""
+        m = tuple(m)
+        index, packed = self._packed(m)
+        cols = [index[w] for w in words]
+        return self._unpack(m, packed[np.ix_(cols, cols)])
 
     def _residue(self, entry: LaurentPoly, p: int) -> int:
         """The value of a Laurent polynomial at v = MOD_P_V, mod p."""

@@ -85,16 +85,14 @@ def dual_bases(beta, pairing: DrinfeldPairing) -> DualBasisPair:
         return pairing._dual[beta]
     words = pairing.quotient_basis(beta)
     # the block is N / den for the numerators N, so its inverse is den N^-1
-    block = pairing.gram_block(beta)
-    at = {w: k for k, w in enumerate(block.basis)}
-    rows = [block.numerators[at[w]] for w in words]
     try:
-        inv = invert([[QScalar(row[at[w]]) for w in words] for row in rows],
+        inv = invert([[QScalar(x) for x in row]
+                      for row in pairing.numerators_on(beta, words)],
                      QScalar.one())
     except ValueError:
         raise ArithmeticError("quotient Gram block is singular; the pairing "
                               "must be nondegenerate on the quotient")
-    den = QScalar(block.denominator)
+    den = QScalar(pairing.denominator(beta))
     inv = [[x * den if x else x for x in row] for row in inv]
     v_els = []
     for b in range(len(words)):

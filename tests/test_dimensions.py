@@ -90,6 +90,37 @@ def test_non_generic_point_falls_back_to_exact_kernels(monkeypatch):
     assert {(2, 0), (2, 2), (2, 3)} <= seen[ShapovalovForm]
 
 
+@pytest.mark.parametrize("name, solves", [("affine", 2), ("borcherds", 1)])
+def test_exact_solves_of_the_dims_steps(monkeypatch, name, solves):
+    """Through degree 7 the classical certificate solves two exact kernels
+    for affine sl2 (its Serre degrees) and one for 2 -1; -1 0: the steps of
+    the perfbench `dims` workload."""
+    calls = []
+    solve = ShapovalovForm._solve
+    monkeypatch.setattr(ShapovalovForm, "_solve",
+                        lambda self, m: calls.append(m) or solve(self, m))
+    ShapovalovForm(build_realization(MATRICES[name])).quotient_dims(7)
+    assert len(calls) == solves, calls
+
+
+@pytest.mark.parametrize("engine", [ShapovalovForm, DrinfeldPairing])
+def test_span_outside_the_kernel_is_refused(engine):
+    """A row outside the kernel put into K(2, 2) carries the ideal's span at
+    (2, 3) outside the kernel of its block.  The lower bound, the rank on
+    the columns outside the span's pivots, would then meet the upper bound
+    at a wrong dimension; the check that the block kills the span refuses
+    it instead."""
+    form = engine(build_realization(MATRICES["affine"]))
+    form.quotient_dims(4)
+    p = form.p
+    gram = form._gram((2, 2), p)[1]
+    row = np.eye(len(gram), dtype=np.int64)[0]
+    assert (gram @ row % p).any()
+    form._kernel_p[(2, 2)] = np.vstack([form._kernel_p[(2, 2)], row])
+    with pytest.raises(AssertionError, match=r"span at \(2, 3\)"):
+        form.quotient_dims(6)
+
+
 @pytest.mark.parametrize("name, cap", [("sl3", 8), ("affine", 8),
                                        ("hyperbolic", 7)])
 def test_flatness_of_certified_dims(name, cap):

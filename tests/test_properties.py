@@ -33,6 +33,7 @@ from qkm.linalg import (
     bareiss_solve_columns,
     certified_laurent_nullspace,
     invert,
+    rank_mod_p,
 )
 from qkm.qmodules import (
     character,
@@ -63,8 +64,8 @@ PROPERTY = settings(derandomize=True, max_examples=20, deadline=None,
 
 
 @st.composite
-def symmetrizable(draw, max_n=3):
-    n = draw(st.integers(1, max_n))
+def symmetrizable(draw, max_n=3, min_n=1):
+    n = draw(st.integers(min_n, max_n))
     d = [draw(st.sampled_from(D_VALUES)) for _ in range(n)]
     B = [[d[i] * draw(st.sampled_from(A_DIAGONAL)) if i == j else None
           for j in range(n)] for i in range(n)]
@@ -140,6 +141,26 @@ def test_residues_of_exact_blocks_are_the_blocks_mod_p(cd):
             assert engine._gram(m, p)[1].tolist() == [
                 [engine._residue(e, p) for e in row] for row in exact], (
                 cd.A, m)
+
+
+@settings(PROPERTY, max_examples=10)
+@given(symmetrizable(min_n=2))
+def test_dimension_certificate_blocks_mod_p(cd):
+    """Through degree 5, the recursion mod p builds the residues of the
+    exact blocks, and the block's rank on the columns outside the pivots of
+    the ideal's span, the certificate's lower bound, is its whole rank."""
+    for engine in (DrinfeldPairing(cd), ShapovalovForm(cd)):
+        p = engine.p
+        for m in degrees_upto(cd.n, 5):
+            index, gram = engine._ring_gram(m, p)
+            exact = engine._gram(m)[1]
+            assert gram.tolist() == [[engine._residue(e, p) for e in row]
+                                     for row in exact], (cd.A, m)
+            span = rank_mod_p(engine._span_p(m, index), p)[1]
+            pivots = {int(np.flatnonzero(row)[0]) for row in span}
+            free = [c for c in range(len(index)) if c not in pivots]
+            assert rank_mod_p(gram[np.ix_(free, free)], p)[0] == rank_mod_p(
+                gram, p)[0], (cd.A, m)
 
 
 @PROPERTY
