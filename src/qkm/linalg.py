@@ -132,6 +132,14 @@ def rank_mod_p(rows, p: int):
     return r, m[:r]
 
 
+def kills_mod_p(rows, vec, p: int) -> bool:
+    """True iff rows . vec = 0 mod p, for int64 residues mod p < 2^31.
+    Each product is reduced before the sum: a sum of unreduced ones
+    overflows int64.  Read with flatnonzero, as in `rank_mod_p`: a first
+    ndarray.any() in a process raises its peak RSS by about 0.1 MB."""
+    return not np.flatnonzero((rows * vec % p).sum(axis=1) % p).size
+
+
 def invert(rows, one=Fraction(1)):
     """Inverse over an exact field; `one` is the field's unit.  Raises
     ValueError when the matrix is singular."""
@@ -227,8 +235,7 @@ def bareiss_solve_columns(P, B):
         det = _integer_bareiss(M, n)
         if det is not None:
             det, *flat = kronecker_unpack(
-                [det] + [x for row in M for x in row[n:]], bits, n * lo,
-                step, signed=True)
+                [det] + [x for row in M for x in row[n:]], bits, n * lo, step)
             X = [flat[r * t:(r + 1) * t] for r in range(n)]
             # column c of X over -det e_c is a kernel vector of [P | B]
             if bits >= cap or _packed_verifier(rows)(

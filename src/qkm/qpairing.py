@@ -20,13 +20,11 @@ yields the closed recursion
 Values of fixed multidegree m share the denominator
 prod_i (q_i - q_i^{-1})^{m_i} (`DrinfeldPairing.denominator`); the engine
 works on the Laurent-polynomial numerators, which do not depend on the
-d_i, and attaches the denominator at the boundary.  The recursion builds
-them as Kronecker-packed integers, one per entry: each term a left shift,
-each sum an integer sum, each block unpacked once, or only the sub-block
-that R's dual bases read (`DrinfeldPairing` gives the bound that makes the
-packing exact).  A slow oracle that expands the Hopf axioms with explicit
-group-like bookkeeping (and no closed recursion) is kept alongside for
-cross-checking.
+d_i, and attaches the denominator at the boundary.  Every factor of the
+recursion is a monomial, so each term of an exact block is a shifted
+Laurent polynomial.  A slow oracle that expands the Hopf axioms with
+explicit group-like bookkeeping (and no closed recursion) is kept
+alongside for cross-checking.
 
 The classical contravariant form (`classical.ShapovalovForm`) obeys the
 same recursion with the factor x_i - sum_{u > t} a_{i z_u}, and so does the
@@ -43,7 +41,7 @@ The same ideal gives the exact kernels where it fills the degree:
 `DrinfeldPairing.kernel_block` takes rank and pivots mod p from the
 dimension certificate's block and the vectors (i,) + k and k + (i,) over
 the certified kernels k one letter down, and solves a corank x corank
-system on them (`linalg.kernel_side_basis`), unpacking no numerator.
+system on them (`linalg.kernel_side_basis`), building no exact block.
 Elsewhere (the Serre degrees for a GCM) `linalg.certified_laurent_nullspace`
 certifies the kernel on the Gram numerators.
 """
@@ -53,8 +51,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import factorial, gcd, prod
-from operator import mul
 
 import numpy as np
 
@@ -69,13 +65,13 @@ from .linalg import (
     BadPointError,
     certified_laurent_nullspace,
     kernel_side_basis,
+    kills_mod_p,
     rank_mod_p,
 )
 from .scalars import (
     LaurentPoly,
     QScalar,
     exponent_to_int,
-    kronecker_unpack,
     poly_gcd,
     q_factorial,
     q_power,
@@ -174,22 +170,15 @@ class GradedForm:
         B(x, z) = sum over t with z_t = i of
                       f_i(deg z[t + 1:]) * B(x minus i, z minus position t),
 
-    from B((), ()) = 1.  `_ring_gram` builds every Gram block letter by
-    letter from the blocks one letter down, over the subclass's exact ring
-    or mod a prime p at the fixed point of the dimension certificate, and
-    `_gram` reads the exact blocks from it.  A subclass states two facts
-    about its ring (and its unit, `_ring_one`):
+    from B((), ()) = 1.  `_gram` builds every Gram block letter by letter
+    from the blocks one letter down, over the subclass's exact ring or mod
+    a prime p at the fixed point of the dimension certificate.  A subclass
+    states two facts about its ring (and its unit, `_ring_one`):
 
     - `_factor(i, tail, p=None)`: the factor f_i at the tail degree, exact
       or mod p;
     - `_residue(entry, p)`: the image in F_p, at the fixed point, of an
       entry of an exact block or of an exact kernel vector.
-
-    A ring may store its blocks in another form than their entries: the
-    Drinfeld pairing's exact ring is Kronecker-packed integers, where a
-    factor acts on a column of the block one letter down as a left shift
-    (`_times`, a product by default) and `_gram` unpacks each block once
-    (`DrinfeldPairing.numerators_on` a sub-block).
 
     The base owns the caches and the quotient.  A subclass sets the field's
     `one` and `zero` and solves a degree in `_solve`, which records the word
@@ -311,12 +300,8 @@ class GradedForm:
         p = self.p
         index, gram = self._gram(m, p)
         rank, basis = rank_mod_p(self._span_p(m, index), p)
-        # the block kills the span: checked on the sum of its echelon rows,
-        # reducing each product (a sum of unreduced ones overflows int64);
-        # flatnonzero, as in rank_mod_p: a first ndarray.any() in a process
-        # raises its peak RSS by about 0.1 MB
-        killed = (gram * (basis.sum(axis=0) % p) % p).sum(axis=1) % p
-        if np.flatnonzero(killed).size:
+        # the block kills the span: checked on the sum of its echelon rows
+        if not kills_mod_p(gram, basis.sum(axis=0) % p, p):
             raise AssertionError(f"the ideal's span at {m} is not in the "
                                  "kernel of its block mod p")
         pivots = {int(np.flatnonzero(row)[0]) for row in basis}
@@ -365,26 +350,14 @@ class GradedForm:
 
     def _gram(self, m, p=None):
         """(word index, Gram block) of degree m: an object array over the
-        exact ring, or an int64 array mod p at the fixed point when p is
-        given."""
-        return self._ring_gram(m, p)
-
-    def _times(self, i, prev, p):
-        """How a factor acts on a column of the block of degree prev =
-        m - e_i in the recursion for degree m: (column, factor) -> term.
-        Multiplication here; a subclass whose ring stores its blocks in
-        another form (the packed integers of `DrinfeldPairing`) says how."""
-        return mul
-
-    def _ring_gram(self, m, p=None):
-        """(word index, block) of degree m in the recursion's ring: the
-        subclass's exact ring, or F_p at the fixed point when p is given.
-        The rows (i,) + w (resp. w + (i,)) of letter i come from the block
-        one letter down: column z sums, over the m_i positions t with
-        z_t = i, the factor at the degree of z[t + 1:] times column z minus
-        t (`_letter_terms`).  Mod p that is one gather of the source
-        columns, one product by the factors and one sum over each column's
-        m_i terms per letter; the exact rings sum column by column."""
+        subclass's exact ring, or an int64 array mod p at the fixed point
+        when p is given.  The rows (i,) + w (resp. w + (i,)) of letter i
+        come from the block one letter down: column z sums, over the m_i
+        positions t with z_t = i, the factor at the degree of z[t + 1:]
+        times column z minus t (`_letter_terms`).  Mod p that is one gather
+        of the source columns, one product by the factors and one sum over
+        each column's m_i terms per letter; the exact rings sum column by
+        column."""
         key = (m, p)
         if key in self._gram_cache:
             return self._gram_cache[key]
@@ -394,7 +367,7 @@ class GradedForm:
         if not any(m):
             gram[0, 0] = 1 if p else self._ring_one
         for i, prev in self._predecessors(m):
-            pindex, pgram = self._ring_gram(prev, p)
+            pindex, pgram = self._gram(prev, p)
             rows = [index[(i,) + w if self._peels_first else w + (i,)]
                     for w in pindex]
             terms = self._letter_terms(i, words, pindex, p)
@@ -406,11 +379,10 @@ class GradedForm:
                 block %= p
                 gram[rows] = block.sum(axis=2) % p
                 continue
-            times = self._times(i, prev, p)
             for c, (src, factors) in enumerate(terms):
-                col = times(pgram[:, src[0]], factors[0])
+                col = pgram[:, src[0]] * factors[0]
                 for s, f in zip(src[1:], factors[1:]):
-                    col = col + times(pgram[:, s], f)
+                    col = col + pgram[:, s] * f
                 gram[rows, c] = col
         self._gram_cache[key] = (index, gram)
         return index, gram
@@ -447,33 +419,19 @@ class DrinfeldPairing(GradedForm):
     numerators otherwise.  All cached values are immutable, so the caches
     are safe for concurrent reads once populated.
 
-    The exact recursion runs on Kronecker-packed integers (von zur Gathen &
-    Gerhard, Modern Computer Algebra, ch. 8), and each block is unpacked
-    into Laurent numerators once; R's dual bases unpack only the rows and
-    columns of the quotient words (`numerators_on`).  Every factor of the
-    recursion is a monomial v^e with coefficient 1, and B((), ()) = 1, so
-    every numerator N of degree m has nonnegative coefficients, which sum
-    to prod_k m_k! (its value at v = 1 counts the letter-preserving
-    bijections between the two words).  Let g be the gcd of the entries of `_form`, so every
-    exponent of degree m lies in L(m) + g Z, with the least exponent
-
-        L(0) = 0,  L(m) = min_i [L(m - e_i)
-                                  + sum_j min(0, sign form[i][j]) (m - e_i)_j],
-
-    a quadratic form in m (`_low`).  Then v^(-L(m)) N packed at v^g = 2^b
-    is injective once 2^b > prod_k m_k!, with no sign to handle, for
-    either `exponent_sign`.  A term of the recursion is v^e times an entry
-    of degree m - e_i, a left shift by b (e + L(m - e_i) - L(m)) / g >= 0
-    of its packed value, and a sum of terms is an integer sum.  The width
-    b is one for all packed blocks, the least of 8, 16, 32, ... bits that
-    fits every degree unpacked so far (`_packed`); a degree that needs
-    more doubles it and builds every packed block again.
+    Every factor of the recursion is a monomial v^e with coefficient 1, and
+    B((), ()) = 1, so every numerator of degree m has nonnegative
+    coefficients, which sum to prod_k m_k! (its value at v = 1 counts the
+    letter-preserving bijections between the two words).  The kernels of
+    most degrees come from the ideal and build no exact block; R's dual
+    bases read the rows and columns of the quotient words
+    (`numerators_on`).
     """
 
     one = QScalar.one()
     zero = QScalar.zero()
     _peels_first = False
-    _ring_one = 1   # v^0, packed
+    _ring_one = LaurentPoly.one()
 
     def __init__(self, cd: CartanDatum, D: int | None = None,
                  exponent_sign: int = -1):
@@ -487,9 +445,6 @@ class DrinfeldPairing(GradedForm):
         n = cd.n
         self._form = tuple(tuple(exponent_to_int(cd.alpha_form(i, j), self.D)
                                  for j in range(n)) for i in range(n))
-        self._g = gcd(*(x for row in self._form for x in row)) or 1
-        self._bits = 8                 # packing width of the exact recursion
-        self._exact: dict = {}         # degree -> (index, Laurent numerators)
         self._denominators: dict = {}  # degree -> denominator
         self._dual: dict = {}          # rmatrix.dual_bases per degree
         self._oracle_memo: dict = {}
@@ -507,69 +462,16 @@ class DrinfeldPairing(GradedForm):
 
     def _factor(self, i, tail, p=None):
         """v^e, e = sign * sum of (alpha_i, alpha_u) over the letters u of
-        the tail: its value at v = MOD_P_V mod p, or e / g for the packed
-        recursion (see `_times`)."""
+        the tail, or its value at v = MOD_P_V mod p."""
         e = self.sign * sum(f * k for f, k in zip(self._form[i], tail))
-        return pow(MOD_P_V, e, p) if p else e // self._g
-
-    def _times(self, i, prev, p):
-        """Mod p a product; packed, the shift of a column of degree prev by
-        b (e + L(prev) - L(m)) / g for the factor e / g (class docstring)."""
-        if p:
-            return mul
-        bits = self._bits
-        lift = -sum(min(0, self.sign * f) * k
-                    for f, k in zip(self._form[i], prev)) // self._g
-        return lambda col, e: col << bits * (e + lift)
-
-    def _low(self, m) -> int:
-        """L(m) / g, the least exponent of degree m in steps of g: the
-        recursion of the class docstring in closed form,
-        sum over a < b of c_ab m_a m_b + sum_a c_aa m_a (m_a - 1) / 2
-        with c = min(0, sign form) / g."""
-        c = [[min(0, self.sign * f) // self._g for f in row]
-             for row in self._form]
-        return sum(c[a][b] * m[a] * (m[b] - (a == b))
-                   for a in range(len(m)) for b in range(len(m))) // 2
-
-    def _gram(self, m, p=None):
-        """The Laurent numerators of degree m, unpacked once from the packed
-        recursion (class docstring), or the block mod p."""
-        if p:
-            return self._ring_gram(m, p)
-        m = tuple(m)
-        if m not in self._exact:
-            index, packed = self._packed(m)
-            self._exact[m] = index, self._unpack(m, packed)
-        return self._exact[m]
-
-    def _packed(self, m):
-        """(word index, packed block) of degree m at a width that unpacks
-        it: a degree that needs more doubles the width and drops every
-        packed block built so far (class docstring)."""
-        need = prod(map(factorial, m))
-        if need >> self._bits:
-            while need >> self._bits:
-                self._bits *= 2
-            self._gram_cache = {k: v for k, v in self._gram_cache.items()
-                                if k[1]}
-        return self._ring_gram(m)
-
-    def _unpack(self, m, packed) -> np.ndarray:
-        """The Laurent numerators of degree m packed in the int array
-        `packed` (from `_packed`), in its shape."""
-        out = np.empty(packed.size, object)
-        out[:] = kronecker_unpack(packed.ravel().tolist(), self._bits,
-                                  self._g * self._low(m), self._g)
-        return out.reshape(packed.shape)
+        return pow(MOD_P_V, e, p) if p else LaurentPoly.monomial(e)
 
     def numerators_on(self, m, words) -> np.ndarray:
         """The Laurent numerators of degree m on the rows and columns of
-        words, unpacked from that sub-block of the packed block alone."""
-        m = tuple(m)
-        index, packed = self._packed(m)
+        words."""
+        index, gram = self._gram(tuple(m))
         cols = [index[w] for w in words]
-        return self._unpack(m, packed[np.ix_(cols, cols)])
+        return gram[np.ix_(cols, cols)]
 
     def _residue(self, entry: LaurentPoly, p: int) -> int:
         """The value of a Laurent polynomial at v = MOD_P_V, mod p."""
@@ -627,7 +529,7 @@ class DrinfeldPairing(GradedForm):
         vectors (`_propagated`) span the kernel.  A check G_p r = 0 mod p on
         their residues sends a corrupted cached vector to the Gram side."""
         p = self.p
-        index, gram = self._ring_gram(m, p)
+        index, gram = self._gram(m, p)
         rank, echelon = rank_mod_p(gram, p)
         known = self._propagated(m)
         if len(index) - rank != len(known):
@@ -640,8 +542,7 @@ class DrinfeldPairing(GradedForm):
                 return None
         for v in vectors:
             r = np.array([self._residue(e, p) for e in v], np.int64)
-            # reduce each product: a sum of unreduced ones overflows int64
-            if ((gram * r % p).sum(axis=1) % p).any():
+            if not kills_mod_p(gram, r, p):
                 return None
         return rank, pivots, vectors
 
@@ -651,8 +552,8 @@ class DrinfeldPairing(GradedForm):
         (none is computed here).  The relations form a two-sided ideal, so
         these lie in the kernel of degree m; vectors whose residues at the
         fixed point are independent mod p are independent over Q(v).  Words
-        are indexed by the mod-p block: nothing is unpacked."""
-        index = self._ring_gram(m, self.p)[0]
+        are indexed by the mod-p block: no exact block is built."""
+        index = self._gram(m, self.p)[0]
         zero = LaurentPoly.zero()
         found = []
         for prev, cols in self._letter_maps(m, index):

@@ -405,21 +405,19 @@ def kronecker_layout(groups, bound: int):
     return bits, lows, step or 1
 
 
-def kronecker_unpack(values, bits: int, lo: int, step: int,
-                     signed: bool = False) -> list:
+def kronecker_unpack(values, bits: int, lo: int, step: int) -> list:
     """The Laurent polynomials whose `kronecker(bits, lo, step)` images are
-    `values`; bits is a multiple of 8.  Unsigned, every coefficient must lie
-    in [0, 2^bits).  Signed, any integer unpacks to the polynomial with
-    digits in [-2^(bits-1), 2^(bits-1)) that packs back to it: 2^(bits-1)
-    is added to every slot of a table one slot wider than the widest value,
-    and taken off the polynomial read back.  Equal values share one
-    polynomial; the distinct values are read as one table of 1, 2, 4 or
-    8-byte slots, or one `int.from_bytes` per slot beyond 64 bits."""
+    `values`; bits is a multiple of 8.  Any integer unpacks to the
+    polynomial with digits in [-2^(bits-1), 2^(bits-1)) that packs back to
+    it: 2^(bits-1) is added to every slot of a table one slot wider than
+    the widest value, and taken off the polynomial read back.  Equal values
+    share one polynomial; the distinct values are read as one table of 1,
+    2, 4 or 8-byte slots, or one `int.from_bytes` per slot beyond 64 bits."""
     distinct = list(dict.fromkeys(values))
     width = bits // 8
-    slots = max(1, -(-max((x.bit_length() for x in distinct), default=0)
-                     // bits) + signed)
-    half = 1 << (bits - 1) if signed else 0
+    slots = -(-max((x.bit_length() for x in distinct), default=0)
+              // bits) + 1
+    half = 1 << (bits - 1)
     bias = half * (((1 << bits * slots) - 1) // ((1 << bits) - 1))
     size = slots * width
     data = b"".join((x + bias).to_bytes(size, "little") for x in distinct)
@@ -433,12 +431,10 @@ def kronecker_unpack(values, bits: int, lo: int, step: int,
         spread = np.zeros((len(distinct), (slots - 1) * step + 1), table.dtype)
         spread[:, ::step] = table
         table = spread
-    polys = {x: LaurentPoly._trimmed(lo, row)
+    bias_poly = LaurentPoly._trimmed(
+        lo, [half] + ([0] * (step - 1) + [half]) * (slots - 1))
+    polys = {x: LaurentPoly._trimmed(lo, row) - bias_poly
              for x, row in zip(distinct, table.tolist())}
-    if half:
-        bias_poly = LaurentPoly._trimmed(
-            lo, [half] + ([0] * (step - 1) + [half]) * (slots - 1))
-        polys = {x: p - bias_poly for x, p in polys.items()}
     return [polys[x] for x in values]
 
 

@@ -77,10 +77,9 @@ def test_gram_symmetry():
                         (cd.A, m, a, b)
 
 
-def test_packed_gram_widths_through_degree_22():
-    # k! crosses 2^8, 2^16, 2^32 and 2^64 on the way to degree 22, so the
-    # packed recursion widens to 16, 32, 64 and then 128 bits, which are
-    # unpacked by int.from_bytes instead of a fixed-width numpy table
+def test_gram_through_degree_22():
+    # B(E^k, E^k) has nonnegative coefficients summing to k!, past 2^64
+    # by degree 22
     bp = DrinfeldPairing(SL2)
     p = bp.p
     for k in range(1, 23):
@@ -91,7 +90,6 @@ def test_packed_gram_widths_through_degree_22():
         # B(E^k, E^k) = q^(-k(k-1)/2) [k]! / (q - q^-1)^k
         expected = QScalar(mono(-k * (k - 1) // 2)) * q_factorial(k)
         assert QScalar(num) == expected
-    assert bp._bits == 128
 
 
 def _bar(num):
@@ -105,10 +103,9 @@ def _bar(num):
     ([[2, Fraction(-1, 2)], [Fraction(-1, 2), 2]], -1),
 ], ids=["sign+1", "b2", "rational"])
 def test_packed_gram_matches_the_hopf_oracle(matrix, sign):
-    # the packed recursion against the Hopf axioms through degree 4: with
-    # exponent_sign +1 (whose least exponents L(m) differ), with d_i != 1
-    # (B2, packed in steps of g = 2), and with D = 2 (2 -1/2; -1/2 2, where
-    # g = 1); the +1 numerators are the Hopf numerators with v -> 1/v
+    # the recursion against the Hopf axioms through degree 4: with
+    # exponent_sign +1, with d_i != 1 (B2), and with D = 2 (2 -1/2;
+    # -1/2 2); the +1 numerators are the Hopf numerators with v -> 1/v
     cd = build_realization(matrix)
     bp = DrinfeldPairing(cd, exponent_sign=sign)
     for m in degrees_upto(cd.n, 4):
@@ -464,7 +461,7 @@ def test_corrupted_propagated_vector_falls_back_to_the_gram_side(monkeypatch):
 
 def test_where_the_ideal_fills_every_degree_nothing_is_unpacked(monkeypatch):
     # 2 -1/2; -1/2 2 (D = 2) through degree 6: every kernel is zero, so
-    # the ranks mod p certify every degree and no numerator is unpacked
+    # the ranks mod p certify every degree and no exact block is built
     def refuse(*args):
         raise AssertionError("a Gram-side certificate on the ideal path")
 
@@ -474,7 +471,34 @@ def test_where_the_ideal_fills_every_degree_nothing_is_unpacked(monkeypatch):
     for m in degrees_upto(2, 6):
         kb = bp.kernel_block(m)
         assert kb.vectors == () and kb.quotient_dim == len(enumerate_words(m))
-    assert bp._exact == {}
+    assert all(p is not None for _, p in bp._gram_cache)
+
+
+@pytest.mark.parametrize("matrix, gram_side", [
+    ([[2, -2], [-2, 2]], {(1, 3), (3, 1)}),
+    ([[2, -3], [-3, 2]], {(1, 4), (4, 1)}),
+], ids=["affine", "hyperbolic"])
+def test_exact_blocks_only_at_and_below_the_gram_side_degrees(
+        monkeypatch, matrix, gram_side):
+    # the relations through degree 6: the Gram side certifies only the
+    # Serre degrees, and the exact recursion builds those degrees and the
+    # degrees below them, nothing else (12 blocks on affine, 16 on
+    # hyperbolic)
+    seen = set()
+    block = DrinfeldPairing.gram_block
+
+    def spy(self, m):
+        seen.add(tuple(m))
+        return block(self, m)
+
+    monkeypatch.setattr(DrinfeldPairing, "gram_block", spy)
+    bp = DrinfeldPairing(build_realization(matrix))
+    for m in degrees_upto(2, 6):
+        bp.kernel_block(m)
+    assert seen == gram_side
+    below = {(a, b) for s, t in gram_side
+             for a in range(s + 1) for b in range(t + 1)}
+    assert {m for m, p in bp._gram_cache if p is None} == below
 
 
 def test_bar_conjugate_kernels_match_the_gram_side():

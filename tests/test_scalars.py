@@ -315,15 +315,13 @@ def test_signed_kronecker_unpack_inverts_the_packing():
                 {lo + step * rng.randrange(6): rng.choice(digits)
                  for _ in range(rng.randrange(4))}) for _ in range(5)]
             values = [p.kronecker(bits, lo, step) for p in polys]
-            assert scalars.kronecker_unpack(values, bits, lo, step,
-                                            signed=True) == polys
+            assert scalars.kronecker_unpack(values, bits, lo, step) == polys
             # one value per call: a wider value in the same call would
             # size the table for it
             for x in rng.sample(edges, 4) + [
                     rng.randrange(-(1 << 3 * bits), 1 << 3 * bits)
                     for _ in range(4)]:
-                (p,) = scalars.kronecker_unpack([x], bits, lo, step,
-                                                signed=True)
+                (p,) = scalars.kronecker_unpack([x], bits, lo, step)
                 assert p.kronecker(bits, lo, step) == x
 
 
